@@ -14,7 +14,6 @@ requires the two classifiers to agree on every rank-3 facet.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -182,14 +181,14 @@ class FacetCensus:
         return {t.label: count for t, count, _ in self.entries}
 
 
-def facet_census(polytope: Graphicahedron, threads: int | None = None) -> FacetCensus:
+def facet_census(polytope: Graphicahedron) -> FacetCensus:
     """Classify every facet; at facet rank 3 the two classifiers must agree."""
     q = polytope.rank
     if q < 1:
         raise ValueError("the facet census needs rank at least 1")
-    facets = polytope.faces(q - 1)
-
-    def classify(facet: Face) -> FaceType:
+    counts: dict[FaceType, int] = {}
+    samples: dict[FaceType, str] = {}
+    for facet in polytope.faces(q - 1):
         tag = classify_by_construction(polytope.graph, facet.edges)
         if q - 1 == 3:
             intrinsic = classify_intrinsic_rank3(polytope, facet)
@@ -198,17 +197,6 @@ def facet_census(polytope: Graphicahedron, threads: int | None = None) -> FacetC
                     f"facet {face_id(facet)}: construction says {tag.label}, "
                     f"interval says {intrinsic.label}"
                 )
-        return tag
-
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            tags = list(pool.map(classify, facets))
-    else:
-        tags = [classify(facet) for facet in facets]
-
-    counts: dict[FaceType, int] = {}
-    samples: dict[FaceType, str] = {}
-    for facet, tag in zip(facets, tags):
         counts[tag] = counts.get(tag, 0) + 1
         samples.setdefault(tag, face_id(facet))
     entries = tuple(

@@ -61,8 +61,12 @@ def _parse_inline_edges(text: str) -> SimpleGraph:
 
 def _graph_from_args(args: argparse.Namespace) -> SimpleGraph:
     if args.file:
-        with open(args.file, encoding="ascii") as handle:
-            return parse_graph(handle.read())
+        try:
+            with open(args.file, encoding="ascii") as handle:
+                text = handle.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ParseError(f"cannot read graph file: {exc}") from None
+        return parse_graph(text)
     if args.edges:
         return _parse_inline_edges(args.edges)
     return _parse_preset(args.preset)
@@ -155,7 +159,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     t0 = time.perf_counter()
     if graph.q >= 1:
-        census = classify.facet_census(hedron, threads=args.threads)
+        census = classify.facet_census(hedron)
         census_json = [
             {"type": tag.label, "count": count, "sample_facet_id": sample}
             for tag, count, sample in census.entries
@@ -201,7 +205,10 @@ def cmd_export(args: argparse.Namespace) -> int:
         except ValueError:
             raise ParseError(f"bad skeleton rank in {args.what!r}") from None
         hedron = polytope.build(graph, max_perms=args.max_perms)
-        skel = polytope.skeleton(hedron, k)
+        try:
+            skel = polytope.skeleton(hedron, k)
+        except ValueError as exc:
+            raise ParseError(str(exc)) from None
         if k >= 1:
             edges = skel.vertex_edges()
         else:
@@ -265,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_source(p_analyze)
     p_analyze.add_argument("--max-perms", type=int, default=VERIFY_MAX_PERMS)
     p_analyze.add_argument("--max-flags", type=int, default=symmetry.DEFAULT_MAX_FLAGS)
-    p_analyze.add_argument("--threads", type=int, default=None)
     p_analyze.add_argument("--timings", action="store_true")
     p_analyze.set_defaults(func=cmd_analyze)
 
@@ -288,9 +294,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.func(args)
     except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except DisconnectedGraphError as exc:

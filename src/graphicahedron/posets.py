@@ -5,6 +5,8 @@ independently (ordered set partitions, products), and for an isomorphism
 test between such posets.  The isomorphism test walks maximal chains and
 requires both posets to be *thin* (exactly two choices at every chain
 position), which holds for every polytope-like poset this library produces.
+Its color-preserving propagation, :func:`propagate`, also counts the
+polytope's automorphisms on the flag graph.
 """
 
 from __future__ import annotations
@@ -107,13 +109,47 @@ def _chain_neighbor_tables(poset: RankedPoset, chains: Sequence[tuple]) -> list[
     return tables
 
 
+def propagate(
+    tables_a: Sequence[Sequence[int]], tables_b: Sequence[Sequence[int]], image_of_base: int
+) -> list[int] | None:
+    """Extend ``0 -> image_of_base`` to a color-preserving injection.
+
+    ``tables_a[c][x]`` is the neighbor of node ``x`` along color ``c`` in
+    the first colored graph, ``tables_b`` the same for the second.  On a
+    connected first graph the extension is unique if it exists.  Returns
+    the map as a list, or None at the first conflict or repeated image, or
+    when the first graph is not connected.
+    """
+    mapping = [-1] * len(tables_a[0])
+    mapping[0] = image_of_base
+    used = bytearray(len(tables_b[0]))
+    used[image_of_base] = 1
+    pairs = tuple(zip(tables_a, tables_b))
+    stack = [0]
+    while stack:
+        x = stack.pop()
+        y = mapping[x]
+        for ta, tb in pairs:
+            xs, ys = ta[x], tb[y]
+            known = mapping[xs]
+            if known == -1:
+                if used[ys]:
+                    return None
+                used[ys] = 1
+                mapping[xs] = ys
+                stack.append(xs)
+            elif known != ys:
+                return None
+    return None if -1 in mapping else mapping
+
+
 def posets_isomorphic(a: RankedPoset, b: RankedPoset) -> bool:
     """Rank- and incidence-preserving bijection test for thin graded posets.
 
     Works on the colored graphs of maximal chains: fixes a base chain of
-    ``a`` and tries every chain of ``b`` as its image, propagating along
-    the chain-adjacency colors.  Any successful propagation is a poset
-    isomorphism; if none succeeds the posets differ.
+    ``a`` and tries every chain of ``b`` as its image with :func:`propagate`.
+    Any successful propagation is a poset isomorphism; if none succeeds the
+    posets differ.
 
     Assumes both chain graphs are connected (true for every polytope-like
     poset, where this is strong flag-connectedness); on a disconnected
@@ -125,32 +161,11 @@ def posets_isomorphic(a: RankedPoset, b: RankedPoset) -> bool:
     chains_b = b.maximal_chains()
     if len(chains_a) != len(chains_b):
         return False
-    if not chains_a:
+    if not chains_a or a.top_rank == 0:
         return True
     adj_a = _chain_neighbor_tables(a, chains_a)
     adj_b = _chain_neighbor_tables(b, chains_b)
-    n = len(chains_a)
-    colors = range(a.top_rank)
-
-    for image_of_base in range(n):
-        mapping = [-1] * n
-        mapping[0] = image_of_base
-        queue = [0]
-        ok = True
-        while queue and ok:
-            x = queue.pop()
-            y = mapping[x]
-            for s in colors:
-                xs, ys = adj_a[s][x], adj_b[s][y]
-                if mapping[xs] == -1:
-                    mapping[xs] = ys
-                    queue.append(xs)
-                elif mapping[xs] != ys:
-                    ok = False
-                    break
-        if ok and all(m != -1 for m in mapping) and len(set(mapping)) == n:
-            return True
-    return False
+    return any(propagate(adj_a, adj_b, image) is not None for image in range(len(chains_b)))
 
 
 def product_poset(a: RankedPoset, b: RankedPoset) -> RankedPoset:

@@ -9,10 +9,10 @@ whenever the graph has more than one edge.
 
 Independently of that construction, the full automorphism group is counted
 on the flag graph: an automorphism is pinned down by the image of a single
-flag, and acts freely, so the group order equals the number of flags to
-which a fixed base flag can be sent by a color-preserving map.  That count
-is run for every candidate image simultaneously with vectorized table
-lookups.
+flag, and acts freely, so the group order equals the size of the orbit of
+a fixed base flag.  The orbit is grown from the automorphisms found so far,
+and a candidate image is tested only when no earlier test has already
+decided its orbit.
 """
 
 from __future__ import annotations
@@ -20,15 +20,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InternalInconsistencyError
 from .graphs import GraphAutomorphism, SimpleGraph, automorphisms, is_star, is_triangle
-from .perms import Perm, all_perms, canonical_rep, compose, conjugate, inverse
+from .perms import Perm, all_perms, canonical_rep, compose, conjugate
 from .polytope import Face, Graphicahedron, flag_count, flag_tables
+from .posets import propagate
 
 DEFAULT_MAX_FLAGS = 5000
-_CANDIDATE_CHUNK = 512
 
 
 def apply_right(polytope: Graphicahedron, gamma: Perm, face: Face) -> Face:
@@ -79,49 +77,42 @@ def semidirect_applies(graph: SimpleGraph) -> bool:
 def full_aut_order_via_flags(polytope: Graphicahedron, max_flags: int = DEFAULT_MAX_FLAGS) -> int:
     """Count polytope automorphisms directly on the flag graph.
 
-    Fix the first flag as base.  Every candidate image flag determines at
-    most one color-preserving extension over the connected flag graph; the
-    candidates for which the extension is consistent with every adjacency
-    table are exactly the automorphisms.
+    Fix flag 0 as base.  Each candidate image flag determines at most one
+    color-preserving extension over the connected flag graph (:func:`propagate`).
+    A success is an automorphism: merging every flag with its image keeps
+    the classes equal to the orbits of the group found so far.  A failure
+    rules out the candidate's whole class, and candidates in a decided class
+    are skipped.  The action is free, so the order is the size of the base
+    flag's class once every candidate is decided.
     """
     n, tables = flag_tables(polytope, max_flags=max_flags)
-    q = polytope.graph.q
-    if q == 0:
+    if polytope.graph.q == 0:
         return 1
-    adj = np.array(tables, dtype=np.int64)
-
-    # Spanning-tree orientation of the flag graph, rooted at flag 0.
-    parent = np.zeros(n, dtype=np.int64)
-    parent_color = np.zeros(n, dtype=np.int64)
-    order = [0]
-    seen = bytearray(n)
-    seen[0] = 1
-    head = 0
-    while head < len(order):
-        x = order[head]
-        head += 1
-        for j in range(q):
-            y = tables[j][x]
-            if not seen[y]:
-                seen[y] = 1
-                parent[y] = x
-                parent_color[y] = j
-                order.append(y)
-    if len(order) != n:
+    if propagate(tables, tables, 0) is None:
         raise InternalInconsistencyError("flag graph is not connected")
+    parent = list(range(n))
+    bad = bytearray(n)
 
-    total = 0
-    for start in range(0, n, _CANDIDATE_CHUNK):
-        cand = np.arange(start, min(start + _CANDIDATE_CHUNK, n), dtype=np.int64)
-        images = np.empty((len(cand), n), dtype=np.int64)
-        images[:, 0] = cand
-        for x in order[1:]:
-            images[:, x] = adj[parent_color[x]][images[:, parent[x]]]
-        ok = np.ones(len(cand), dtype=bool)
-        for j in range(q):
-            ok &= (images[:, adj[j]] == adj[j][images]).all(axis=1)
-        total += int(ok.sum())
-    return total
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    for candidate in range(1, n):
+        root = find(candidate)
+        if bad[root] or root == find(0):
+            continue
+        image = propagate(tables, tables, candidate)
+        if image is None:
+            bad[root] = 1
+            continue
+        for x, y in enumerate(image):
+            rx, ry = find(x), find(y)
+            if rx != ry:
+                parent[ry] = rx
+                bad[rx] |= bad[ry]
+    base = find(0)
+    return sum(find(x) == base for x in range(n))
 
 
 def regular_by_graph_shape(graph: SimpleGraph) -> bool:
@@ -137,7 +128,11 @@ def is_regular(polytope: Graphicahedron, max_flags: int = DEFAULT_MAX_FLAGS) -> 
     as its flag set.  The verdict must agree with the closed-form criterion
     on the underlying graph; disagreement means a bug, not a warning.
     """
-    by_count = full_aut_order_via_flags(polytope, max_flags=max_flags) == flag_count(polytope)
+    return _regular_by_order(polytope, full_aut_order_via_flags(polytope, max_flags=max_flags))
+
+
+def _regular_by_order(polytope: Graphicahedron, aut_order: int) -> bool:
+    by_count = aut_order == flag_count(polytope)
     by_shape = regular_by_graph_shape(polytope.graph)
     if by_count != by_shape:
         raise InternalInconsistencyError(
@@ -172,16 +167,14 @@ class AutGroupSummary:
 
 def aut_summary(polytope: Graphicahedron, max_flags: int = DEFAULT_MAX_FLAGS) -> AutGroupSummary:
     graph = polytope.graph
+    flag_aut_order = full_aut_order_via_flags(polytope, max_flags=max_flags)
     return AutGroupSummary(
         constructed_order=constructed_group_order(graph),
-        flag_aut_order=full_aut_order_via_flags(polytope, max_flags=max_flags),
+        flag_aut_order=flag_aut_order,
         sp_order=math.factorial(graph.p),
         graph_aut_order=len(automorphisms(graph)),
-        regular=is_regular(polytope, max_flags=max_flags),
+        regular=_regular_by_order(polytope, flag_aut_order),
         vertex_transitive=is_vertex_transitive(polytope),
         semidirect_applies=semidirect_applies(graph),
     )
 
-
-def inverse_automorphism(kappa: GraphAutomorphism) -> GraphAutomorphism:
-    return GraphAutomorphism(inverse(kappa.vertex_map), inverse(kappa.edge_map))

@@ -43,7 +43,6 @@ from graphicahedron import (
 )
 from graphicahedron.classify import HEXAGON, SQUARE
 from graphicahedron.polytope import drop_face, full_poset, interval_below
-from graphicahedron.symmetry import inverse_automorphism
 
 CRITERION_1_GRAPHS = [
     ("P_1", preset_graph("path", 1)),
@@ -281,7 +280,7 @@ def test_criterion_11_property_suites():
         P = polytope_of(name)
         faces = list(P.all_faces())
         for kappa in automorphisms(P.graph):
-            kappa_inv = inverse_automorphism(kappa)
+            kappa_inv = kappa.inverse()
             for gamma in itertools.permutations(range(P.graph.p)):
                 gamma_conj = conjugate(gamma, kappa.vertex_map)
                 for f in faces:

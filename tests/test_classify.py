@@ -235,11 +235,6 @@ def test_census_euler_characteristic_per_tag():
             assert v - e + f2 == expected
 
 
-def test_census_threads_agree_with_serial():
-    P = hedron("paw")
-    assert facet_census(P, threads=4).as_dict() == facet_census(P).as_dict()
-
-
 def test_census_samples_are_stable_ids():
     census = facet_census(hedron("paw"))
     for _, _, sample in census.entries:

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from graphicahedron.cli import main
 
 
@@ -145,12 +147,6 @@ def test_analyze_path3_not_regular(capsys):
     assert report["symmetry"]["regular"] is False
 
 
-def test_analyze_threads_matches_serial(capsys):
-    code, serial, _ = run_json(capsys, "analyze", "--preset", "paw")
-    code2, threaded, _ = run_json(capsys, "analyze", "--preset", "paw", "--threads", "4")
-    assert (code, serial) == (code2, threaded)
-
-
 def test_deterministic_output(capsys):
     _, first, _ = run(capsys, "build", "--preset", "fork")
     _, second, _ = run(capsys, "build", "--preset", "fork")
@@ -226,3 +222,28 @@ def test_export_skeleton_zero_is_isolated(capsys):
 def test_export_unknown_target_exits_1(capsys):
     code, _, err = run(capsys, "export", "--preset", "paw", "--what", "hologram")
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "source, what",
+    [
+        ("preset", "skeleton:9"),
+        ("preset", "skeleton:-1"),
+        ("directory", "cayley"),
+        ("non-ascii", "cayley"),
+    ],
+)
+def test_bad_input_exits_1_with_one_line(tmp_path, capsys, source, what):
+    if source == "preset":
+        graph = ["--preset", "paw"]
+    elif source == "directory":
+        graph = ["--file", str(tmp_path)]
+    else:
+        path = tmp_path / "graph.txt"
+        path.write_bytes("# caf\u00e9\n1 2\n".encode("utf-8"))
+        graph = ["--file", str(path)]
+    code, out, err = run(capsys, "export", *graph, "--what", what)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err

@@ -1,7 +1,13 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import graphicahedron
 
 from graphicahedron import (
     apply_graph_aut,
@@ -18,10 +24,11 @@ from graphicahedron import (
     is_vertex_transitive,
     preset_graph,
 )
+from graphicahedron import symmetry
 from graphicahedron.errors import CapacityError
+from graphicahedron.posets import propagate
 from graphicahedron.symmetry import (
     PolytopeAutomorphism,
-    inverse_automorphism,
     regular_by_graph_shape,
     semidirect_applies,
 )
@@ -129,15 +136,63 @@ def test_flag_count_oracle_matches_constructed_order():
     for name, n in [
         ("path", 2),
         ("path", 3),
+        ("path", 4),
         ("cycle", 3),
         ("cycle", 4),
+        ("cycle", 5),  # 14 400 flags
         ("star", 3),
         ("star", 4),
         ("paw", None),
         ("fork", None),
     ]:
         P = hedron(name, n)
-        assert full_aut_order_via_flags(P) == constructed_group_order(P.graph)
+        assert full_aut_order_via_flags(P, max_flags=20000) == constructed_group_order(P.graph)
+
+
+def test_aut_summary_counts_once(monkeypatch):
+    counted = []
+    real = symmetry.full_aut_order_via_flags
+
+    def counting(*args, **kwargs):
+        counted.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(symmetry, "full_aut_order_via_flags", counting)
+    for name, n in [("star", 3), ("paw", None)]:
+        counted.clear()
+        s = aut_summary(hedron(name, n))
+        assert len(counted) == 1
+        assert s.regular == regular_by_graph_shape(preset_graph(name, n))
+
+
+def _alternating_cycles(n_cycles, length):
+    """Neighbor tables of ``n_cycles`` disjoint cycles of ``length`` nodes, edges colored 0, 1 alternately."""
+    def along(color, x):
+        block, j = divmod(x, length)
+        if color == 0:
+            return block * length + (j ^ 1)
+        return block * length + (j + (1 if j % 2 else -1)) % length
+
+    return [[along(c, x) for x in range(n_cycles * length)] for c in range(2)]
+
+
+def test_propagate_rejects_non_injective_cover():
+    big = _alternating_cycles(1, 24)
+    small = _alternating_cycles(2, 12)
+    wrap = [x % 12 for x in range(24)]  # color-preserving, but two-to-one
+    assert all(small[c][wrap[x]] == wrap[big[c][x]] for c in range(2) for x in range(24))
+    assert propagate(big, big, 5) is not None
+    assert propagate(small, small, 0) is None  # not connected
+    assert propagate(big, small, 0) is None
+
+
+def test_package_imports_without_numpy():
+    src = Path(graphicahedron.__file__).resolve().parent.parent
+    subprocess.run(
+        [sys.executable, "-c", "import graphicahedron, sys; assert 'numpy' not in sys.modules"],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        check=True,
+    )
 
 
 def test_full_aut_capacity():
@@ -181,7 +236,7 @@ def test_semidirect_conjugation_identity():
         P = hedron(name)
         faces = list(P.all_faces())
         for kappa in automorphisms(P.graph):
-            kappa_inv = inverse_automorphism(kappa)
+            kappa_inv = kappa.inverse()
             for gamma in itertools.permutations(range(P.graph.p)):
                 gamma_conj = conjugate(gamma, kappa.vertex_map)
                 for f in faces:
