@@ -36,7 +36,6 @@ from .graphs import (
     preset_graph,
 )
 from .perms import (
-    CosetKey,
     Perm,
     VertexPartition,
     canonical_rep,
@@ -83,7 +82,6 @@ __all__ = [
     "AutGroupSummary",
     "CapacityError",
     "CayleyGraph",
-    "CosetKey",
     "DisconnectedGraphError",
     "Face",
     "FaceType",

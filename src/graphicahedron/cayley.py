@@ -8,12 +8,10 @@ color of the Cayley edge, so each color class is a perfect matching.
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, Iterator
 
-from .errors import CapacityError
 from .graphs import SimpleGraph
-from .perms import Perm, all_perms, compose, transposition_of_edge
+from .perms import Perm, all_perms, check_perm_capacity, compose, transposition_of_edge
 
 DEFAULT_MAX_PERMS = 40320  # 8!
 
@@ -61,9 +59,7 @@ class CayleyGraph:
 
 def build_cayley(graph: SimpleGraph, max_perms: int = DEFAULT_MAX_PERMS) -> CayleyGraph:
     """Materialize the Cayley graph with one neighbor table per edge color."""
-    n = math.factorial(graph.p)
-    if n > max_perms:
-        raise CapacityError(f"{graph.p}! = {n} permutations exceeds the cap of {max_perms}")
+    check_perm_capacity(graph.p, max_perms)
     perms = tuple(all_perms(graph.p))
     index = {a: i for i, a in enumerate(perms)}
     taus = [transposition_of_edge(graph.p, e) for e in graph.edges]

@@ -237,6 +237,17 @@ def cmd_export(args: argparse.Namespace) -> int:
     raise ParseError(f"unknown export target {args.what!r}")
 
 
+def _cap(text: str) -> int:
+    """A ``--max-*`` value: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _add_graph_source(parser: argparse.ArgumentParser) -> None:
     source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument("--file", help="graph file in edge-list format")
@@ -253,13 +264,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_build = sub.add_parser("build", help="face counts and flag count")
     _add_graph_source(p_build)
-    p_build.add_argument("--max-perms", type=int, default=BUILD_MAX_PERMS)
+    p_build.add_argument("--max-perms", type=_cap, default=BUILD_MAX_PERMS)
     p_build.add_argument("--timings", action="store_true")
     p_build.set_defaults(func=cmd_build)
 
     p_verify = sub.add_parser("verify", help="check the abstract-polytope axioms")
     _add_graph_source(p_verify)
-    p_verify.add_argument("--max-perms", type=int, default=VERIFY_MAX_PERMS)
+    p_verify.add_argument("--max-perms", type=_cap, default=VERIFY_MAX_PERMS)
     p_verify.add_argument("--timings", action="store_true")
     p_verify.add_argument(
         "--corrupt",
@@ -270,8 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_analyze = sub.add_parser("analyze", help="symmetry group and facet census")
     _add_graph_source(p_analyze)
-    p_analyze.add_argument("--max-perms", type=int, default=VERIFY_MAX_PERMS)
-    p_analyze.add_argument("--max-flags", type=int, default=symmetry.DEFAULT_MAX_FLAGS)
+    p_analyze.add_argument("--max-perms", type=_cap, default=VERIFY_MAX_PERMS)
+    p_analyze.add_argument("--max-flags", type=_cap, default=symmetry.DEFAULT_MAX_FLAGS)
     p_analyze.add_argument("--timings", action="store_true")
     p_analyze.set_defaults(func=cmd_analyze)
 
@@ -279,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_source(p_export)
     p_export.add_argument("--what", required=True, help="cayley or skeleton:K")
     p_export.add_argument("--format", choices=["dot", "json"], default="dot")
-    p_export.add_argument("--max-perms", type=int, default=BUILD_MAX_PERMS)
+    p_export.add_argument("--max-perms", type=_cap, default=BUILD_MAX_PERMS)
     p_export.set_defaults(func=cmd_export)
 
     return parser

@@ -81,9 +81,13 @@ def parse_graph(text: str) -> SimpleGraph:
             continue
         tokens = line.split()
         if not saw_content and tokens[0] == "p":
-            if len(tokens) != 2 or not tokens[1].isdigit() or int(tokens[1]) < 1:
+            # isdecimal, unlike isdigit, rejects digit-like signs such as '²' that int() refuses
+            try:
+                declared_p = int(tokens[1]) if len(tokens) == 2 and tokens[1].isdecimal() else 0
+            except ValueError:  # more digits than int() converts
+                declared_p = 0
+            if declared_p < 1:
                 raise ParseError(f"bad header {line!r}, expected 'p <count>'", lineno)
-            declared_p = int(tokens[1])
             saw_content = True
             continue
         saw_content = True

@@ -19,6 +19,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+from .errors import CapacityError
+
 Perm = tuple[int, ...]
 
 
@@ -138,6 +140,22 @@ class VertexPartition:
         return len(self.block_of)
 
 
+def check_perm_capacity(p: int, cap: int) -> None:
+    """Raise :class:`CapacityError` when ``p!`` exceeds ``cap``.
+
+    ``p`` is compared with the least m whose m! exceeds the cap, so no
+    factorial larger than about ``cap * m`` is computed; the message spells
+    out ``p!`` only while it is small (p <= 20).
+    """
+    m, m_factorial = 0, 1
+    while m_factorial <= cap:
+        m += 1
+        m_factorial *= m
+    if p >= m:
+        count = f"{p}! = {math.factorial(p)}" if p <= 20 else f"{p}!"
+        raise CapacityError(f"{count} permutations exceeds the cap of {cap}")
+
+
 def coset_size(part: VertexPartition) -> int:
     """Order of the Young subgroup preserving every block of ``part``."""
     return math.prod(math.factorial(len(b)) for b in part.blocks)
@@ -220,19 +238,3 @@ def coset_reps(part: VertexPartition) -> Iterator[Perm]:
                 counts[b] += 1
 
     return rec()
-
-
-@dataclass(frozen=True)
-class CosetKey:
-    """Value identity for a right coset of a Young subgroup.
-
-    Two (partition, permutation) pairs produce equal keys exactly when they
-    span the same coset.
-    """
-
-    partition: VertexPartition
-    rep: Perm
-
-    @classmethod
-    def of(cls, partition: VertexPartition, a: Perm) -> "CosetKey":
-        return cls(partition, canonical_rep(partition, a))

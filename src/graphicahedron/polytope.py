@@ -13,6 +13,13 @@ all q edge indices, whose prefixes give the nested edge sets of the chain,
 plus the base permutation of the chain's vertex.  There are exactly p!q!
 of them.
 
+Covers follow directly from this coset rule: the faces covering (K, c) are
+the faces (K + {e}, canonical_rep(c)), one for each edge e not in K.  On
+first use the stored faces get dense integer ids and each id its up- and
+down-cover lists (:class:`FaceIndex`), so intervals, vertex figures and
+sections are walks along covers rather than scans of whole ranks.  A face
+missing from the store is simply a missing cover.
+
 The verifiers in this module re-check the defining polytope axioms from the
 stored poset: the diamond condition (exactly two faces strictly between any
 two incident faces two ranks apart) and strong flag-connectedness (every
@@ -23,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -34,6 +42,7 @@ from .perms import (
     VertexPartition,
     all_perms,
     canonical_rep,
+    check_perm_capacity,
     compose,
     coset_le,
     coset_reps,
@@ -90,6 +99,7 @@ class Graphicahedron:
             r: tuple(sorted(faces, key=face_sort_key)) for r, faces in faces_by_rank.items()
         }
         self._partitions: dict[frozenset[int], VertexPartition] = {}
+        self._index: FaceIndex | None = None
         self._covers: tuple[dict[Face, tuple[Face, ...]], dict[Face, tuple[Face, ...]]] | None = None
 
     @property
@@ -133,22 +143,80 @@ class Graphicahedron:
         )
 
     def covers(self) -> tuple[dict[Face, tuple[Face, ...]], dict[Face, tuple[Face, ...]]]:
-        """(up, down) cover lists between consecutive ranks, computed once."""
+        """(up, down) cover lists between consecutive ranks, computed once.
+
+        The covers are derived directly from the coset rule, not by comparing
+        faces: the faces above (K, c) are (K + {e}, canonical_rep(c)) for each
+        edge e not in K, kept when stored.  Lists follow ``all_faces()`` order.
+        """
         if self._covers is None:
-            up: dict[Face, list[Face]] = {f: [] for f in self.all_faces()}
-            down: dict[Face, list[Face]] = {f: [] for f in self.all_faces()}
-            for r in range(self.rank):
-                for g in self.faces(r + 1):
-                    part = self.partition_of(g.edges)
-                    for f in self.faces(r):
-                        if f.edges <= g.edges and same_coset(part, f.rep, g.rep):
-                            up[f].append(g)
-                            down[g].append(f)
-            self._covers = (
-                {f: tuple(v) for f, v in up.items()},
-                {f: tuple(v) for f, v in down.items()},
+            index = self._index = FaceIndex(self)
+            faces = index.faces
+            self._covers = tuple(
+                {f: tuple(faces[j] for j in ids[i]) for i, f in enumerate(faces)}
+                for ids in (index.up, index.down)
             )
         return self._covers
+
+    def face_index(self) -> FaceIndex:
+        """The integer face ids and cover lists, built by the first :meth:`covers` call."""
+        if self._index is None:
+            self.covers()
+        return self._index
+
+
+class FaceIndex:
+    """Dense integer ids for the stored faces, in ``all_faces()`` order, with
+    up- and down-cover lists per id, each in increasing id order."""
+
+    def __init__(self, polytope: Graphicahedron):
+        self.faces = tuple(polytope.all_faces())
+        self.ranks = [f.rank for f in self.faces]
+        self.ids_by_edges: dict[frozenset[int], dict[Perm, int]] = {}
+        for i, f in enumerate(self.faces):
+            self.ids_by_edges.setdefault(f.edges, {})[f.rep] = i
+        self.up: list[list[int]] = [[] for _ in self.faces]
+        self.down: list[list[int]] = [[] for _ in self.faces]
+        # Edge sets come in face order and e ascends, so both lists end up sorted.
+        for edges, ids in self.ids_by_edges.items():
+            for e in range(polytope.rank):
+                if e in edges:
+                    continue
+                larger = edges | {e}
+                above = self.ids_by_edges.get(larger)
+                if above is None:
+                    continue
+                part = polytope.partition_of(larger)
+                for rep, i in ids.items():
+                    j = above.get(canonical_rep(part, rep))
+                    if j is not None:
+                        self.up[i].append(j)
+                        self.down[j].append(i)
+
+    def id_of(self, face: Face) -> int | None:
+        return self.ids_by_edges.get(face.edges, {}).get(face.rep)
+
+    def first_of_rank(self, rank: int) -> int:
+        """The least id of rank at least ``rank``; ids of rank r are
+        ``range(first_of_rank(r), first_of_rank(r + 1))``."""
+        return bisect_left(self.ranks, rank)
+
+    def up_set(self, i: int) -> set[int]:
+        return self._closure(i, self.up)
+
+    def down_set(self, i: int) -> set[int]:
+        return self._closure(i, self.down)
+
+    @staticmethod
+    def _closure(i: int, covers: list[list[int]]) -> set[int]:
+        seen = {i}
+        stack = [i]
+        while stack:
+            for j in covers[stack.pop()]:
+                if j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+        return seen
 
 
 def build(graph: SimpleGraph, max_perms: int = DEFAULT_MAX_PERMS) -> Graphicahedron:
@@ -158,9 +226,7 @@ def build(graph: SimpleGraph, max_perms: int = DEFAULT_MAX_PERMS) -> Graphicahed
     cosets of its Young subgroup, so they are generated directly from the
     component partition rather than by deduplicating all p! pairs.
     """
-    n = math.factorial(graph.p)
-    if n > max_perms:
-        raise CapacityError(f"{graph.p}! = {n} permutations exceeds the cap of {max_perms}")
+    check_perm_capacity(graph.p, max_perms)
     if not is_connected(graph):
         raise DisconnectedGraphError(
             "the graphicahedron is only defined for connected graphs"
@@ -292,106 +358,105 @@ def verify_diamond(polytope: Graphicahedron) -> VerifyReport:
 
     The least face is treated as below every vertex, so rank-1 faces must
     have exactly two vertices below them; at the other end every rank-(q-2)
-    face must lie below exactly two facets.
+    face must lie below exactly two facets.  The pairs are found by walking
+    two steps down the covers of each upper face, lower faces in id order.
     """
     q = polytope.rank
-    _, down = polytope.covers()
+    index = polytope.face_index()
+    down = index.down
     checked = 0
     for i in range(q):
-        for high in polytope.faces(i + 1):
+        for high in range(index.first_of_rank(i + 1), index.first_of_rank(i + 2)):
             mids = down[high]
-            lows: tuple = polytope.faces(i - 1) if i > 0 else (None,)
-            for low in lows:
-                if low is not None and not polytope.is_incident(low, high):
-                    continue
+            if i == 0:
+                counts = [(None, len(mids))]
+            else:
+                between: dict[int, int] = {}
+                for m in mids:
+                    for low in down[m]:
+                        between[low] = between.get(low, 0) + 1
+                counts = sorted(between.items())
+            for low, count in counts:
                 checked += 1
-                count = (
-                    len(mids)
-                    if low is None
-                    else sum(1 for m in mids if polytope.is_incident(low, m))
-                )
                 if count != 2:
-                    low_id = face_id(low) if low is not None else "least face"
+                    low_id = face_id(index.faces[low]) if low is not None else "least face"
                     return VerifyReport(
                         False,
                         checked,
-                        f"{count} faces between {low_id} and {face_id(high)}, expected 2",
+                        f"{count} faces between {low_id} and {face_id(index.faces[high])}, expected 2",
                     )
     return VerifyReport(True, checked)
 
 
 def _section_chains(
-    polytope: Graphicahedron, bottom: Face | None, top: Face
-) -> tuple[list[tuple], dict]:
-    """Maximal chains of the section [bottom, top] and memoized interval data."""
-    up, down = polytope.covers()
-    in_interval: dict[Face, bool] = {}
+    index: FaceIndex, bottom: int | None, top: int, above_bottom: set[int] | None
+) -> list[tuple[int | None, ...]]:
+    """Maximal chains of the section [bottom, top], as id tuples from ``top``
+    down to ``bottom`` (None for the least face).
 
-    def member(f: Face) -> bool:
-        res = in_interval.get(f)
-        if res is None:
-            res = polytope.is_incident(f, top) and (
-                bottom is None or polytope.is_incident(bottom, f)
-            )
-            in_interval[f] = res
-        return res
+    ``above_bottom`` is the up-set of ``bottom``; the walk down from ``top``
+    stays inside it.  With the least face as bottom every walk down to a
+    vertex is a chain.
+    """
+    down, ranks = index.down, index.ranks
+    chains: list[tuple[int | None, ...]] = []
+    stack = [top]
 
-    chains: list[tuple] = []
-    stack: list[Face] = []
-
-    def walk(current: Face | None) -> None:
-        succs = polytope.faces(0) if current is None else up[current]
-        for g in succs:
-            if g == top:
-                chains.append(tuple([bottom] + stack + [top]))
-            elif g.rank < top.rank and member(g):
+    def walk(current: int) -> None:
+        if bottom is None and ranks[current] == 0:
+            chains.append((*stack, None))
+            return
+        for g in down[current]:
+            if g == bottom:
+                chains.append((*stack, g))
+            elif bottom is None or g in above_bottom:
                 stack.append(g)
                 walk(g)
                 stack.pop()
 
-    if bottom == top:
-        chains.append((top,))
-    else:
-        walk(bottom)
-    return chains, {"up": up, "down": down, "member": member}
+    walk(top)
+    return chains
 
 
-def _section_connected(polytope: Graphicahedron, bottom: Face | None, top: Face) -> tuple[bool, int]:
-    """Connectivity of the flag graph of one section; returns (ok, chain count)."""
-    chains, ctx = _section_chains(polytope, bottom, top)
+def _section_connected(
+    index: FaceIndex,
+    bottom: int | None,
+    top: int,
+    above_bottom: set[int] | None,
+    mids_between: dict[tuple[int | None, int], list[int]],
+) -> bool:
+    """Connectivity of the flag graph of one section, by breadth-first search
+    over its maximal chains; ``mids_between`` caches the faces strictly
+    between two ids and is shared across sections."""
+    chains = _section_chains(index, bottom, top, above_bottom)
     if len(chains) <= 1:
-        return True, len(chains)
-    up, down = ctx["up"], ctx["down"]
-    index = {c: i for i, c in enumerate(chains)}
-    length = len(chains[0])  # bottom .. top inclusive
-    mids_between: dict[tuple, list] = {}
-
-    def neighbors(chain: tuple) -> Iterator[int]:
-        for s in range(1, length - 1):
-            lo, mid, hi = chain[s - 1], chain[s], chain[s + 1]
-            mids = mids_between.get((lo, hi))
-            if mids is None:
-                if lo is None:
-                    mids = list(down[hi])
-                else:
-                    hi_down = set(down[hi])
-                    mids = [m for m in up[lo] if m in hi_down]
-                mids_between[(lo, hi)] = mids
-            for other in mids:
-                if other != mid:
-                    yield index[chain[:s] + (other,) + chain[s + 1:]]
-
-    seen = {0}
+        return True
+    up, down = index.up, index.down
+    position = {c: i for i, c in enumerate(chains)}
+    inner = range(1, len(chains[0]) - 1)
+    seen = bytearray(len(chains))
+    seen[0] = 1
+    reached = 1
     frontier = [0]
     while frontier:
         nxt = []
         for ci in frontier:
-            for ni in neighbors(chains[ci]):
-                if ni not in seen:
-                    seen.add(ni)
-                    nxt.append(ni)
+            chain = chains[ci]
+            for s in inner:
+                hi, mid, lo = chain[s - 1], chain[s], chain[s + 1]
+                mids = mids_between.get((lo, hi))
+                if mids is None:
+                    mids = down[hi] if lo is None else [m for m in up[lo] if hi in up[m]]
+                    mids_between[(lo, hi)] = mids
+                for other in mids:
+                    if other != mid:
+                        ni = position[chain[:s] + (other,) + chain[s + 1:]]
+                        if not seen[ni]:
+                            seen[ni] = 1
+                            reached += 1
+                            nxt.append(ni)
         frontier = nxt
-    return len(seen) == len(chains), len(chains)
+    return reached == len(chains)
 
 
 def verify_strong_flag_connectedness(
@@ -404,6 +469,7 @@ def verify_strong_flag_connectedness(
     Sections of rank below two are connected for trivial reasons, so only
     pairs of incident faces at rank distance three or more are walked (with
     the implicit least face and the greatest face included as endpoints).
+    The upper ends of the sections above a face come from its up-set.
     ``drop_color`` deletes one adjacency color from the full flag graph and
     exists purely as a negative-control hook for tests.
     """
@@ -427,24 +493,28 @@ def verify_strong_flag_connectedness(
     if reached != n:
         return VerifyReport(False, 1, f"flag graph has {n} flags but only {reached} reachable")
 
-    checked = 1
-    sections: list[tuple[Face | None, Face]] = []
-    for top_rank in range(2, q + 1):
-        sections.extend((None, top) for top in polytope.faces(top_rank))
-    for low_rank in range(0, q - 2):
-        for low in polytope.faces(low_rank):
-            for top_rank in range(low_rank + 3, q + 1):
-                for top in polytope.faces(top_rank):
-                    if polytope.is_incident(low, top):
-                        sections.append((low, top))
+    index = polytope.face_index()
+    ranks = index.ranks
 
-    for bottom, top in sections:
-        ok, _ = _section_connected(polytope, bottom, top)
+    def sections() -> Iterator[tuple[int | None, int, set[int] | None]]:
+        for top in range(index.first_of_rank(2), len(ranks)):
+            yield None, top, None
+        for low in range(index.first_of_rank(q - 2)):
+            above = index.up_set(low)
+            for top in sorted(above):
+                if ranks[top] >= ranks[low] + 3:
+                    yield low, top, above
+
+    checked = 1
+    mids_between: dict[tuple[int | None, int], list[int]] = {}
+    for bottom, top, above in sections():
         checked += 1
-        if not ok:
-            bottom_id = face_id(bottom) if bottom is not None else "least face"
+        if not _section_connected(index, bottom, top, above, mids_between):
+            bottom_id = face_id(index.faces[bottom]) if bottom is not None else "least face"
             return VerifyReport(
-                False, checked, f"section [{bottom_id}, {face_id(top)}] has a disconnected flag graph"
+                False,
+                checked,
+                f"section [{bottom_id}, {face_id(index.faces[top])}] has a disconnected flag graph",
             )
     return VerifyReport(True, checked)
 
@@ -452,27 +522,21 @@ def verify_strong_flag_connectedness(
 def vertex_figure_is_simplex(polytope: Graphicahedron, v: Face) -> bool:
     """Whether the faces above a vertex form the Boolean lattice on q atoms.
 
-    Checks binomial counts per rank, that distinct faces above carry
-    distinct edge sets, and that incidence between them is exactly edge-set
-    containment.
+    Walks the up-set of ``v`` along covers and checks binomial counts per
+    rank.  A face reached from ``v`` is the one face with its edge set whose
+    coset contains ``v``, and each cover adds one edge, so with those counts
+    the up-set holds one face per edge subset, ordered by containment.
     """
     if v.rank != 0:
         raise ValueError("vertex figures are computed at rank-0 faces")
-    q = polytope.rank
-    above: list[Face] = []
-    for r in range(q + 1):
-        at_rank = [f for f in polytope.faces(r) if polytope.is_incident(v, f)]
-        if len(at_rank) != math.comb(q, r):
-            return False
-        above.extend(at_rank)
-    if len({f.edges for f in above}) != len(above):
+    index = polytope.face_index()
+    start = index.id_of(v)
+    if start is None:
         return False
-    return all(
-        polytope.is_incident(f, g) == (f.edges <= g.edges)
-        for f in above
-        for g in above
-        if f.rank <= g.rank
-    )
+    per_rank = [0] * (polytope.rank + 1)
+    for i in index.up_set(start):
+        per_rank[index.ranks[i]] += 1
+    return per_rank == [math.comb(polytope.rank, r) for r in range(polytope.rank + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -528,16 +592,20 @@ def one_skeleton_equals_cayley(polytope: Graphicahedron, cayley: CayleyGraph) ->
 
 
 def interval_below(polytope: Graphicahedron, top: Face) -> RankedPoset:
-    """The interval from the least face up to ``top``, as a standalone poset."""
-    levels = [
-        [f for f in polytope.faces(r) if polytope.is_incident(f, top)]
-        for r in range(top.rank + 1)
-    ]
+    """The interval from the least face up to ``top``, as a standalone poset:
+    the down-set of ``top`` along covers, with the covers inside it."""
+    index = polytope.face_index()
+    top_id = index.id_of(top)
+    if top_id is None:
+        raise ValueError(f"{face_id(top)} is not a face of this polytope")
+    members = sorted(index.down_set(top_id))
+    inside = set(members)
+    faces = index.faces
+    levels: list[list[Face]] = [[] for _ in range(top.rank + 1)]
     up: dict[Face, tuple[Face, ...]] = {}
-    for r in range(top.rank + 1):
-        above = levels[r + 1] if r + 1 <= top.rank else ()
-        for f in levels[r]:
-            up[f] = tuple(g for g in above if polytope.is_incident(f, g))
+    for i in members:
+        levels[index.ranks[i]].append(faces[i])
+        up[faces[i]] = () if i == top_id else tuple(faces[j] for j in index.up[i] if j in inside)
     return RankedPoset(levels, up)
 
 

@@ -90,3 +90,20 @@ def stirling2(n: int, k: int) -> int:
     if k == 0:
         return 0
     return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
+
+
+def pairwise_covers(polytope) -> tuple[dict, dict]:
+    """(up, down) cover lists by testing every face pair in adjacent ranks
+    with the coset incidence relation, lists in face order."""
+    up = {f: [] for f in polytope.all_faces()}
+    down = {f: [] for f in polytope.all_faces()}
+    for r in range(polytope.rank):
+        for g in polytope.faces(r + 1):
+            for f in polytope.faces(r):
+                if polytope.is_incident(f, g):
+                    up[f].append(g)
+                    down[g].append(f)
+    return (
+        {f: tuple(v) for f, v in up.items()},
+        {f: tuple(v) for f, v in down.items()},
+    )

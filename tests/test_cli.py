@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -81,6 +82,40 @@ def test_capacity_exits_3(capsys):
     assert "exceeds" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("build", "--edges", "1-300000"),
+        ("build", "--edges", "1-3000"),
+        ("verify", "--edges", "1-3000"),
+        ("export", "--edges", "1-3000", "--what", "cayley"),
+    ],
+)
+def test_huge_graph_exits_3_before_any_factorial(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("build", "--preset", "paw", "--max-perms", "-1"),
+        ("verify", "--preset", "paw", "--max-perms", "-720"),
+        ("analyze", "--preset", "paw", "--max-flags", "-1"),
+        ("export", "--preset", "paw", "--what", "cayley", "--max-perms", "-5"),
+    ],
+)
+def test_negative_caps_exit_1(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "non-negative" in err
+
+
 def test_max_perms_override(capsys):
     code, report, _ = run_json(
         capsys, "build", "--preset", "cycle:3", "--max-perms", "6"
@@ -113,6 +148,20 @@ def test_verify_corrupted_poset_exits_4(capsys):
     assert code == 4
     assert report["axioms"]["diamond"] == "fail"
     assert "witness" in report["axioms"]
+
+
+@pytest.mark.parametrize(
+    "preset, witness",
+    [
+        ("path:2", "1 faces between K{}:a(1,2,3) and K{1,2}:a(1,2,3), expected 2"),
+        ("paw", "1 faces between K{1,2}:a(1,2,3,4) and K{1,2,3,4}:a(1,2,3,4), expected 2"),
+        ("fork", "1 faces between K{1,2}:a(1,2,3,4,5) and K{1,2,3,4}:a(1,2,3,4,5), expected 2"),
+    ],
+)
+def test_verify_drop_face_witness_is_pinned(capsys, preset, witness):
+    code, report, _ = run_json(capsys, "verify", "--preset", preset, "--corrupt", "drop-face")
+    assert code == 4
+    assert report["axioms"]["witness"] == witness
 
 
 def test_verify_dropped_adjacency_exits_4(capsys):

@@ -2,6 +2,8 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import connected_graphs_with_edges, graphs_isomorphic
 
 from graphicahedron import (
@@ -52,6 +54,27 @@ def test_parse_errors_carry_line_numbers():
         parse_graph("")
     with pytest.raises(ParseError):
         parse_graph("p 2\n1 3")
+    with pytest.raises(ParseError):
+        parse_graph("p \u00b2\n1 2")  # superscript two: isdigit() but not int()
+
+
+# Texts assembled from tokens the format gives meaning to, half of them
+# behind a "p" header, so that examples reach the header, label and
+# duplicate checks, not only the first token.
+TOKENS = st.sampled_from(["p", "#", "0", "1", "2", "3", "12", "-1", "+2", "\u00b2", "\u0663", "x", "9" * 5000])
+LINES = st.lists(TOKENS, max_size=3).map(" ".join)
+TEXTS = st.tuples(st.sampled_from(["", "p "]), TOKENS, st.lists(LINES, max_size=5)).map(
+    lambda parts: "\n".join([parts[0] + parts[1], *parts[2]])
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.one_of(st.text(), TEXTS))
+def test_parse_graph_raises_only_parse_error(text):
+    try:
+        parse_graph(text)
+    except ParseError:
+        pass
 
 
 def test_preset_star():

@@ -5,7 +5,6 @@ import pytest
 from oracles import all_set_partitions, brute_coset, young_subgroup
 
 from graphicahedron import (
-    CosetKey,
     VertexPartition,
     automorphisms,
     canonical_rep,
@@ -18,7 +17,8 @@ from graphicahedron import (
     same_coset,
     transposition_of_edge,
 )
-from graphicahedron.perms import coset_le, coset_reps, lex_rank, refines
+from graphicahedron.errors import CapacityError
+from graphicahedron.perms import check_perm_capacity, coset_le, coset_reps, lex_rank, refines
 
 
 def tau(p, i, j):
@@ -180,13 +180,6 @@ def test_coset_count_times_size_is_group_order():
             assert set(coset_reps(part)) == keys
 
 
-def test_coset_key_identifies_cosets():
-    part = VertexPartition.from_blocks([[0, 1], [2]])
-    for a in itertools.permutations(range(3)):
-        for b in itertools.permutations(range(3)):
-            assert (CosetKey.of(part, a) == CosetKey.of(part, b)) == same_coset(part, a, b)
-
-
 def test_refines_and_coset_le():
     fine = VertexPartition.from_blocks([[0, 1], [2], [3]])
     coarse = VertexPartition.from_blocks([[0, 1, 2], [3]])
@@ -203,3 +196,15 @@ def test_young_subgroup_order_background():
     # sanity for the oracle itself
     part = VertexPartition.from_blocks([[0, 1], [2, 3, 4]])
     assert len(young_subgroup(part)) == 12
+
+
+def test_perm_capacity_matches_factorial():
+    for cap in (-1, 0, 1, 2, 5, 6, 719, 720, 5040, 40319):
+        for p in range(0, 10):
+            if math.factorial(p) > cap:
+                with pytest.raises(CapacityError):
+                    check_perm_capacity(p, cap)
+            else:
+                check_perm_capacity(p, cap)
+    with pytest.raises(CapacityError, match=r"^300000! permutations"):
+        check_perm_capacity(300000, 5040)

@@ -2,7 +2,7 @@ import itertools
 import math
 
 import pytest
-from oracles import brute_coset
+from oracles import brute_coset, pairwise_covers
 
 from graphicahedron import (
     DisconnectedGraphError,
@@ -298,6 +298,44 @@ def test_vertex_figure_detects_missing_face():
     above = [f for f in P.faces(2) if P.is_incident(v, f)]
     corrupted = drop_face(P, above[0])
     assert not vertex_figure_is_simplex(corrupted, v)
+
+
+def test_vertex_figures_fail_exactly_under_a_dropped_face():
+    P = hedron("paw")
+    for dropped in P.faces(2):
+        corrupted = drop_face(P, dropped)
+        for v in P.faces(0):
+            assert vertex_figure_is_simplex(corrupted, v) == (not P.is_incident(v, dropped))
+
+
+@pytest.mark.parametrize("spec", ["paw", "fork", "cycle:4", "path:4", "star:4", "cycle:5"])
+def test_direct_covers_match_pairwise_scan(spec):
+    name, _, n = spec.partition(":")
+    P = hedron(name, int(n) if n else None)
+    assert P.covers() == pairwise_covers(P)
+    if spec in ("paw", "fork"):
+        corrupted = drop_face(P, P.faces(P.rank - 1)[0])
+        assert corrupted.covers() == pairwise_covers(corrupted)
+
+
+# (verify_diamond, verify_strong_flag_connectedness) ``checked`` counts,
+# recorded from the pairwise-incidence implementation.
+PINNED_CHECKED = {
+    "fork": (1820, 1007),
+    "path:4": (1830, 1022),
+    "star:4": (1800, 982),
+    "cycle:5": (4125, 4002),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(PINNED_CHECKED))
+def test_verifier_counts_are_pinned(spec):
+    name, _, n = spec.partition(":")
+    P = hedron(name, int(n) if n else None)
+    diamond = verify_diamond(P)
+    connected = verify_strong_flag_connectedness(P)
+    assert diamond.passed and connected.passed
+    assert (diamond.checked, connected.checked) == PINNED_CHECKED[spec]
 
 
 # ---------------------------------------------------------------------------
