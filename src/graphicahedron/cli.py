@@ -23,7 +23,7 @@ from .errors import (
     InternalInconsistencyError,
     ParseError,
 )
-from .graphs import SimpleGraph, parse_graph, preset_graph
+from .graphs import SimpleGraph, parse_graph, parse_int, preset_graph
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -39,7 +39,7 @@ VERIFY_MAX_PERMS = 720  # p <= 6
 def _parse_preset(text: str) -> SimpleGraph:
     name, _, arg = text.partition(":")
     try:
-        n = int(arg) if arg else None
+        n = parse_int(arg) if arg else None
     except ValueError:
         raise ParseError(f"bad preset size in {text!r}") from None
     try:
@@ -112,6 +112,9 @@ def cmd_build(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     timings: dict[str, float] = {}
     graph = _graph_from_args(args)
+    # the strong flag-connectedness check refuses large flag graphs; do so before any face is built
+    polytope.check_buildable(graph, max_perms=args.max_perms)
+    polytope.check_flag_capacity(graph, polytope.VERIFY_MAX_FLAGS)
     hedron = polytope.build(graph, max_perms=args.max_perms)
 
     drop_color = None
@@ -201,12 +204,11 @@ def cmd_export(args: argparse.Namespace) -> int:
         return EXIT_OK
     if what == "skeleton":
         try:
-            k = int(karg)
+            k = parse_int(karg)
         except ValueError:
             raise ParseError(f"bad skeleton rank in {args.what!r}") from None
-        hedron = polytope.build(graph, max_perms=args.max_perms)
         try:
-            skel = polytope.skeleton(hedron, k)
+            skel = polytope.build_skeleton(graph, k, max_perms=args.max_perms)
         except ValueError as exc:
             raise ParseError(str(exc)) from None
         if k >= 1:

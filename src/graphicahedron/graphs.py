@@ -8,6 +8,7 @@ subsets that index polytope faces.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -63,6 +64,18 @@ def make_graph(p: int, edges: Iterable[tuple[int, int]]) -> SimpleGraph:
     return SimpleGraph(p, tuple(tuple(sorted(e)) for e in edges))
 
 
+def parse_int(token: str) -> int:
+    """An integer written as ASCII decimal digits with an optional leading
+    minus sign; ValueError for anything else.
+
+    ``int()`` alone also takes ``+2``, ``1_0``, surrounding blanks and
+    non-ASCII digits such as ``٢``.
+    """
+    if not re.fullmatch(r"-?[0-9]+", token):
+        raise ValueError(f"not a decimal integer: {token!r}")
+    return int(token)  # ValueError past int()'s digit limit
+
+
 def parse_graph(text: str) -> SimpleGraph:
     """Parse the edge-list format.
 
@@ -81,10 +94,9 @@ def parse_graph(text: str) -> SimpleGraph:
             continue
         tokens = line.split()
         if not saw_content and tokens[0] == "p":
-            # isdecimal, unlike isdigit, rejects digit-like signs such as '²' that int() refuses
             try:
-                declared_p = int(tokens[1]) if len(tokens) == 2 and tokens[1].isdecimal() else 0
-            except ValueError:  # more digits than int() converts
+                declared_p = parse_int(tokens[1]) if len(tokens) == 2 else 0
+            except ValueError:
                 declared_p = 0
             if declared_p < 1:
                 raise ParseError(f"bad header {line!r}, expected 'p <count>'", lineno)
@@ -94,7 +106,7 @@ def parse_graph(text: str) -> SimpleGraph:
         if len(tokens) != 2:
             raise ParseError(f"expected 'i j', got {line!r}", lineno)
         try:
-            i, j = int(tokens[0]), int(tokens[1])
+            i, j = parse_int(tokens[0]), parse_int(tokens[1])
         except ValueError:
             raise ParseError(f"non-integer label in {line!r}", lineno) from None
         if i < 1 or j < 1:

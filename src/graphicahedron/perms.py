@@ -10,13 +10,19 @@ preserve every block setwise form a Young subgroup (a direct product of
 symmetric groups, one per block).  A right coset ``H·a`` of such a subgroup
 is never materialized here: it is identified by its lexicographically least
 member, which ``canonical_rep`` computes in O(p), so coset equality is plain
-tuple equality.
+tuple equality.  ``coset_reps`` lists all representatives of a partition in
+lexicographic order: they are computed once per block-size shape, on the
+standard partition into consecutive blocks, and relabelled to the actual
+blocks.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapacityError
@@ -86,8 +92,6 @@ def transposition_of_edge(p: int, edge: tuple[int, int]) -> Perm:
 
 def all_perms(p: int) -> Iterator[Perm]:
     """All permutations of ``p`` points in lexicographic order."""
-    import itertools
-
     return itertools.permutations(range(p))
 
 
@@ -204,37 +208,67 @@ def coset_le(part_a: VertexPartition, a: Perm, part_b: VertexPartition, b: Perm)
     return refines(part_a, part_b) and same_coset(part_b, a, b)
 
 
-def coset_reps(part: VertexPartition) -> Iterator[Perm]:
-    """Canonical representatives of all right cosets of the Young subgroup.
+def coset_reps(part: VertexPartition) -> tuple[Perm, ...]:
+    """Canonical representatives of all right cosets of the Young subgroup,
+    in lexicographic order.  There are ``p! / coset_size(part)`` of them.
 
-    Cosets correspond to the ways of labelling positions with block ids so
-    that each block id is used once per member; the representatives come out
-    in lexicographic order of those label sequences.  There are
-    ``p! / coset_size(part)`` of them.
+    The representatives depend on ``part`` only through its shape, the block
+    sizes, up to relabelling the points.  They are computed once per shape on
+    the standard partition into consecutive blocks of ascending size, then
+    relabelled: the k-th member of each standard block goes to the k-th
+    member of the actual block of the same size.  That map keeps the order
+    inside every block, so the relabelled representatives are canonical; only
+    their mutual order changes, which a tuple sort restores.
     """
-    p = part.p
-    blocks = part.blocks
-    counts = [len(b) for b in blocks]
-    seq: list[int] = []
+    blocks = sorted(part.blocks, key=len)
+    shape = tuple(len(b) for b in blocks)
+    relabel = tuple(itertools.chain.from_iterable(blocks))
+    if relabel == tuple(range(len(relabel))):
+        return _shape_reps(shape)
+    return tuple(sorted(relabel_by(relabel) for relabel_by in _shape_relabellers(shape)))
 
-    def emit() -> Perm:
-        next_in_block = [0] * len(blocks)
-        out = []
-        for b in seq:
-            out.append(blocks[b][next_in_block[b]])
-            next_in_block[b] += 1
-        return tuple(out)
 
-    def rec() -> Iterator[Perm]:
-        if len(seq) == p:
-            yield emit()
+@lru_cache(maxsize=64)
+def _shape_reps(shape: tuple[int, ...]) -> tuple[Perm, ...]:
+    """Coset representatives, in lexicographic order, for the partition of the
+    points into consecutive blocks of the given ascending sizes.
+
+    A representative lists each block's members in increasing order, so it is
+    fixed by the positions each block occupies.  Those of the blocks of two or
+    more points are chosen block by block, largest first.  The m singleton
+    blocks, which hold the points ``0..m-1``, then fill the free positions in
+    every order, through one ``itemgetter`` per placement.
+    """
+    p = sum(shape)
+    m = shape.count(1)
+    if m == p:
+        return tuple(itertools.permutations(range(p)))
+    starts = [sum(shape[:b]) for b in range(len(shape))]
+    singles = tuple(itertools.permutations(range(m)))
+    reps: list[Perm] = []
+    rep = [0] * p
+
+    def place(b: int, free: tuple[int, ...]) -> None:
+        if b < m:
+            # each representative reads (singleton arrangement + placed values)
+            # in position order: position y takes entry slot[y] of that tuple
+            placed = [y for y in range(p) if y not in free]
+            slot = {y: i for i, y in enumerate(free + tuple(placed))}
+            arrange = operator.itemgetter(*(slot[y] for y in range(p)))
+            fixed = tuple(rep[y] for y in placed)
+            reps.extend(map(arrange, map(operator.add, singles, itertools.repeat(fixed))))
             return
-        for b in range(len(blocks)):
-            if counts[b]:
-                counts[b] -= 1
-                seq.append(b)
-                yield from rec()
-                seq.pop()
-                counts[b] += 1
+        for chosen in itertools.combinations(free, shape[b]):
+            for k, y in enumerate(chosen):
+                rep[y] = starts[b] + k
+            place(b - 1, tuple(y for y in free if y not in chosen))
 
-    return rec()
+    place(len(shape) - 1, tuple(range(p)))
+    return tuple(sorted(reps))
+
+
+@lru_cache(maxsize=64)
+def _shape_relabellers(shape: tuple[int, ...]) -> tuple[operator.itemgetter, ...]:
+    """One ``itemgetter`` per standard representative ``r0`` of the shape:
+    applied to a relabelling ``sigma`` it returns ``sigma∘r0`` in one C call."""
+    return tuple(operator.itemgetter(*r0) for r0 in _shape_reps(shape))

@@ -47,13 +47,13 @@ from .perms import (
     coset_le,
     coset_reps,
     coset_size,
-    lex_rank,
     same_coset,
     transposition_of_edge,
 )
 from .posets import RankedPoset
 
 DEFAULT_MAX_PERMS = 5040  # 7!
+VERIFY_MAX_FLAGS = 50000  # flag graphs walked by verify_strong_flag_connectedness
 
 
 @dataclass(frozen=True)
@@ -94,10 +94,22 @@ class Graphicahedron:
     """The face poset, stored rank by rank with faces deduplicated by coset key."""
 
     def __init__(self, graph: SimpleGraph, faces_by_rank: dict[int, Iterable[Face]]):
-        self.graph = graph
-        self.faces_by_rank = {
+        self._store(graph, {
             r: tuple(sorted(faces, key=face_sort_key)) for r, faces in faces_by_rank.items()
-        }
+        })
+
+    @classmethod
+    def _from_sorted(
+        cls, graph: SimpleGraph, faces_by_rank: dict[int, tuple[Face, ...]]
+    ) -> Graphicahedron:
+        """A polytope over ranks already in ``face_sort_key`` order, kept as given."""
+        polytope = cls.__new__(cls)
+        polytope._store(graph, faces_by_rank)
+        return polytope
+
+    def _store(self, graph: SimpleGraph, faces_by_rank: dict[int, tuple[Face, ...]]) -> None:
+        self.graph = graph
+        self.faces_by_rank = faces_by_rank
         self._partitions: dict[frozenset[int], VertexPartition] = {}
         self._index: FaceIndex | None = None
         self._covers: tuple[dict[Face, tuple[Face, ...]], dict[Face, tuple[Face, ...]]] | None = None
@@ -219,25 +231,40 @@ class FaceIndex:
         return seen
 
 
-def build(graph: SimpleGraph, max_perms: int = DEFAULT_MAX_PERMS) -> Graphicahedron:
-    """Enumerate all faces of the graphicahedron of a connected graph.
-
-    For each edge subset K the faces with first component K are exactly the
-    cosets of its Young subgroup, so they are generated directly from the
-    component partition rather than by deduplicating all p! pairs.
-    """
+def check_buildable(graph: SimpleGraph, max_perms: int = DEFAULT_MAX_PERMS) -> None:
+    """The checks :func:`build` makes before enumerating any face: raise
+    :class:`CapacityError` when ``p!`` exceeds ``max_perms``, then
+    :class:`DisconnectedGraphError` for a disconnected graph."""
     check_perm_capacity(graph.p, max_perms)
     if not is_connected(graph):
         raise DisconnectedGraphError(
             "the graphicahedron is only defined for connected graphs"
         )
-    faces_by_rank: dict[int, list[Face]] = {r: [] for r in range(graph.q + 1)}
-    for size in range(graph.q + 1):
-        for combo in itertools.combinations(range(graph.q), size):
-            key = frozenset(combo)
-            part = components(graph, combo)
-            faces_by_rank[size].extend(Face(key, rep) for rep in coset_reps(part))
-    return Graphicahedron(graph, faces_by_rank)
+
+
+def faces_of_rank(graph: SimpleGraph, rank: int) -> tuple[Face, ...]:
+    """All faces of one rank, in ``face_sort_key`` order.
+
+    For each edge subset K the faces with first component K are exactly the
+    cosets of its Young subgroup, so they come straight from the component
+    partition's coset representatives rather than from deduplicating all p!
+    pairs.  The subsets come from ``itertools.combinations`` in lexicographic
+    order and :func:`coset_reps` is sorted, so no re-sort is needed.
+    """
+    faces: list[Face] = []
+    for combo in itertools.combinations(range(graph.q), rank):
+        key = frozenset(combo)
+        faces.extend(Face(key, rep) for rep in coset_reps(components(graph, combo)))
+    return tuple(faces)
+
+
+def build(graph: SimpleGraph, max_perms: int = DEFAULT_MAX_PERMS) -> Graphicahedron:
+    """Enumerate all faces of the graphicahedron of a connected graph, rank by
+    rank through :func:`faces_of_rank`, after :func:`check_buildable`."""
+    check_buildable(graph, max_perms)
+    return Graphicahedron._from_sorted(
+        graph, {r: faces_of_rank(graph, r) for r in range(graph.q + 1)}
+    )
 
 
 def face_count(graph: SimpleGraph, rank: int) -> int:
@@ -295,6 +322,17 @@ def adjacent_flag(polytope: Graphicahedron, flag: Flag, j: int) -> Flag:
     return Flag(tuple(order), flag.base)
 
 
+def check_flag_capacity(graph: SimpleGraph, max_flags: int) -> None:
+    """Raise :class:`CapacityError` when the p!q! flags exceed ``max_flags``."""
+    n = math.factorial(graph.p) * math.factorial(graph.q)
+    if n > max_flags:
+        try:
+            count = str(n)
+        except ValueError:  # more digits than int-to-str conversion allows
+            count = f"{graph.p}! * {graph.q}!"
+        raise CapacityError(f"{count} flags exceed the cap of {max_flags}")
+
+
 def flag_tables(polytope: Graphicahedron, max_flags: int | None = None) -> tuple[int, list[list[int]]]:
     """Indexed flags plus one neighbor table per adjacency rank.
 
@@ -304,9 +342,9 @@ def flag_tables(polytope: Graphicahedron, max_flags: int | None = None) -> tuple
     """
     graph = polytope.graph
     p, q = graph.p, graph.q
+    if max_flags is not None:
+        check_flag_capacity(graph, max_flags)
     n = flag_count(polytope)
-    if max_flags is not None and n > max_flags:
-        raise CapacityError(f"{n} flags exceed the cap of {max_flags}")
     perms = tuple(all_perms(p))
     perm_index = {a: i for i, a in enumerate(perms)}
     orders = tuple(itertools.permutations(range(q)))
@@ -461,7 +499,7 @@ def _section_connected(
 
 def verify_strong_flag_connectedness(
     polytope: Graphicahedron,
-    max_flags: int = 50000,
+    max_flags: int = VERIFY_MAX_FLAGS,
     drop_color: int | None = None,
 ) -> VerifyReport:
     """Connectivity of the full flag graph, plus of every section's flag graph.
@@ -552,23 +590,45 @@ class Skeleton:
     faces_by_rank: tuple[tuple[Face, ...], ...]
 
     def vertex_edges(self) -> tuple[tuple[int, int, int], ...]:
-        """For k >= 1: edges as (lex rank, lex rank, color), one per rank-1 face."""
+        """For k >= 1: edges as (lex rank, lex rank, color), one per rank-1 face.
+
+        Lex ranks come from one permutation-to-rank dict over ``all_perms``.
+        """
+        if self.k < 1:
+            return ()
+        p = self.graph.p
+        rank_of = {a: i for i, a in enumerate(all_perms(p))}
+        taus = [transposition_of_edge(p, edge) for edge in self.graph.edges]
         out = []
-        for f in self.faces_by_rank[1] if self.k >= 1 else ():
+        for f in self.faces_by_rank[1]:
             (e,) = f.edges
-            tau = transposition_of_edge(self.graph.p, self.graph.edges[e])
-            u = lex_rank(f.rep)
-            v = lex_rank(compose(tau, f.rep))
+            u = rank_of[f.rep]
+            v = rank_of[compose(taus[e], f.rep)]
             out.append((min(u, v), max(u, v), e))
         return tuple(sorted(out))
 
 
+def _check_skeleton_rank(graph: SimpleGraph, k: int) -> None:
+    if not (0 <= k <= graph.q - 1):
+        raise ValueError(f"skeleton rank {k} out of range 0..{graph.q - 1}")
+
+
 def skeleton(polytope: Graphicahedron, k: int) -> Skeleton:
-    if not (0 <= k <= polytope.rank - 1):
-        raise ValueError(f"skeleton rank {k} out of range 0..{polytope.rank - 1}")
+    _check_skeleton_rank(polytope.graph, k)
     return Skeleton(
         polytope.graph, k, tuple(polytope.faces(r) for r in range(k + 1))
     )
+
+
+def build_skeleton(graph: SimpleGraph, k: int, max_perms: int = DEFAULT_MAX_PERMS) -> Skeleton:
+    """``skeleton(build(graph), k)`` without enumerating the ranks above ``k``.
+
+    The checks come in the same order: :func:`check_buildable`, then the
+    range of ``k`` (ValueError).
+    """
+    check_buildable(graph, max_perms)
+    _check_skeleton_rank(graph, k)
+    return Skeleton(graph, k, tuple(faces_of_rank(graph, r) for r in range(k + 1)))
 
 
 def one_skeleton_equals_cayley(polytope: Graphicahedron, cayley: CayleyGraph) -> bool:

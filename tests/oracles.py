@@ -107,3 +107,36 @@ def pairwise_covers(polytope) -> tuple[dict, dict]:
         {f: tuple(v) for f, v in up.items()},
         {f: tuple(v) for f, v in down.items()},
     )
+
+
+def coset_reps_by_recursion(part: VertexPartition) -> list[tuple[int, ...]]:
+    """Canonical coset representatives of the Young subgroup of ``part``, by
+    labelling positions with block ids, each id once per block member; the
+    k-th position labelled b gets the k-th member of block b.  The
+    representatives come out in lexicographic order of the label sequences,
+    not of the representatives."""
+    p = part.p
+    blocks = part.blocks
+    counts = [len(b) for b in blocks]
+    seq: list[int] = []
+    reps = []
+
+    def rec() -> None:
+        if len(seq) == p:
+            next_in_block = [0] * len(blocks)
+            out = []
+            for b in seq:
+                out.append(blocks[b][next_in_block[b]])
+                next_in_block[b] += 1
+            reps.append(tuple(out))
+            return
+        for b in range(len(blocks)):
+            if counts[b]:
+                counts[b] -= 1
+                seq.append(b)
+                rec()
+                seq.pop()
+                counts[b] += 1
+
+    rec()
+    return reps

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -66,6 +67,14 @@ def test_bad_preset_exits_1(capsys):
     assert "unknown preset" in err
 
 
+@pytest.mark.parametrize("preset", ["path:+3", "path:1_0", "path:\u0663", "path: 3", "cycle:4 "])
+def test_preset_size_takes_ascii_digits_only(capsys, preset):
+    code, out, err = run(capsys, "build", "--preset", preset)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: bad preset size in {preset!r}\n"
+
+
 def test_usage_error_exits_1(capsys):
     assert main(["build"]) == 1  # no graph source
 
@@ -114,6 +123,38 @@ def test_negative_caps_exit_1(capsys, argv):
     assert code == 1
     assert out == ""
     assert "non-negative" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--preset", "path:5"), "86400 flags exceed the cap of 50000"),
+        (("--preset", "cycle:6"), "518400 flags exceed the cap of 50000"),
+        (("--preset", "path:6", "--max-perms", "5040"), "3628800 flags exceed the cap of 50000"),
+        (("--preset", "path:5", "--corrupt", "drop-face"), "86400 flags exceed the cap of 50000"),
+        (("--preset", "path:6"), "7! = 5040 permutations exceeds the cap of 720"),
+        (("--edges", "1-2,1-3,1-4,2-3,2-4,3-4,5-6"), "the graphicahedron is only defined for connected graphs"),
+    ],
+)
+def test_verify_refuses_before_building_any_face(capsys, monkeypatch, argv, message):
+    from graphicahedron import polytope
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a face was enumerated")
+
+    monkeypatch.setattr(polytope, "faces_of_rank", forbidden)
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == (2 if "connected" in message else 3)
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_flag_count_past_the_int_digit_limit_is_named_not_printed(capsys):
+    # the complete graph on 60 vertices has 60! <= 10**82 permutations and 1770! flag orders
+    edges = ",".join(f"{i}-{j}" for i in range(1, 61) for j in range(i + 1, 61))
+    code, out, err = run(capsys, "verify", "--edges", edges, "--max-perms", str(10**82))
+    assert code == 3
+    assert err == "error: 60! * 1770! flags exceed the cap of 50000\n"
 
 
 def test_max_perms_override(capsys):
@@ -278,6 +319,8 @@ def test_export_unknown_target_exits_1(capsys):
     [
         ("preset", "skeleton:9"),
         ("preset", "skeleton:-1"),
+        ("preset", "skeleton:+1"),
+        ("preset", "skeleton:\u0661"),
         ("directory", "cayley"),
         ("non-ascii", "cayley"),
     ],
@@ -296,3 +339,71 @@ def test_bad_input_exits_1_with_one_line(tmp_path, capsys, source, what):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+# stdout sha256 and exit code of each run, recorded before faces were
+# enumerated by coset shape; the last two fail before any face is built.
+PINNED_RUNS = [
+    ("build --preset paw", 0,
+     "067561f1f4eb250c08f7703dde12105a28f84067e890def0ef5ca2d953858c32"),
+    ("build --preset fork", 0,
+     "9a3a3cfb8651f8a343f71c6c1a9d2001279876aab5419678cda99c3672eb29b4"),
+    ("build --preset cycle:5", 0,
+     "babf6be40a33d357216003983f0218ef64af3ea78558bb3c13c2fb9f70e884bb"),
+    ("build --preset path:5", 0,
+     "f93ed5201a3cdedbaac9887c4f6ac14d3830f7dcaca9e05723807842524ea4ca"),
+    ("build --preset star:5", 0,
+     "a10801d2733fd6df549a2447a80ee7c378114d16880b91fb6d4184622aefb79f"),
+    ("export --preset paw --what skeleton:0 --format json", 0,
+     "ae552e9f8d4f450ddedd6c902d31d82de3f9fd755f9308ba5994d2faade92aea"),
+    ("export --preset paw --what skeleton:0 --format dot", 0,
+     "6c1beac98def121a156bdd0a73dbd86414ef7fc7de7ae48dae2673396bca1dbc"),
+    ("export --preset paw --what skeleton:1 --format json", 0,
+     "e2e9859e7bb867cf6248d529e7603d74b030dc34efa0a1c66b7e9a187f0fce8d"),
+    ("export --preset paw --what skeleton:1 --format dot", 0,
+     "e4a20dcf824d7de917f7e34fc8cc3db1bba782e5b4caef64bb91947aa6c61119"),
+    ("export --preset paw --what skeleton:2 --format json", 0,
+     "3a986380670066457028b251bc0d7cd65bff335cca21b09da9d713bf07222078"),
+    ("export --preset paw --what skeleton:2 --format dot", 0,
+     "e4a20dcf824d7de917f7e34fc8cc3db1bba782e5b4caef64bb91947aa6c61119"),
+    ("export --preset fork --what skeleton:0 --format json", 0,
+     "253d360f95c986c40a6495ff7a82860c11ee0e5a2ac1ef1e9c641d40a4fd7caf"),
+    ("export --preset fork --what skeleton:0 --format dot", 0,
+     "6d1c87812be9af0a058c5625a92dc21b38a78dbd372f93adb23b44df14b0018b"),
+    ("export --preset fork --what skeleton:1 --format json", 0,
+     "bfd4dbe95655e4ee7a1a9c6949af9a841fcd2aea62b96dc74a86c4eeb80bcb86"),
+    ("export --preset fork --what skeleton:1 --format dot", 0,
+     "5cfbc28a9eb15e709cbfe7bde3092f3ddc0004db695aad4618cf10944309227c"),
+    ("export --preset fork --what skeleton:2 --format json", 0,
+     "9d94a817dd818b4679cf41d2f288ab3a641d4feaaaaf9994152ba3b24c803a4f"),
+    ("export --preset fork --what skeleton:2 --format dot", 0,
+     "5cfbc28a9eb15e709cbfe7bde3092f3ddc0004db695aad4618cf10944309227c"),
+    ("export --preset cycle:5 --what skeleton:0 --format json", 0,
+     "253d360f95c986c40a6495ff7a82860c11ee0e5a2ac1ef1e9c641d40a4fd7caf"),
+    ("export --preset cycle:5 --what skeleton:0 --format dot", 0,
+     "6d1c87812be9af0a058c5625a92dc21b38a78dbd372f93adb23b44df14b0018b"),
+    ("export --preset cycle:5 --what skeleton:1 --format json", 0,
+     "4be92514f2687bca7659c8197cc6a75c4163a86e65e5e211ac24568f62155463"),
+    ("export --preset cycle:5 --what skeleton:1 --format dot", 0,
+     "d5842462af1589ae4adfffb158722a0c99346b0f3172a121a37582de8939930a"),
+    ("export --preset cycle:5 --what skeleton:2 --format json", 0,
+     "933296b71c21de99637a0f6af34c544a2e92a9592b2faf1d5a5c4012ae646b6a"),
+    ("export --preset cycle:5 --what skeleton:2 --format dot", 0,
+     "d5842462af1589ae4adfffb158722a0c99346b0f3172a121a37582de8939930a"),
+    ("export --preset fork --what cayley --format dot", 0,
+     "a3385d5247134de6d6e16b01fce3b8ebb4ba767a73ddeb7abd5480a8b639eaba"),
+    ("export --edges 1-2,3-4 --what skeleton:1", 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("export --preset paw --what skeleton:9", 1,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", PINNED_RUNS)
+def test_cli_stdout_is_pinned(capsys, argv, code, digest):
+    got, out, err = run(capsys, *argv.split())
+    assert got == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    if code:
+        assert err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert err == ""

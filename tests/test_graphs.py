@@ -56,12 +56,18 @@ def test_parse_errors_carry_line_numbers():
         parse_graph("p 2\n1 3")
     with pytest.raises(ParseError):
         parse_graph("p \u00b2\n1 2")  # superscript two: isdigit() but not int()
+    # labels and the header take ASCII digits only, though int() takes all of these
+    for text in ("1 1_0", "1 +2", "1 \u0662", "1 2 \n 2 \uff13", "p \u0663\n1 2", "p +3\n1 2"):
+        with pytest.raises(ParseError):
+            parse_graph(text)
 
 
 # Texts assembled from tokens the format gives meaning to, half of them
 # behind a "p" header, so that examples reach the header, label and
 # duplicate checks, not only the first token.
-TOKENS = st.sampled_from(["p", "#", "0", "1", "2", "3", "12", "-1", "+2", "\u00b2", "\u0663", "x", "9" * 5000])
+TOKENS = st.sampled_from(
+    ["p", "#", "0", "1", "2", "3", "12", "-1", "+2", "1_0", "\u00b2", "\u0663", "x", "9" * 5000]
+)
 LINES = st.lists(TOKENS, max_size=3).map(" ".join)
 TEXTS = st.tuples(st.sampled_from(["", "p "]), TOKENS, st.lists(LINES, max_size=5)).map(
     lambda parts: "\n".join([parts[0] + parts[1], *parts[2]])
@@ -74,7 +80,11 @@ def test_parse_graph_raises_only_parse_error(text):
     try:
         parse_graph(text)
     except ParseError:
-        pass
+        return
+    # accepted: every token of every line is the header's "p" or ASCII digits
+    for line in text.splitlines():
+        for token in line.split("#", 1)[0].split():
+            assert token == "p" or (token.isascii() and token.isdecimal())
 
 
 def test_preset_star():

@@ -2,7 +2,7 @@ import itertools
 import math
 
 import pytest
-from oracles import all_set_partitions, brute_coset, young_subgroup
+from oracles import all_set_partitions, brute_coset, coset_reps_by_recursion, young_subgroup
 
 from graphicahedron import (
     VertexPartition,
@@ -178,6 +178,16 @@ def test_coset_count_times_size_is_group_order():
             assert coset_size(part) * len(keys) == math.factorial(p)
             # direct enumeration of representatives agrees with the dedup route
             assert set(coset_reps(part)) == keys
+
+
+def test_coset_reps_are_the_sorted_recursive_enumeration():
+    # every set partition of up to 6 points (Bell(6) = 203 of them at p = 6)
+    for p in range(7):
+        for part in all_set_partitions(p):
+            reps = coset_reps(part)
+            assert list(reps) == sorted(coset_reps_by_recursion(part))
+            assert all(a < b for a, b in zip(reps, reps[1:]))
+            assert len(reps) == math.factorial(p) // coset_size(part)
 
 
 def test_refines_and_coset_le():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 from oracles import brute_coset, pairwise_covers
@@ -29,8 +30,10 @@ from graphicahedron import (
 )
 from graphicahedron.errors import CapacityError
 from graphicahedron.polytope import (
+    build_skeleton,
     drop_face,
     face_id,
+    face_sort_key,
     flag_tables,
     full_poset,
     interval_below,
@@ -91,6 +94,47 @@ def test_faces_are_self_canonical_and_deduplicated():
         for r in range(P.rank + 1):
             faces = P.faces(r)
             assert len(set(faces)) == len(faces)
+
+
+def relabelled(graph, seed):
+    """The same graph with its vertices renamed and its edges listed in
+    another order, both shuffled by ``seed``."""
+    rng = random.Random(seed)
+    sigma = list(range(graph.p))
+    rng.shuffle(sigma)
+    edges = [(sigma[i], sigma[j]) for i, j in graph.edges]
+    rng.shuffle(edges)
+    return make_graph(graph.p, edges)
+
+
+@pytest.mark.parametrize("spec", ["paw", "fork", "cycle:5", "path:5", "star:5"])
+@pytest.mark.parametrize("shuffled", [False, True])
+def test_build_emits_faces_in_sort_key_order(spec, shuffled):
+    name, _, n = spec.partition(":")
+    g = preset_graph(name, int(n) if n else None)
+    if shuffled:
+        g = relabelled(g, spec)
+    P = build(g)
+    for r, faces in P.faces_by_rank.items():
+        assert faces == tuple(sorted(faces, key=face_sort_key))
+
+
+def test_build_skeleton_matches_the_skeleton_of_build():
+    for g in (preset_graph("paw"), preset_graph("fork"), relabelled(preset_graph("cycle", 4), 1)):
+        P = build(g)
+        for k in range(g.q):
+            skel, expected = build_skeleton(g, k), skeleton(P, k)
+            assert skel == expected
+            assert skel.vertex_edges() == expected.vertex_edges()
+
+
+def test_build_skeleton_checks_capacity_then_connectivity_then_rank():
+    with pytest.raises(CapacityError):
+        build_skeleton(make_graph(8, [(0, 1), (2, 3)]), 9)
+    with pytest.raises(DisconnectedGraphError):
+        build_skeleton(make_graph(4, [(0, 1), (2, 3)]), 9)
+    with pytest.raises(ValueError, match="skeleton rank 4 out of range 0..3"):
+        build_skeleton(preset_graph("paw"), 4)
 
 
 def test_vertices_and_top():
