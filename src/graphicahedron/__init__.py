@@ -49,13 +49,10 @@ from .perms import (
 )
 from .polytope import (
     Face,
-    Flag,
     Graphicahedron,
-    adjacent_flag,
     build,
     face_count,
     flag_count,
-    flags,
     one_skeleton_equals_cayley,
     skeleton,
     tree_order_equals_coset_inclusion,
@@ -86,7 +83,6 @@ __all__ = [
     "Face",
     "FaceType",
     "FacetCensus",
-    "Flag",
     "GraphAutomorphism",
     "Graphicahedron",
     "GraphicahedronError",
@@ -97,7 +93,6 @@ __all__ = [
     "RankedPoset",
     "SimpleGraph",
     "VertexPartition",
-    "adjacent_flag",
     "apply_graph_aut",
     "apply_right",
     "aut_summary",
@@ -118,7 +113,6 @@ __all__ = [
     "face_count",
     "facet_census",
     "flag_count",
-    "flags",
     "full_aut_order_via_flags",
     "identity",
     "inverse",

@@ -8,22 +8,21 @@ single greatest face.  A face of rank i below a face of rank j >= i is one
 whose edge set is contained in the other's and whose coset lies inside the
 other's coset.
 
-Flags (maximal chains) admit a two-parameter description: an ordering of
-all q edge indices, whose prefixes give the nested edge sets of the chain,
-plus the base permutation of the chain's vertex.  There are exactly p!q!
-of them.
-
 Covers follow directly from this coset rule: the faces covering (K, c) are
 the faces (K + {e}, canonical_rep(c)), one for each edge e not in K.  On
 first use the stored faces get dense integer ids and each id its up- and
-down-cover lists (:class:`FaceIndex`), so intervals, vertex figures and
-sections are walks along covers rather than scans of whole ranks.  A face
-missing from the store is simply a missing cover.
+down-cover lists (:class:`FaceIndex`), so intervals and vertex figures are
+walks along covers rather than scans of whole ranks.  A face missing from
+the store is simply a missing cover.
+
+Flags (maximal chains) are read from the stored covers by
+:func:`posets.flag_graph`; an intact polytope has exactly p!q! of them.
 
 The verifiers in this module re-check the defining polytope axioms from the
 stored poset: the diamond condition (exactly two faces strictly between any
 two incident faces two ranks apart) and strong flag-connectedness (every
-section of rank at least two has a connected flag graph).
+section of rank at least two has a connected flag graph), the latter with
+every section checked on the one flag graph.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ from .perms import (
     same_coset,
     transposition_of_edge,
 )
-from .posets import RankedPoset
+from .posets import RankedPoset, flag_graph
 
 DEFAULT_MAX_PERMS = 5040  # 7!
 VERIFY_MAX_FLAGS = 50000  # flag graphs walked by verify_strong_flag_connectedness
@@ -77,17 +76,6 @@ def face_id(face: Face) -> str:
     edges = ",".join(str(e + 1) for e in sorted(face.edges))
     images = ",".join(str(v + 1) for v in face.rep)
     return f"K{{{edges}}}:a({images})"
-
-
-@dataclass(frozen=True)
-class Flag:
-    """A maximal chain, recorded as an edge ordering plus the vertex permutation.
-
-    The rank-i face of the flag is (first i edges of ``order``, ``base``).
-    """
-
-    order: tuple[int, ...]
-    base: Perm
 
 
 class Graphicahedron:
@@ -296,32 +284,6 @@ def flag_count(polytope: Graphicahedron) -> int:
     return math.factorial(polytope.graph.p) * math.factorial(polytope.graph.q)
 
 
-def flags(polytope: Graphicahedron) -> Iterator[Flag]:
-    """All flags, lexicographically by base permutation then by edge ordering."""
-    q = polytope.graph.q
-    for base in all_perms(polytope.graph.p):
-        for order in itertools.permutations(range(q)):
-            yield Flag(order, base)
-
-
-def adjacent_flag(polytope: Graphicahedron, flag: Flag, j: int) -> Flag:
-    """The unique flag differing from ``flag`` exactly in its rank-j face.
-
-    Changing the vertex (j = 0) multiplies the base by the transposition of
-    the chain's first edge; changing a middle face swaps two consecutive
-    edges of the ordering.  Both moves are involutions.
-    """
-    q = polytope.graph.q
-    if not (0 <= j <= q - 1):
-        raise ValueError(f"adjacency rank {j} out of range 0..{q - 1}")
-    if j == 0:
-        tau = transposition_of_edge(polytope.graph.p, polytope.graph.edges[flag.order[0]])
-        return Flag(flag.order, compose(tau, flag.base))
-    order = list(flag.order)
-    order[j - 1], order[j] = order[j], order[j - 1]
-    return Flag(tuple(order), flag.base)
-
-
 def check_flag_capacity(graph: SimpleGraph, max_flags: int) -> None:
     """Raise :class:`CapacityError` when the p!q! flags exceed ``max_flags``."""
     n = math.factorial(graph.p) * math.factorial(graph.q)
@@ -331,50 +293,6 @@ def check_flag_capacity(graph: SimpleGraph, max_flags: int) -> None:
         except ValueError:  # more digits than int-to-str conversion allows
             count = f"{graph.p}! * {graph.q}!"
         raise CapacityError(f"{count} flags exceed the cap of {max_flags}")
-
-
-def flag_tables(polytope: Graphicahedron, max_flags: int | None = None) -> tuple[int, list[list[int]]]:
-    """Indexed flags plus one neighbor table per adjacency rank.
-
-    Flags are indexed as ``perm_rank * q! + ordering_rank``, matching the
-    iteration order of :func:`flags`.  ``tables[j][i]`` is the index of the
-    flag j-adjacent to flag ``i``.
-    """
-    graph = polytope.graph
-    p, q = graph.p, graph.q
-    if max_flags is not None:
-        check_flag_capacity(graph, max_flags)
-    n = flag_count(polytope)
-    perms = tuple(all_perms(p))
-    perm_index = {a: i for i, a in enumerate(perms)}
-    orders = tuple(itertools.permutations(range(q)))
-    order_index = {o: i for i, o in enumerate(orders)}
-    nfact = len(orders)
-
-    # Left multiplication by each edge transposition, as a permutation of perm ranks.
-    tau_map = [
-        [perm_index[compose(transposition_of_edge(p, e), a)] for a in perms]
-        for e in graph.edges
-    ]
-    swap_map = [
-        [order_index[o[: j - 1] + (o[j], o[j - 1]) + o[j + 1:]] for o in orders]
-        for j in range(1, q)
-    ]
-
-    tables: list[list[int]] = []
-    for j in range(q):
-        table = [0] * n
-        for ai in range(len(perms)):
-            base = ai * nfact
-            if j == 0:
-                for oi, o in enumerate(orders):
-                    table[base + oi] = tau_map[o[0]][ai] * nfact + oi
-            else:
-                swaps = swap_map[j - 1]
-                for oi in range(nfact):
-                    table[base + oi] = base + swaps[oi]
-        tables.append(table)
-    return n, tables
 
 
 # ---------------------------------------------------------------------------
@@ -426,75 +344,23 @@ def verify_diamond(polytope: Graphicahedron) -> VerifyReport:
     return VerifyReport(True, checked)
 
 
-def _section_chains(
-    index: FaceIndex, bottom: int | None, top: int, above_bottom: set[int] | None
-) -> list[tuple[int | None, ...]]:
-    """Maximal chains of the section [bottom, top], as id tuples from ``top``
-    down to ``bottom`` (None for the least face).
-
-    ``above_bottom`` is the up-set of ``bottom``; the walk down from ``top``
-    stays inside it.  With the least face as bottom every walk down to a
-    vertex is a chain.
-    """
-    down, ranks = index.down, index.ranks
-    chains: list[tuple[int | None, ...]] = []
-    stack = [top]
-
-    def walk(current: int) -> None:
-        if bottom is None and ranks[current] == 0:
-            chains.append((*stack, None))
-            return
-        for g in down[current]:
-            if g == bottom:
-                chains.append((*stack, g))
-            elif bottom is None or g in above_bottom:
-                stack.append(g)
-                walk(g)
-                stack.pop()
-
-    walk(top)
-    return chains
-
-
-def _section_connected(
-    index: FaceIndex,
-    bottom: int | None,
-    top: int,
-    above_bottom: set[int] | None,
-    mids_between: dict[tuple[int | None, int], list[int]],
-) -> bool:
-    """Connectivity of the flag graph of one section, by breadth-first search
-    over its maximal chains; ``mids_between`` caches the faces strictly
-    between two ids and is shared across sections."""
-    chains = _section_chains(index, bottom, top, above_bottom)
-    if len(chains) <= 1:
-        return True
-    up, down = index.up, index.down
-    position = {c: i for i, c in enumerate(chains)}
-    inner = range(1, len(chains[0]) - 1)
-    seen = bytearray(len(chains))
-    seen[0] = 1
-    reached = 1
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for ci in frontier:
-            chain = chains[ci]
-            for s in inner:
-                hi, mid, lo = chain[s - 1], chain[s], chain[s + 1]
-                mids = mids_between.get((lo, hi))
-                if mids is None:
-                    mids = down[hi] if lo is None else [m for m in up[lo] if hi in up[m]]
-                    mids_between[(lo, hi)] = mids
-                for other in mids:
-                    if other != mid:
-                        ni = position[chain[:s] + (other,) + chain[s + 1:]]
-                        if not seen[ni]:
-                            seen[ni] = 1
-                            reached += 1
-                            nxt.append(ni)
-        frontier = nxt
-    return reached == len(chains)
+def _component_labels(tables: list[list[int]], n: int) -> list[int]:
+    """For each of ``n`` flags, the least flag of its component in the graph
+    of the given neighbour tables (-1 entries are no edge)."""
+    labels = [-1] * n
+    for root in range(n):
+        if labels[root] != -1:
+            continue
+        labels[root] = root
+        stack = [root]
+        while stack:
+            x = stack.pop()
+            for table in tables:
+                y = table[x]
+                if y != -1 and labels[y] == -1:
+                    labels[y] = root
+                    stack.append(y)
+    return labels
 
 
 def verify_strong_flag_connectedness(
@@ -504,56 +370,67 @@ def verify_strong_flag_connectedness(
 ) -> VerifyReport:
     """Connectivity of the full flag graph, plus of every section's flag graph.
 
-    Sections of rank below two are connected for trivial reasons, so only
-    pairs of incident faces at rank distance three or more are walked (with
-    the implicit least face and the greatest face included as endpoints).
-    The upper ends of the sections above a face come from its up-set.
+    Both run on one flag graph, :func:`flag_graph` of the stored covers.
+    The section [F_i, F_j] is connected exactly when no two flags that share
+    every face outside ranks i+1..j-1 fall into different components under
+    the colors i+1..j-1, so sections are checked once per rank pair (i = -1
+    the least face, j = q the greatest).  Sections of rank below two are
+    connected for trivial reasons, so only pairs at rank distance three or
+    more are checked; [least, greatest] is the full graph.  ``checked``
+    counts the full graph plus the sections, ordered by (bottom id, top id)
+    with the least face first, up to the first failing one.  A face on no
+    flag escapes every section, so it fails the check after them.
     ``drop_color`` deletes one adjacency color from the full flag graph and
     exists purely as a negative-control hook for tests.
     """
     q = polytope.rank
-    n, tables = flag_tables(polytope, max_flags=max_flags)
-    colors = [j for j in range(q) if j != drop_color]
-    seen = bytearray(n)
-    seen[0] = 1
-    frontier = [0]
-    reached = 1
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for j in colors:
-                k = tables[j][i]
-                if not seen[k]:
-                    seen[k] = 1
-                    reached += 1
-                    nxt.append(k)
-        frontier = nxt
+    check_flag_capacity(polytope.graph, max_flags)
+    index = polytope.face_index()
+    chains, tables = flag_graph(index.down, len(index.faces) - 1, q)
+    n = len(chains)
+    kept = [table for j, table in enumerate(tables) if j != drop_color]
+    reached = _component_labels(kept, n).count(0)
     if reached != n:
         return VerifyReport(False, 1, f"flag graph has {n} flags but only {reached} reachable")
 
-    index = polytope.face_index()
+    failing = []
+    for i in range(-1, q - 2):
+        for j in range(i + 3, q + 1 if i >= 0 else q):
+            labels = _component_labels(tables[i + 1:j], n)
+            outer_parts = set()
+            for x, label in enumerate(labels):
+                if label == x:
+                    chain = chains[x]
+                    outer = chain[:i + 1] + chain[j:]
+                    if outer in outer_parts:
+                        failing.append((chain[i] if i >= 0 else -1, chain[j]))
+                    outer_parts.add(outer)
+    first_failing = min(failing, default=None)
+
     ranks = index.ranks
 
-    def sections() -> Iterator[tuple[int | None, int, set[int] | None]]:
+    def sections() -> Iterator[tuple[int, int]]:
         for top in range(index.first_of_rank(2), len(ranks)):
-            yield None, top, None
+            yield -1, top
         for low in range(index.first_of_rank(q - 2)):
-            above = index.up_set(low)
-            for top in sorted(above):
+            for top in sorted(index.up_set(low)):
                 if ranks[top] >= ranks[low] + 3:
-                    yield low, top, above
+                    yield low, top
 
     checked = 1
-    mids_between: dict[tuple[int | None, int], list[int]] = {}
-    for bottom, top, above in sections():
+    for bottom, top in sections():
         checked += 1
-        if not _section_connected(index, bottom, top, above, mids_between):
-            bottom_id = face_id(index.faces[bottom]) if bottom is not None else "least face"
+        if (bottom, top) == first_failing:
+            bottom_id = face_id(index.faces[bottom]) if bottom != -1 else "least face"
             return VerifyReport(
                 False,
                 checked,
                 f"section [{bottom_id}, {face_id(index.faces[top])}] has a disconnected flag graph",
             )
+    on_flags = set(itertools.chain.from_iterable(chains))
+    for i, f in enumerate(index.faces):
+        if i not in on_flags:
+            return VerifyReport(False, checked, f"{face_id(f)} lies on no flag")
     return VerifyReport(True, checked)
 
 

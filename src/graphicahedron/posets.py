@@ -2,15 +2,20 @@
 
 Used for intervals of the polytope face poset, for reference posets built
 independently (ordered set partitions, products), and for an isomorphism
-test between such posets.  The isomorphism test walks maximal chains and
-requires both posets to be *thin* (exactly two choices at every chain
-position), which holds for every polytope-like poset this library produces.
-Its color-preserving propagation, :func:`propagate`, also counts the
-polytope's automorphisms on the flag graph.
+test between such posets.
+
+:func:`flag_graph` is the library's one flag graph: the maximal chains of
+a poset given by integer down-cover lists, with one neighbour table per
+rank.  It serves the isomorphism test here and, on the polytope's stored
+covers, strong flag-connectedness and the automorphism count.  Both need
+the poset to be *thin* (exactly two choices at every chain position),
+which holds for every polytope-like poset this library produces.  The
+color-preserving propagation :func:`propagate` runs on its tables.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Any, Callable, Hashable, Sequence
 
 
@@ -64,49 +69,37 @@ class RankedPoset:
     def vertices_below(self, x) -> int:
         return sum(1 for y in self.below(x) if self.rank_of[y] == 0)
 
-    def maximal_chains(self) -> tuple[tuple, ...]:
-        """All chains spanning every rank, bottom level to the top element."""
-        if not self.levels:
-            return ()
-        chains: list[tuple] = []
-        stack: list = []
 
-        def extend() -> None:
-            if len(stack) == len(self.levels):
-                chains.append(tuple(stack))
-                return
-            for y in self.up[stack[-1]]:
-                stack.append(y)
-                extend()
-                stack.pop()
+def flag_graph(
+    down: Sequence[Sequence[int]], top: int, rank: int
+) -> tuple[list[tuple[int, ...]], list[list[int]]]:
+    """The flag graph of a graded poset given by integer down-cover lists.
 
-        for x in self.levels[0]:
-            stack.append(x)
-            extend()
-            stack.pop()
-        return tuple(chains)
-
-
-def _chain_neighbor_tables(poset: RankedPoset, chains: Sequence[tuple]) -> list[list[int]]:
-    """For each chain and each position ``0..R-1``, the unique other chain
-    differing only at that position.  Raises if the poset is not thin."""
-    index = {c: i for i, c in enumerate(chains)}
-    tables = [[-1] * len(chains) for _ in range(poset.top_rank)]
-    for ci, chain in enumerate(chains):
-        for s in range(poset.top_rank):
-            if s == 0:
-                candidates = [x for x in poset.down[chain[1]] if x != chain[0]]
-            else:
-                above = set(poset.down[chain[s + 1]])
-                candidates = [x for x in poset.up[chain[s - 1]] if x in above and x != chain[s]]
-            if len(candidates) != 1:
-                raise ValueError(
-                    f"poset is not thin at rank {s}: {len(candidates) + 1} choices between "
-                    f"{chain[s - 1] if s else 'bottom'} and {chain[s + 1]}"
-                )
-            other = chain[:s] + (candidates[0],) + chain[s + 1:]
-            tables[s][ci] = index[other]
-    return tables
+    The flags are the maximal chains from ``top`` down ``rank`` covers, each
+    a tuple of element ids indexed by rank (``chain[rank] == top``), in
+    increasing tuple order: the flags through the least element come first,
+    which keeps the automorphism count's first candidates at one vertex.
+    ``tables[s][x]`` is the flag that differs from flag ``x`` only at rank
+    ``s``, or -1 where there is no such flag.  Raises ValueError where there
+    is more than one: the poset is not thin.
+    """
+    chains = [(top,)]
+    for _ in range(rank):
+        chains = [(x, *chain) for chain in chains for x in down[chain[0]]]
+    chains.sort()
+    tables = []
+    for s in range(rank):
+        table = [-1] * len(chains)
+        first: dict[tuple[int, ...], int] = {}
+        for x, chain in enumerate(chains):
+            y = first.setdefault(chain[:s] + chain[s + 1:], x)
+            if y != x:
+                if table[y] != -1:
+                    raise ValueError("poset is not thin")
+                table[x] = y
+                table[y] = x
+        tables.append(table)
+    return chains, tables
 
 
 def propagate(
@@ -146,26 +139,34 @@ def propagate(
 def posets_isomorphic(a: RankedPoset, b: RankedPoset) -> bool:
     """Rank- and incidence-preserving bijection test for thin graded posets.
 
-    Works on the colored graphs of maximal chains: fixes a base chain of
-    ``a`` and tries every chain of ``b`` as its image with :func:`propagate`.
-    Any successful propagation is a poset isomorphism; if none succeeds the
-    posets differ.
+    Works on the flag graphs (:func:`flag_graph`, elements numbered in
+    level order): fixes a base flag of ``a`` and tries every flag of ``b``
+    as its image with :func:`propagate`.  Any successful propagation is a
+    poset isomorphism; if none succeeds the posets differ.  Raises
+    ValueError unless every flag of both posets has exactly one neighbour
+    at every rank.
 
-    Assumes both chain graphs are connected (true for every polytope-like
+    Assumes both flag graphs are connected (true for every polytope-like
     poset, where this is strong flag-connectedness); on a disconnected
     input the test is conservative and may report False.
     """
     if a.f_vector() != b.f_vector():
         return False
-    chains_a = a.maximal_chains()
-    chains_b = b.maximal_chains()
-    if len(chains_a) != len(chains_b):
-        return False
-    if not chains_a or a.top_rank == 0:
+    if a.top_rank <= 0:
         return True
-    adj_a = _chain_neighbor_tables(a, chains_a)
-    adj_b = _chain_neighbor_tables(b, chains_b)
-    return any(propagate(adj_a, adj_b, image) is not None for image in range(len(chains_b)))
+    tables = []
+    for poset in (a, b):
+        ids = {x: i for i, x in enumerate(itertools.chain.from_iterable(poset.levels))}
+        down = [[ids[y] for y in poset.down[x]] for x in ids]
+        _, neighbours = flag_graph(down, len(ids) - 1, poset.top_rank)
+        if any(-1 in table for table in neighbours):
+            raise ValueError("poset is not thin")
+        tables.append(neighbours)
+    tables_a, tables_b = tables
+    n = len(tables_a[0])
+    if n != len(tables_b[0]):
+        return False
+    return not n or any(propagate(tables_a, tables_b, image) is not None for image in range(n))
 
 
 def product_poset(a: RankedPoset, b: RankedPoset) -> RankedPoset:

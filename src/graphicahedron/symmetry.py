@@ -8,9 +8,10 @@ they generate a semidirect product of order p! * |graph automorphisms|
 whenever the graph has more than one edge.
 
 Independently of that construction, the full automorphism group is counted
-on the flag graph: an automorphism is pinned down by the image of a single
-flag, and acts freely, so the group order equals the size of the orbit of
-a fixed base flag.  The orbit is grown from the automorphisms found so far,
+on the flag graph of the stored face poset (:func:`posets.flag_graph` of its
+covers): an automorphism is pinned down by the image of a single flag, and
+acts freely, so the group order equals the size of the orbit of a fixed
+base flag.  The orbit is grown from the automorphisms found so far,
 and a candidate image is tested only when no earlier test has already
 decided its orbit.
 """
@@ -23,8 +24,8 @@ from dataclasses import dataclass
 from .errors import InternalInconsistencyError
 from .graphs import GraphAutomorphism, SimpleGraph, automorphisms, is_star, is_triangle
 from .perms import Perm, all_perms, canonical_rep, compose, conjugate
-from .polytope import Face, Graphicahedron, flag_count, flag_tables
-from .posets import propagate
+from .polytope import Face, Graphicahedron, check_flag_capacity, flag_count
+from .posets import flag_graph, propagate
 
 DEFAULT_MAX_FLAGS = 5000
 
@@ -84,8 +85,17 @@ def full_aut_order_via_flags(polytope: Graphicahedron, max_flags: int = DEFAULT_
     rules out the candidate's whole class, and candidates in a decided class
     are skipped.  The action is free, so the order is the size of the base
     flag's class once every candidate is decided.
+
+    The flag graph is :func:`flag_graph` of the stored covers, so a face
+    missing from the store shows: ValueError unless every flag has exactly
+    one neighbour at every rank.
     """
-    n, tables = flag_tables(polytope, max_flags=max_flags)
+    check_flag_capacity(polytope.graph, max_flags)
+    index = polytope.face_index()
+    chains, tables = flag_graph(index.down, len(index.faces) - 1, polytope.rank)
+    if not chains or any(-1 in table for table in tables):
+        raise ValueError("poset is not thin")
+    n = len(chains)
     if polytope.graph.q == 0:
         return 1
     if propagate(tables, tables, 0) is None:

@@ -8,9 +8,13 @@ test that compares against these is a genuine cross-check.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
-from graphicahedron import SimpleGraph, VertexPartition, compose, make_graph
+from graphicahedron import Perm, SimpleGraph, VertexPartition, compose, make_graph, transposition_of_edge
+from graphicahedron.perms import all_perms
+from graphicahedron.polytope import VerifyReport, face_id
 
 
 def young_subgroup(part: VertexPartition) -> list[tuple[int, ...]]:
@@ -140,3 +144,220 @@ def coset_reps_by_recursion(part: VertexPartition) -> list[tuple[int, ...]]:
 
     rec()
     return reps
+
+
+# ---------------------------------------------------------------------------
+# The construction's flag model, and strong flag-connectedness section by
+# section: the references the poset-built flag graph is tested against.
+
+
+@dataclass(frozen=True)
+class Flag:
+    """A maximal chain, recorded as an edge ordering plus the vertex permutation.
+
+    The rank-i face of the flag is (first i edges of ``order``, ``base``).
+    """
+
+    order: tuple[int, ...]
+    base: Perm
+
+
+def flags(polytope) -> Iterator[Flag]:
+    """All p!q! flags of the construction, lexicographically by base
+    permutation then by edge ordering."""
+    q = polytope.graph.q
+    for base in all_perms(polytope.graph.p):
+        for order in itertools.permutations(range(q)):
+            yield Flag(order, base)
+
+
+def adjacent_flag(polytope, flag: Flag, j: int) -> Flag:
+    """The unique flag differing from ``flag`` exactly in its rank-j face.
+
+    Changing the vertex (j = 0) multiplies the base by the transposition of
+    the chain's first edge; changing a middle face swaps two consecutive
+    edges of the ordering.  Both moves are involutions.
+    """
+    q = polytope.graph.q
+    if not (0 <= j <= q - 1):
+        raise ValueError(f"adjacency rank {j} out of range 0..{q - 1}")
+    if j == 0:
+        tau = transposition_of_edge(polytope.graph.p, polytope.graph.edges[flag.order[0]])
+        return Flag(flag.order, compose(tau, flag.base))
+    order = list(flag.order)
+    order[j - 1], order[j] = order[j], order[j - 1]
+    return Flag(tuple(order), flag.base)
+
+
+def construction_flag_tables(polytope) -> tuple[int, list[list[int]]]:
+    """The construction's flags, indexed in :func:`flags` order, plus one
+    neighbor table per adjacency rank: ``tables[j][i]`` is the index of the
+    flag j-adjacent to flag ``i``.  Never reads the stored faces."""
+    graph = polytope.graph
+    p, q = graph.p, graph.q
+    perms = tuple(all_perms(p))
+    perm_index = {a: i for i, a in enumerate(perms)}
+    orders = tuple(itertools.permutations(range(q)))
+    order_index = {o: i for i, o in enumerate(orders)}
+    nfact = len(orders)
+    n = len(perms) * nfact
+
+    # Left multiplication by each edge transposition, as a permutation of perm ranks.
+    tau_map = [
+        [perm_index[compose(transposition_of_edge(p, e), a)] for a in perms]
+        for e in graph.edges
+    ]
+    swap_map = [
+        [order_index[o[: j - 1] + (o[j], o[j - 1]) + o[j + 1:]] for o in orders]
+        for j in range(1, q)
+    ]
+
+    tables: list[list[int]] = []
+    for j in range(q):
+        table = [0] * n
+        for ai in range(len(perms)):
+            base = ai * nfact
+            if j == 0:
+                for oi, o in enumerate(orders):
+                    table[base + oi] = tau_map[o[0]][ai] * nfact + oi
+            else:
+                swaps = swap_map[j - 1]
+                for oi in range(nfact):
+                    table[base + oi] = base + swaps[oi]
+        tables.append(table)
+    return n, tables
+
+
+def _section_chains(index, bottom, top, above_bottom) -> list[tuple]:
+    """Maximal chains of the section [bottom, top], as id tuples from ``top``
+    down to ``bottom`` (None for the least face).
+
+    ``above_bottom`` is the up-set of ``bottom``; the walk down from ``top``
+    stays inside it.  With the least face as bottom every walk down to a
+    vertex is a chain.
+    """
+    down, ranks = index.down, index.ranks
+    chains: list[tuple] = []
+    stack = [top]
+
+    def walk(current: int) -> None:
+        if bottom is None and ranks[current] == 0:
+            chains.append((*stack, None))
+            return
+        for g in down[current]:
+            if g == bottom:
+                chains.append((*stack, g))
+            elif bottom is None or g in above_bottom:
+                stack.append(g)
+                walk(g)
+                stack.pop()
+
+    walk(top)
+    return chains
+
+
+def _section_connected(index, bottom, top, above_bottom, mids_between) -> bool:
+    """Connectivity of the flag graph of one section, by breadth-first search
+    over its maximal chains; ``mids_between`` caches the faces strictly
+    between two ids and is shared across sections."""
+    chains = _section_chains(index, bottom, top, above_bottom)
+    if len(chains) <= 1:
+        return True
+    up, down = index.up, index.down
+    position = {c: i for i, c in enumerate(chains)}
+    inner = range(1, len(chains[0]) - 1)
+    seen = bytearray(len(chains))
+    seen[0] = 1
+    reached = 1
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for ci in frontier:
+            chain = chains[ci]
+            for s in inner:
+                hi, mid, lo = chain[s - 1], chain[s], chain[s + 1]
+                mids = mids_between.get((lo, hi))
+                if mids is None:
+                    mids = down[hi] if lo is None else [m for m in up[lo] if hi in up[m]]
+                    mids_between[(lo, hi)] = mids
+                for other in mids:
+                    if other != mid:
+                        ni = position[chain[:s] + (other,) + chain[s + 1:]]
+                        if not seen[ni]:
+                            seen[ni] = 1
+                            reached += 1
+                            nxt.append(ni)
+        frontier = nxt
+    return reached == len(chains)
+
+
+def sectionwise_strong_flag_connectedness(polytope, drop_color=None) -> VerifyReport:
+    """Strong flag-connectedness as the construction's flag graph
+    (:func:`construction_flag_tables`) plus a walk of every section's own
+    chains of stored faces.
+
+    Sections of rank below two are connected for trivial reasons, so only
+    pairs of incident faces at rank distance three or more are walked (with
+    the implicit least face and the greatest face included as endpoints).
+    The upper ends of the sections above a face come from its up-set.
+    ``drop_color`` deletes one adjacency color from the full flag graph and
+    exists purely as a negative-control hook for tests.
+    """
+    q = polytope.rank
+    n, tables = construction_flag_tables(polytope)
+    colors = [j for j in range(q) if j != drop_color]
+    seen = bytearray(n)
+    seen[0] = 1
+    frontier = [0]
+    reached = 1
+    while frontier:
+        nxt = []
+        for i in frontier:
+            for j in colors:
+                k = tables[j][i]
+                if not seen[k]:
+                    seen[k] = 1
+                    reached += 1
+                    nxt.append(k)
+        frontier = nxt
+    if reached != n:
+        return VerifyReport(False, 1, f"flag graph has {n} flags but only {reached} reachable")
+
+    index = polytope.face_index()
+    ranks = index.ranks
+
+    def sections():
+        for top in range(index.first_of_rank(2), len(ranks)):
+            yield None, top, None
+        for low in range(index.first_of_rank(q - 2)):
+            above = index.up_set(low)
+            for top in sorted(above):
+                if ranks[top] >= ranks[low] + 3:
+                    yield low, top, above
+
+    checked = 1
+    mids_between: dict = {}
+    for bottom, top, above in sections():
+        checked += 1
+        if not _section_connected(index, bottom, top, above, mids_between):
+            bottom_id = face_id(index.faces[bottom]) if bottom is not None else "least face"
+            return VerifyReport(
+                False,
+                checked,
+                f"section [{bottom_id}, {face_id(index.faces[top])}] has a disconnected flag graph",
+            )
+    return VerifyReport(True, checked)
+
+
+def faces_on_no_flag(polytope) -> list:
+    """Stored faces with no chain of covers down to a vertex or none up to
+    the greatest rank, found by closing over the cover lists."""
+    up, down = polytope.covers()
+    faces = list(polytope.all_faces())
+    reaches_vertex = {}
+    for f in faces:  # ranks ascend, so every face below is settled first
+        reaches_vertex[f] = f.rank == 0 or any(reaches_vertex[g] for g in down[f])
+    reaches_top = {}
+    for f in reversed(faces):
+        reaches_top[f] = f.rank == polytope.rank or any(reaches_top[g] for g in up[f])
+    return [f for f in faces if not (reaches_vertex[f] and reaches_top[f])]

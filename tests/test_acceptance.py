@@ -9,14 +9,15 @@ import itertools
 import math
 
 from oracles import (
+    adjacent_flag,
     all_set_partitions,
     brute_coset,
     connected_graphs_with_edges,
+    flags,
     graphs_isomorphic,
 )
 
 from graphicahedron import (
-    adjacent_flag,
     apply_graph_aut,
     apply_right,
     automorphisms,
@@ -28,7 +29,6 @@ from graphicahedron import (
     face_count,
     facet_census,
     flag_count,
-    flags,
     full_aut_order_via_flags,
     is_regular,
     one_skeleton_equals_cayley,
@@ -43,6 +43,7 @@ from graphicahedron import (
 )
 from graphicahedron.classify import HEXAGON, SQUARE
 from graphicahedron.polytope import drop_face, full_poset, interval_below
+from graphicahedron.posets import flag_graph
 
 CRITERION_1_GRAPHS = [
     ("P_1", preset_graph("path", 1)),
@@ -90,6 +91,9 @@ def test_criterion_01_vertex_and_flag_counts():
         assert P.f_vector()[0] == math.factorial(graph.p), name
         assert flag_count(P) == math.factorial(graph.p) * math.factorial(graph.q), name
         assert sum(1 for _ in flags(P)) == flag_count(P), name
+        index = P.face_index()
+        chains, _ = flag_graph(index.down, len(index.faces) - 1, P.rank)
+        assert len(chains) == flag_count(P), name
 
 
 @criterion(2, "two edges give a hexagon")

@@ -26,6 +26,7 @@ from graphicahedron.classify import (
     permutahedron_type,
 )
 from graphicahedron.polytope import full_poset, interval_below
+from graphicahedron.posets import RankedPoset
 
 
 def hedron(name, n=None):
@@ -280,6 +281,17 @@ def test_path_graphicahedron_is_the_permutahedron():
 def test_poset_isomorphism_distinguishes():
     assert not posets_isomorphic(full_poset(hedron("cycle", 3)), permutahedron_oracle(3))
     assert not posets_isomorphic(permutahedron_oracle(2), permutahedron_oracle(3))
+
+
+def test_poset_isomorphism_rejects_posets_that_are_not_thin():
+    # a segment with three endpoints: three choices at rank 0
+    three = RankedPoset([["a", "b", "c"], ["E"]], {"a": ("E",), "b": ("E",), "c": ("E",), "E": ()})
+    with pytest.raises(ValueError, match="poset is not thin"):
+        posets_isomorphic(three, three)
+    # a segment with one endpoint: no other choice at rank 0
+    one = RankedPoset([["a"], ["E"]], {"a": ("E",), "E": ()})
+    with pytest.raises(ValueError, match="poset is not thin"):
+        posets_isomorphic(one, one)
 
 
 def test_oracle_capacity():

@@ -3,18 +3,24 @@ import math
 import random
 
 import pytest
-from oracles import brute_coset, pairwise_covers
+from oracles import (
+    Flag,
+    adjacent_flag,
+    brute_coset,
+    construction_flag_tables,
+    faces_on_no_flag,
+    flags,
+    pairwise_covers,
+    sectionwise_strong_flag_connectedness,
+)
 
 from graphicahedron import (
     DisconnectedGraphError,
     Face,
-    Flag,
-    adjacent_flag,
     build,
     build_cayley,
     face_count,
     flag_count,
-    flags,
     identity,
     make_graph,
     one_skeleton_equals_cayley,
@@ -28,16 +34,17 @@ from graphicahedron import (
     verify_strong_flag_connectedness,
     vertex_figure_is_simplex,
 )
+from graphicahedron import polytope
 from graphicahedron.errors import CapacityError
 from graphicahedron.polytope import (
     build_skeleton,
     drop_face,
     face_id,
     face_sort_key,
-    flag_tables,
     full_poset,
     interval_below,
 )
+from graphicahedron.posets import flag_graph, propagate
 
 SMALL_PRESETS = [
     ("path", 1),
@@ -274,20 +281,47 @@ def test_distant_adjacencies_commute():
                 assert a == b
 
 
-def test_flag_tables_match_adjacent_flag():
-    P = hedron("cycle", 3)
-    n, tables = flag_tables(P)
-    assert n == 36
-    indexed = list(flags(P))
-    index = {f: i for i, f in enumerate(indexed)}
-    for i, phi in enumerate(indexed):
-        for j in range(P.rank):
-            assert tables[j][i] == index[adjacent_flag(P, phi, j)]
+def poset_flag_graph(P):
+    index = P.face_index()
+    return flag_graph(index.down, len(index.faces) - 1, P.rank)
 
 
-def test_flag_tables_capacity():
+@pytest.mark.parametrize("name, n", SMALL_PRESETS)
+def test_poset_flag_graph_has_pq_flags_and_is_thin(name, n):
+    P = hedron(name, n)
+    chains, tables = poset_flag_graph(P)
+    assert len(chains) == flag_count(P) == math.factorial(P.graph.p) * math.factorial(P.rank)
+    assert len(set(chains)) == len(chains)
+    for s, table in enumerate(tables):
+        for x, y in enumerate(table):
+            assert y != x and table[y] == x
+            assert chains[x][:s] + chains[x][s + 1:] == chains[y][:s] + chains[y][s + 1:]
+
+
+@pytest.mark.parametrize("spec", ["paw", "fork", "cycle:4"])
+def test_construction_flag_graph_maps_onto_the_poset_flag_graph(spec):
+    name, _, n = spec.partition(":")
+    P = hedron(name, int(n) if n else None)
+    count, construction = construction_flag_tables(P)
+    _, tables = poset_flag_graph(P)
+    assert any(propagate(construction, tables, k) is not None for k in range(count))
+
+
+def test_strong_flag_connectedness_checks_capacity_before_the_flag_graph(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("flag_graph ran before the capacity check")
+
+    monkeypatch.setattr(polytope, "flag_graph", refuse)
     with pytest.raises(CapacityError):
-        flag_tables(hedron("paw"), max_flags=100)
+        verify_strong_flag_connectedness(hedron("paw"), max_flags=100)
+
+
+def test_flag_graph_rejects_a_poset_that_is_not_thin():
+    # one edge over three vertices
+    with pytest.raises(ValueError, match="poset is not thin"):
+        flag_graph([[], [], [], [0, 1, 2]], 3, 1)
+    chains, tables = flag_graph([[], [0]], 1, 1)
+    assert chains == [(0, 1)] and tables == [[-1]]
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +354,70 @@ def test_strong_flag_connectedness_negative_control():
     report = verify_strong_flag_connectedness(P, drop_color=2)
     assert not report.passed
     assert "reachable" in report.failure
+
+
+# Presets whose flag graphs the section-by-section oracle walks in about a second.
+ORACLE_PRESETS = SMALL_PRESETS + [("cycle", 5)]
+
+
+def same_report(P, drop_color=None):
+    new = verify_strong_flag_connectedness(P, drop_color=drop_color)
+    old = sectionwise_strong_flag_connectedness(P, drop_color=drop_color)
+    assert (new.passed, new.checked, new.failure) == (old.passed, old.checked, old.failure)
+    return new
+
+
+@pytest.mark.parametrize("name, n", ORACLE_PRESETS)
+def test_strong_flag_connectedness_matches_the_sectionwise_oracle(name, n):
+    P = hedron(name, n)
+    assert same_report(P).passed
+    for color in range(P.rank):
+        assert not same_report(P, drop_color=color).passed
+
+
+@pytest.mark.parametrize("spec", ["path:2", "cycle:3", "star:3", "path:3", "paw"])
+def test_strong_flag_connectedness_matches_the_oracle_under_every_face_drop(spec):
+    name, _, n = spec.partition(":")
+    P = hedron(name, int(n) if n else None)
+    for face in P.all_faces():
+        if face.rank < P.rank:
+            same_report(drop_face(P, face))
+
+
+def test_dropping_the_greatest_face_leaves_every_face_on_no_flag():
+    P = hedron("cycle", 3)
+    corrupted = drop_face(P, P.greatest_face)
+    assert sectionwise_strong_flag_connectedness(corrupted).passed
+    report = verify_strong_flag_connectedness(corrupted)
+    assert not report.passed
+    assert report.failure == "K{}:a(1,2,3) lies on no flag"
+
+
+def two_face_drops(spec, sample=None, seed=0):
+    name, _, n = spec.partition(":")
+    P = hedron(name, int(n) if n else None)
+    pairs = list(itertools.combinations(P.all_faces(), 2))
+    if sample is not None:
+        pairs = random.Random(seed).sample(pairs, sample)
+    return [drop_face(drop_face(P, f), g) for f, g in pairs]
+
+
+@pytest.mark.parametrize("spec, sample", [("cycle:3", None), ("path:3", 200)])
+def test_strong_flag_connectedness_under_two_face_drops(spec, sample):
+    for corrupted in two_face_drops(spec, sample):
+        expected = sectionwise_strong_flag_connectedness(corrupted).passed and not faces_on_no_flag(corrupted)
+        assert verify_strong_flag_connectedness(corrupted).passed == expected
+
+
+def test_a_section_fails_while_the_full_flag_graph_stays_connected():
+    # two vertices joined by color 2 leave the hexagon K{1,3} in two pieces
+    P = hedron("cycle", 3)
+    for label in ("K{}:a(1,2,3)", "K{}:a(1,3,2)"):
+        (vertex,) = [v for v in P.faces(0) if face_id(v) == label]
+        P = drop_face(P, vertex)
+    report = same_report(P)
+    assert (report.passed, report.checked) == (False, 3)
+    assert report.failure == "section [least face, K{1,3}:a(1,2,3)] has a disconnected flag graph"
 
 
 def test_vertex_figures_are_boolean():

@@ -26,6 +26,7 @@ from graphicahedron import (
 )
 from graphicahedron import symmetry
 from graphicahedron.errors import CapacityError
+from graphicahedron.polytope import drop_face
 from graphicahedron.posets import propagate
 from graphicahedron.symmetry import (
     PolytopeAutomorphism,
@@ -165,6 +166,26 @@ def test_aut_summary_counts_once(monkeypatch):
         assert s.regular == regular_by_graph_shape(preset_graph(name, n))
 
 
+# propagate calls per count, the identity included: the flags through the
+# least vertex come first, so the first candidates share the base vertex.
+PROPAGATE_CALLS = {"paw": 15, "fork": 17, "star:4": 6, "cycle:5": 31}
+
+
+@pytest.mark.parametrize("spec", sorted(PROPAGATE_CALLS))
+def test_aut_count_tests_few_candidates(spec, monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args[2])
+        return propagate(*args)
+
+    monkeypatch.setattr(symmetry, "propagate", counting)
+    name, _, n = spec.partition(":")
+    P = hedron(name, int(n) if n else None)
+    assert full_aut_order_via_flags(P, max_flags=20000) == constructed_group_order(P.graph)
+    assert len(calls) == PROPAGATE_CALLS[spec]
+
+
 def _alternating_cycles(n_cycles, length):
     """Neighbor tables of ``n_cycles`` disjoint cycles of ``length`` nodes, edges colored 0, 1 alternately."""
     def along(color, x):
@@ -193,6 +214,12 @@ def test_package_imports_without_numpy():
         env=dict(os.environ, PYTHONPATH=str(src)),
         check=True,
     )
+
+
+def test_full_aut_order_reads_the_stored_poset():
+    P = hedron("paw")
+    with pytest.raises(ValueError, match="poset is not thin"):
+        full_aut_order_via_flags(drop_face(P, P.faces(3)[0]))
 
 
 def test_full_aut_capacity():
