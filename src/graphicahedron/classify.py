@@ -71,16 +71,15 @@ def classify_2face(polytope: Graphicahedron, face: Face) -> FaceType:
     """Hexagon when the two edges share a vertex, square when they are disjoint.
 
     The verdict is cross-checked against the number of vertices under the
-    face (6 versus 4); a mismatch would mean the poset is corrupt.
+    face (6 versus 4), counted in its down-set in the store; a mismatch would
+    mean the poset is corrupt.
     """
     if face.rank != 2:
         raise ValueError("classify_2face expects a rank-2 face")
     e1, e2 = sorted(face.edges)
     endpoints = set(polytope.graph.edges[e1]) & set(polytope.graph.edges[e2])
     verdict = HEXAGON if endpoints else SQUARE
-    n_vertices = sum(
-        1 for v in polytope.faces(0) if polytope.is_incident(v, face)
-    )
+    n_vertices = interval_below(polytope, face).f_vector()[0]
     if n_vertices != (6 if verdict is HEXAGON else 4):
         raise InternalInconsistencyError(
             f"2-face {face_id(face)} classified {verdict.label} but has {n_vertices} vertices"

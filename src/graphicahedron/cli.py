@@ -154,6 +154,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     timings: dict[str, float] = {}
     graph = _graph_from_args(args)
+    # the automorphism count refuses large flag graphs; do so before any face is built
+    polytope.check_buildable(graph, max_perms=args.max_perms)
+    polytope.check_flag_capacity(graph, args.max_flags)
     hedron = polytope.build(graph, max_perms=args.max_perms)
 
     t0 = time.perf_counter()
@@ -220,7 +223,7 @@ def cmd_export(args: argparse.Namespace) -> int:
             from .perms import lex_rank
 
             lines = ["graph skeleton {", "  node [shape=circle];"]
-            for f in skel.faces_by_rank[0]:
+            for f in skel.faces(0):
                 label = ",".join(str(v + 1) for v in f.rep)
                 lines.append(f'  v{lex_rank(f.rep)} [label="{label}"];')
             for u, v, c in edges:
@@ -231,7 +234,7 @@ def cmd_export(args: argparse.Namespace) -> int:
             sys.stdout.write("\n".join(lines) + "\n")
         else:
             payload = {
-                "faces_per_rank": [len(level) for level in skel.faces_by_rank],
+                "faces_per_rank": list(skel.f_vector()[:k + 1]),
                 "edges": [[u, v, c + 1] for u, v, c in edges],
             }
             sys.stdout.write(json.dumps(payload, indent=2) + "\n")

@@ -8,12 +8,17 @@ single greatest face.  A face of rank i below a face of rank j >= i is one
 whose edge set is contained in the other's and whose coset lies inside the
 other's coset.
 
-Covers follow directly from this coset rule: the faces covering (K, c) are
-the faces (K + {e}, canonical_rep(c)), one for each edge e not in K.  On
-first use the stored faces get dense integer ids and each id its up- and
-down-cover lists (:class:`FaceIndex`), so intervals and vertex figures are
-walks along covers rather than scans of whole ranks.  A face missing from
-the store is simply a missing cover.
+The store holds one block per edge subset K: K with its sorted coset
+representatives.  Blocks come in ``face_sort_key`` order, so the faces are
+integer ids in that order, each block owning a contiguous id range, and a
+face's id is found by bisecting its block.  :class:`Face` objects are made
+only at the API edge (``faces``, ``face_at``, ``covers``, witnesses).
+
+Covers follow directly from the coset rule: the faces covering (K, c) are
+the faces (K + {e}, canonical_rep(c)), one for each edge e not in K.  The
+cover lists of every id are built on first use, so intervals and vertex
+figures are walks along covers rather than scans of whole ranks.  A face
+missing from the store is simply a missing cover.
 
 Flags (maximal chains) are read from the stored covers by
 :func:`posets.flag_graph`; an intact polytope has exactly p!q! of them.
@@ -29,8 +34,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .cayley import CayleyGraph
@@ -53,6 +59,9 @@ from .posets import RankedPoset, flag_graph
 
 DEFAULT_MAX_PERMS = 5040  # 7!
 VERIFY_MAX_FLAGS = 50000  # flag graphs walked by verify_strong_flag_connectedness
+
+# An edge subset K with the sorted canonical representatives of its faces.
+Block = tuple[frozenset[int], tuple[Perm, ...]]
 
 
 @dataclass(frozen=True)
@@ -79,47 +88,41 @@ def face_id(face: Face) -> str:
 
 
 class Graphicahedron:
-    """The face poset, stored rank by rank with faces deduplicated by coset key."""
+    """The face poset as integer ids over ``blocks``, which must come in
+    ``face_sort_key`` order (empty ones are dropped).  Block b holds the ids
+    ``starts[b]`` up to ``starts[b + 1]``; ``up[i]`` and ``down[i]`` are the
+    ids covering and covered by id i, in increasing order."""
 
-    def __init__(self, graph: SimpleGraph, faces_by_rank: dict[int, Iterable[Face]]):
-        self._store(graph, {
-            r: tuple(sorted(faces, key=face_sort_key)) for r, faces in faces_by_rank.items()
-        })
-
-    @classmethod
-    def _from_sorted(
-        cls, graph: SimpleGraph, faces_by_rank: dict[int, tuple[Face, ...]]
-    ) -> Graphicahedron:
-        """A polytope over ranks already in ``face_sort_key`` order, kept as given."""
-        polytope = cls.__new__(cls)
-        polytope._store(graph, faces_by_rank)
-        return polytope
-
-    def _store(self, graph: SimpleGraph, faces_by_rank: dict[int, tuple[Face, ...]]) -> None:
+    def __init__(self, graph: SimpleGraph, blocks: Iterable[Block]):
         self.graph = graph
-        self.faces_by_rank = faces_by_rank
+        self.blocks: tuple[Block, ...] = tuple((edges, reps) for edges, reps in blocks if reps)
+        self.starts = list(itertools.accumulate((len(reps) for _, reps in self.blocks), initial=0))
+        self._block_of = {edges: b for b, (edges, _) in enumerate(self.blocks)}
+        self._block_ranks = [len(edges) for edges, _ in self.blocks]
         self._partitions: dict[frozenset[int], VertexPartition] = {}
-        self._index: FaceIndex | None = None
-        self._covers: tuple[dict[Face, tuple[Face, ...]], dict[Face, tuple[Face, ...]]] | None = None
 
     @property
     def rank(self) -> int:
         return self.graph.q
 
+    def __len__(self) -> int:
+        return self.starts[-1]
+
     def faces(self, rank: int) -> tuple[Face, ...]:
-        return self.faces_by_rank.get(rank, ())
+        return tuple(map(self.face_at, range(self.first_of_rank(rank), self.first_of_rank(rank + 1))))
 
     def all_faces(self) -> Iterator[Face]:
-        for r in sorted(self.faces_by_rank):
-            yield from self.faces_by_rank[r]
+        return map(self.face_at, range(len(self)))
 
     def f_vector(self) -> tuple[int, ...]:
-        return tuple(len(self.faces(r)) for r in range(self.rank + 1))
+        return tuple(self.first_of_rank(r + 1) - self.first_of_rank(r) for r in range(self.rank + 1))
 
     @property
     def greatest_face(self) -> Face:
-        (top,) = self.faces(self.rank)
-        return top
+        top = self.faces(self.rank)
+        if len(top) != 1:
+            raise ValueError(f"no greatest face: {len(top)} faces of rank {self.rank} are stored")
+        return top[0]
 
     def partition_of(self, edges: frozenset[int]) -> VertexPartition:
         part = self._partitions.get(edges)
@@ -142,64 +145,71 @@ class Graphicahedron:
             self.partition_of(above.edges), below.rep, above.rep
         )
 
-    def covers(self) -> tuple[dict[Face, tuple[Face, ...]], dict[Face, tuple[Face, ...]]]:
-        """(up, down) cover lists between consecutive ranks, computed once.
-
-        The covers are derived directly from the coset rule, not by comparing
-        faces: the faces above (K, c) are (K + {e}, canonical_rep(c)) for each
-        edge e not in K, kept when stored.  Lists follow ``all_faces()`` order.
-        """
-        if self._covers is None:
-            index = self._index = FaceIndex(self)
-            faces = index.faces
-            self._covers = tuple(
-                {f: tuple(faces[j] for j in ids[i]) for i, f in enumerate(faces)}
-                for ids in (index.up, index.down)
-            )
-        return self._covers
-
-    def face_index(self) -> FaceIndex:
-        """The integer face ids and cover lists, built by the first :meth:`covers` call."""
-        if self._index is None:
-            self.covers()
-        return self._index
-
-
-class FaceIndex:
-    """Dense integer ids for the stored faces, in ``all_faces()`` order, with
-    up- and down-cover lists per id, each in increasing id order."""
-
-    def __init__(self, polytope: Graphicahedron):
-        self.faces = tuple(polytope.all_faces())
-        self.ranks = [f.rank for f in self.faces]
-        self.ids_by_edges: dict[frozenset[int], dict[Perm, int]] = {}
-        for i, f in enumerate(self.faces):
-            self.ids_by_edges.setdefault(f.edges, {})[f.rep] = i
-        self.up: list[list[int]] = [[] for _ in self.faces]
-        self.down: list[list[int]] = [[] for _ in self.faces]
-        # Edge sets come in face order and e ascends, so both lists end up sorted.
-        for edges, ids in self.ids_by_edges.items():
-            for e in range(polytope.rank):
-                if e in edges:
-                    continue
-                larger = edges | {e}
-                above = self.ids_by_edges.get(larger)
-                if above is None:
-                    continue
-                part = polytope.partition_of(larger)
-                for rep, i in ids.items():
-                    j = above.get(canonical_rep(part, rep))
-                    if j is not None:
-                        self.up[i].append(j)
-                        self.down[j].append(i)
-
-    def id_of(self, face: Face) -> int | None:
-        return self.ids_by_edges.get(face.edges, {}).get(face.rep)
-
     def first_of_rank(self, rank: int) -> int:
         """The least id of rank at least ``rank``; ids of rank r are
         ``range(first_of_rank(r), first_of_rank(r + 1))``."""
-        return bisect_left(self.ranks, rank)
+        return self.starts[bisect_left(self._block_ranks, rank)]
+
+    def _id_in_block(self, b: int, rep: Perm) -> int | None:
+        reps = self.blocks[b][1]
+        j = bisect_left(reps, rep)
+        return self.starts[b] + j if j < len(reps) and reps[j] == rep else None
+
+    def id_of(self, face: Face) -> int | None:
+        b = self._block_of.get(face.edges)
+        return None if b is None else self._id_in_block(b, face.rep)
+
+    def face_at(self, i: int) -> Face:
+        b = bisect_right(self.starts, i) - 1
+        edges, reps = self.blocks[b]
+        return Face(edges, reps[i - self.starts[b]])
+
+    @cached_property
+    def ranks(self) -> list[int]:
+        """The rank of every id."""
+        return [len(edges) for edges, reps in self.blocks for _ in reps]
+
+    @cached_property
+    def _cover_ids(self) -> tuple[list[list[int]], list[list[int]]]:
+        up: list[list[int]] = [[] for _ in range(len(self))]
+        down: list[list[int]] = [[] for _ in range(len(self))]
+        # Blocks come in id order and e ascends, so both lists end up sorted.
+        for (edges, reps), start in zip(self.blocks, self.starts):
+            for e in range(self.rank):
+                if e in edges:
+                    continue
+                larger = edges | {e}
+                b = self._block_of.get(larger)
+                if b is None:
+                    continue
+                part = self.partition_of(larger)
+                for i, rep in enumerate(reps, start):
+                    j = self._id_in_block(b, canonical_rep(part, rep))
+                    if j is not None:
+                        up[i].append(j)
+                        down[j].append(i)
+        return up, down
+
+    @property
+    def up(self) -> list[list[int]]:
+        return self._cover_ids[0]
+
+    @property
+    def down(self) -> list[list[int]]:
+        return self._cover_ids[1]
+
+    def face_index(self) -> Graphicahedron:
+        """The polytope itself, with ``up`` and ``down`` built."""
+        self._cover_ids
+        return self
+
+    def covers(self) -> tuple[dict[Face, tuple[Face, ...]], dict[Face, tuple[Face, ...]]]:
+        """``up`` and ``down`` as Face-keyed dicts, in ``all_faces()`` order."""
+        faces = tuple(self.all_faces())
+        return tuple(
+            {f: tuple(faces[j] for j in ids[i]) for i, f in enumerate(faces)}
+            for ids in (self.up, self.down)
+        )
 
     def up_set(self, i: int) -> set[int]:
         return self._closure(i, self.up)
@@ -230,8 +240,8 @@ def check_buildable(graph: SimpleGraph, max_perms: int = DEFAULT_MAX_PERMS) -> N
         )
 
 
-def faces_of_rank(graph: SimpleGraph, rank: int) -> tuple[Face, ...]:
-    """All faces of one rank, in ``face_sort_key`` order.
+def faces_of_rank(graph: SimpleGraph, rank: int) -> list[Block]:
+    """The blocks of one rank, in ``face_sort_key`` order.
 
     For each edge subset K the faces with first component K are exactly the
     cosets of its Young subgroup, so they come straight from the component
@@ -239,19 +249,18 @@ def faces_of_rank(graph: SimpleGraph, rank: int) -> tuple[Face, ...]:
     pairs.  The subsets come from ``itertools.combinations`` in lexicographic
     order and :func:`coset_reps` is sorted, so no re-sort is needed.
     """
-    faces: list[Face] = []
-    for combo in itertools.combinations(range(graph.q), rank):
-        key = frozenset(combo)
-        faces.extend(Face(key, rep) for rep in coset_reps(components(graph, combo)))
-    return tuple(faces)
+    return [
+        (frozenset(combo), coset_reps(components(graph, combo)))
+        for combo in itertools.combinations(range(graph.q), rank)
+    ]
 
 
 def build(graph: SimpleGraph, max_perms: int = DEFAULT_MAX_PERMS) -> Graphicahedron:
     """Enumerate all faces of the graphicahedron of a connected graph, rank by
     rank through :func:`faces_of_rank`, after :func:`check_buildable`."""
     check_buildable(graph, max_perms)
-    return Graphicahedron._from_sorted(
-        graph, {r: faces_of_rank(graph, r) for r in range(graph.q + 1)}
+    return Graphicahedron(
+        graph, itertools.chain.from_iterable(faces_of_rank(graph, r) for r in range(graph.q + 1))
     )
 
 
@@ -269,11 +278,10 @@ def face_count(graph: SimpleGraph, rank: int) -> int:
 def drop_face(polytope: Graphicahedron, face: Face) -> Graphicahedron:
     """A defective copy with one face removed; used as a negative control
     when exercising the axiom verifiers."""
-    faces_by_rank = {
-        r: tuple(f for f in faces if f != face)
-        for r, faces in polytope.faces_by_rank.items()
-    }
-    return Graphicahedron(polytope.graph, faces_by_rank)
+    return Graphicahedron(polytope.graph, (
+        (edges, tuple(r for r in reps if r != face.rep) if edges == face.edges else reps)
+        for edges, reps in polytope.blocks
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -318,11 +326,10 @@ def verify_diamond(polytope: Graphicahedron) -> VerifyReport:
     two steps down the covers of each upper face, lower faces in id order.
     """
     q = polytope.rank
-    index = polytope.face_index()
-    down = index.down
+    down = polytope.down
     checked = 0
     for i in range(q):
-        for high in range(index.first_of_rank(i + 1), index.first_of_rank(i + 2)):
+        for high in range(polytope.first_of_rank(i + 1), polytope.first_of_rank(i + 2)):
             mids = down[high]
             if i == 0:
                 counts = [(None, len(mids))]
@@ -335,11 +342,11 @@ def verify_diamond(polytope: Graphicahedron) -> VerifyReport:
             for low, count in counts:
                 checked += 1
                 if count != 2:
-                    low_id = face_id(index.faces[low]) if low is not None else "least face"
+                    low_id = face_id(polytope.face_at(low)) if low is not None else "least face"
                     return VerifyReport(
                         False,
                         checked,
-                        f"{count} faces between {low_id} and {face_id(index.faces[high])}, expected 2",
+                        f"{count} faces between {low_id} and {face_id(polytope.face_at(high))}, expected 2",
                     )
     return VerifyReport(True, checked)
 
@@ -385,8 +392,7 @@ def verify_strong_flag_connectedness(
     """
     q = polytope.rank
     check_flag_capacity(polytope.graph, max_flags)
-    index = polytope.face_index()
-    chains, tables = flag_graph(index.down, len(index.faces) - 1, q)
+    chains, tables = flag_graph(polytope.down, len(polytope) - 1, q)
     n = len(chains)
     kept = [table for j, table in enumerate(tables) if j != drop_color]
     reached = _component_labels(kept, n).count(0)
@@ -407,13 +413,13 @@ def verify_strong_flag_connectedness(
                     outer_parts.add(outer)
     first_failing = min(failing, default=None)
 
-    ranks = index.ranks
+    ranks = polytope.ranks
 
     def sections() -> Iterator[tuple[int, int]]:
-        for top in range(index.first_of_rank(2), len(ranks)):
+        for top in range(polytope.first_of_rank(2), len(ranks)):
             yield -1, top
-        for low in range(index.first_of_rank(q - 2)):
-            for top in sorted(index.up_set(low)):
+        for low in range(polytope.first_of_rank(q - 2)):
+            for top in sorted(polytope.up_set(low)):
                 if ranks[top] >= ranks[low] + 3:
                     yield low, top
 
@@ -421,16 +427,16 @@ def verify_strong_flag_connectedness(
     for bottom, top in sections():
         checked += 1
         if (bottom, top) == first_failing:
-            bottom_id = face_id(index.faces[bottom]) if bottom != -1 else "least face"
+            bottom_id = face_id(polytope.face_at(bottom)) if bottom != -1 else "least face"
             return VerifyReport(
                 False,
                 checked,
-                f"section [{bottom_id}, {face_id(index.faces[top])}] has a disconnected flag graph",
+                f"section [{bottom_id}, {face_id(polytope.face_at(top))}] has a disconnected flag graph",
             )
     on_flags = set(itertools.chain.from_iterable(chains))
-    for i, f in enumerate(index.faces):
+    for i in range(len(polytope)):
         if i not in on_flags:
-            return VerifyReport(False, checked, f"{face_id(f)} lies on no flag")
+            return VerifyReport(False, checked, f"{face_id(polytope.face_at(i))} lies on no flag")
     return VerifyReport(True, checked)
 
 
@@ -444,13 +450,13 @@ def vertex_figure_is_simplex(polytope: Graphicahedron, v: Face) -> bool:
     """
     if v.rank != 0:
         raise ValueError("vertex figures are computed at rank-0 faces")
-    index = polytope.face_index()
-    start = index.id_of(v)
+    start = polytope.id_of(v)
     if start is None:
         return False
+    ranks = polytope.ranks
     per_rank = [0] * (polytope.rank + 1)
-    for i in index.up_set(start):
-        per_rank[index.ranks[i]] += 1
+    for i in polytope.up_set(start):
+        per_rank[ranks[i]] += 1
     return per_rank == [math.comb(polytope.rank, r) for r in range(polytope.rank + 1)]
 
 
@@ -458,26 +464,19 @@ def vertex_figure_is_simplex(polytope: Graphicahedron, v: Face) -> bool:
 # Skeleta and derived posets
 
 
-@dataclass(frozen=True)
-class Skeleton:
-    """Proper faces of rank at most k, with the induced incidence."""
-
-    graph: SimpleGraph
-    k: int
-    faces_by_rank: tuple[tuple[Face, ...], ...]
+class Skeleton(Graphicahedron):
+    """The store of the proper faces of rank at most k, with the induced incidence."""
 
     def vertex_edges(self) -> tuple[tuple[int, int, int], ...]:
-        """For k >= 1: edges as (lex rank, lex rank, color), one per rank-1 face.
+        """Edges as (lex rank, lex rank, color), one per rank-1 face.
 
         Lex ranks come from one permutation-to-rank dict over ``all_perms``.
         """
-        if self.k < 1:
-            return ()
         p = self.graph.p
         rank_of = {a: i for i, a in enumerate(all_perms(p))}
         taus = [transposition_of_edge(p, edge) for edge in self.graph.edges]
         out = []
-        for f in self.faces_by_rank[1]:
+        for f in self.faces(1):
             (e,) = f.edges
             u = rank_of[f.rep]
             v = rank_of[compose(taus[e], f.rep)]
@@ -492,9 +491,7 @@ def _check_skeleton_rank(graph: SimpleGraph, k: int) -> None:
 
 def skeleton(polytope: Graphicahedron, k: int) -> Skeleton:
     _check_skeleton_rank(polytope.graph, k)
-    return Skeleton(
-        polytope.graph, k, tuple(polytope.faces(r) for r in range(k + 1))
-    )
+    return Skeleton(polytope.graph, (b for b in polytope.blocks if len(b[0]) <= k))
 
 
 def build_skeleton(graph: SimpleGraph, k: int, max_perms: int = DEFAULT_MAX_PERMS) -> Skeleton:
@@ -505,7 +502,9 @@ def build_skeleton(graph: SimpleGraph, k: int, max_perms: int = DEFAULT_MAX_PERM
     """
     check_buildable(graph, max_perms)
     _check_skeleton_rank(graph, k)
-    return Skeleton(graph, k, tuple(faces_of_rank(graph, r) for r in range(k + 1)))
+    return Skeleton(
+        graph, itertools.chain.from_iterable(faces_of_rank(graph, r) for r in range(k + 1))
+    )
 
 
 def one_skeleton_equals_cayley(polytope: Graphicahedron, cayley: CayleyGraph) -> bool:
@@ -529,20 +528,18 @@ def one_skeleton_equals_cayley(polytope: Graphicahedron, cayley: CayleyGraph) ->
 
 
 def interval_below(polytope: Graphicahedron, top: Face) -> RankedPoset:
-    """The interval from the least face up to ``top``, as a standalone poset:
-    the down-set of ``top`` along covers, with the covers inside it."""
-    index = polytope.face_index()
-    top_id = index.id_of(top)
+    """The interval from the least face up to ``top``, as a standalone poset
+    on face ids: the down-set of ``top`` along covers, with the covers
+    inside it."""
+    top_id = polytope.id_of(top)
     if top_id is None:
         raise ValueError(f"{face_id(top)} is not a face of this polytope")
-    members = sorted(index.down_set(top_id))
-    inside = set(members)
-    faces = index.faces
-    levels: list[list[Face]] = [[] for _ in range(top.rank + 1)]
-    up: dict[Face, tuple[Face, ...]] = {}
-    for i in members:
-        levels[index.ranks[i]].append(faces[i])
-        up[faces[i]] = () if i == top_id else tuple(faces[j] for j in index.up[i] if j in inside)
+    inside = polytope.down_set(top_id)
+    levels: list[list[int]] = [[] for _ in range(top.rank + 1)]
+    up: dict[int, tuple[int, ...]] = {}
+    for i in sorted(inside):
+        levels[polytope.ranks[i]].append(i)
+        up[i] = () if i == top_id else tuple(j for j in polytope.up[i] if j in inside)
     return RankedPoset(levels, up)
 
 

@@ -91,8 +91,7 @@ def full_aut_order_via_flags(polytope: Graphicahedron, max_flags: int = DEFAULT_
     one neighbour at every rank.
     """
     check_flag_capacity(polytope.graph, max_flags)
-    index = polytope.face_index()
-    chains, tables = flag_graph(index.down, len(index.faces) - 1, polytope.rank)
+    chains, tables = flag_graph(polytope.down, len(polytope) - 1, polytope.rank)
     if not chains or any(-1 in table for table in tables):
         raise ValueError("poset is not thin")
     n = len(chains)

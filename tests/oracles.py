@@ -340,11 +340,11 @@ def sectionwise_strong_flag_connectedness(polytope, drop_color=None) -> VerifyRe
     for bottom, top, above in sections():
         checked += 1
         if not _section_connected(index, bottom, top, above, mids_between):
-            bottom_id = face_id(index.faces[bottom]) if bottom is not None else "least face"
+            bottom_id = face_id(index.face_at(bottom)) if bottom is not None else "least face"
             return VerifyReport(
                 False,
                 checked,
-                f"section [{bottom_id}, {face_id(index.faces[top])}] has a disconnected flag graph",
+                f"section [{bottom_id}, {face_id(index.face_at(top))}] has a disconnected flag graph",
             )
     return VerifyReport(True, checked)
 
