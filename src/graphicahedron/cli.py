@@ -92,6 +92,29 @@ def _report_head(graph: SimpleGraph, hedron) -> dict:
     }
 
 
+def _json_list(values: list, pad: str) -> str:
+    """A list as ``json.dumps(..., indent=2)`` writes it at indent ``pad``;
+    the items are ints, strings or non-empty flat lists of ints."""
+    if not values:
+        return "[]"
+    inner = pad + "  "
+    if isinstance(values[0], list):
+        deeper = inner + "  "
+        head, sep, tail = f"[\n{deeper}", f",\n{deeper}", f"\n{inner}]"
+        items = [head + sep.join(map(str, row)) + tail for row in values]
+    else:
+        items = map(json.dumps if isinstance(values[0], str) else str, values)
+    return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
+
+
+def _write_json_lists(payload: dict[str, list]) -> None:
+    """``json.dumps(payload, indent=2)`` plus a newline, for a dict of
+    :func:`_json_list` lists, without the pure-Python encoder that
+    ``indent`` selects."""
+    body = ",\n".join(f"  {json.dumps(key)}: {_json_list(values, '  ')}" for key, values in payload.items())
+    sys.stdout.write("{\n" + body + "\n}\n")
+
+
 def _print_report(report: dict, args: argparse.Namespace, timings: dict) -> None:
     if getattr(args, "timings", False):
         report["timings"] = {k: round(v, 6) for k, v in timings.items()}
@@ -112,9 +135,8 @@ def cmd_build(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     timings: dict[str, float] = {}
     graph = _graph_from_args(args)
-    # the strong flag-connectedness check refuses large flag graphs; do so before any face is built
-    polytope.check_buildable(graph, max_perms=args.max_perms)
-    polytope.check_flag_capacity(graph, polytope.VERIFY_MAX_FLAGS)
+    # build checks the permutation cap and connectivity before any face;
+    # the verifiers walk covers, so no flag count bounds them
     hedron = polytope.build(graph, max_perms=args.max_perms)
 
     drop_color = None
@@ -199,11 +221,10 @@ def cmd_export(args: argparse.Namespace) -> int:
         if args.format == "dot":
             sys.stdout.write(export_dot(cayley))
         else:
-            payload = {
+            _write_json_lists({
                 "nodes": [",".join(str(v + 1) for v in a) for a in cayley.perms],
                 "edges": [[u, v, c + 1] for u, v, c in sorted(cayley.edges())],
-            }
-            sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+            })
         return EXIT_OK
     if what == "skeleton":
         try:
@@ -233,11 +254,10 @@ def cmd_export(args: argparse.Namespace) -> int:
             lines.append("}")
             sys.stdout.write("\n".join(lines) + "\n")
         else:
-            payload = {
+            _write_json_lists({
                 "faces_per_rank": list(skel.f_vector()[:k + 1]),
                 "edges": [[u, v, c + 1] for u, v, c in edges],
-            }
-            sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+            })
         return EXIT_OK
     raise ParseError(f"unknown export target {args.what!r}")
 

@@ -20,14 +20,17 @@ cover lists of every id are built on first use, so intervals and vertex
 figures are walks along covers rather than scans of whole ranks.  A face
 missing from the store is simply a missing cover.
 
-Flags (maximal chains) are read from the stored covers by
-:func:`posets.flag_graph`; an intact polytope has exactly p!q! of them.
+An intact polytope has exactly p!q! flags (maximal chains); the library's
+flag graph, :func:`posets.flag_graph`, serves the automorphism count and
+poset isomorphism, not the verifiers here.
 
 The verifiers in this module re-check the defining polytope axioms from the
 stored poset: the diamond condition (exactly two faces strictly between any
 two incident faces two ranks apart) and strong flag-connectedness (every
-section of rank at least two has a connected flag graph), the latter with
-every section checked on the one flag graph.
+section of rank at least two has a connected flag graph).  By McMullen and
+Schulte, *Abstract Regular Polytopes* 2B, the latter is a property of the
+sections, so it is checked by walking covers upward from each bottom face,
+in time that grows with the faces rather than with the p!q! flags.
 """
 
 from __future__ import annotations
@@ -55,10 +58,9 @@ from .perms import (
     same_coset,
     transposition_of_edge,
 )
-from .posets import RankedPoset, flag_graph
+from .posets import RankedPoset
 
 DEFAULT_MAX_PERMS = 5040  # 7!
-VERIFY_MAX_FLAGS = 50000  # flag graphs walked by verify_strong_flag_connectedness
 
 # An edge subset K with the sorted canonical representatives of its faces.
 Block = tuple[frozenset[int], tuple[Perm, ...]]
@@ -351,91 +353,134 @@ def verify_diamond(polytope: Graphicahedron) -> VerifyReport:
     return VerifyReport(True, checked)
 
 
-def _component_labels(tables: list[list[int]], n: int) -> list[int]:
-    """For each of ``n`` flags, the least flag of its component in the graph
-    of the given neighbour tables (-1 entries are no edge)."""
-    labels = [-1] * n
-    for root in range(n):
-        if labels[root] != -1:
-            continue
-        labels[root] = root
-        stack = [root]
-        while stack:
-            x = stack.pop()
-            for table in tables:
-                y = table[x]
-                if y != -1 and labels[y] == -1:
-                    labels[y] = root
-                    stack.append(y)
-    return labels
+def _chain_counts(polytope: Graphicahedron) -> tuple[list[int], list[int]]:
+    """For every id, the number of cover chains down to a vertex and the
+    number up to a face of rank q.  Ids ascend with rank, so one sweep each
+    way settles every face after the faces it sums over."""
+    ranks, q = polytope.ranks, polytope.rank
+    down_chains = [0] * len(ranks)
+    for i, below in enumerate(polytope.down):
+        down_chains[i] = sum(down_chains[j] for j in below) if ranks[i] else 1
+    up_chains = [0] * len(ranks)
+    for i in reversed(range(len(ranks))):
+        up_chains[i] = 1 if ranks[i] == q else sum(up_chains[j] for j in polytope.up[i])
+    return down_chains, up_chains
+
+
+def _linked(masks: list[int]) -> bool:
+    """Whether the bit sets form a single class under overlap."""
+    joined, rest = masks[0], masks[1:]
+    while rest:
+        left = []
+        for m in rest:
+            if m & joined:
+                joined |= m
+            else:
+                left.append(m)
+        if len(left) == len(rest):
+            return False
+        rest = left
+    return True
+
+
+def _walk_sections(atoms: Iterable[int], up: list[list[int]]) -> tuple[int, int | None]:
+    """The sections above one bottom face, whose covers are ``atoms``.
+
+    Walks the up-set rank by rank in id order.  Each face carries a bit set
+    of the faces it covers inside the up-set, one bit per position in their
+    rank; a face G three or more ranks above the bottom closes a section,
+    connected when the bit sets of G's coatoms overlap into one class.
+    Returns the number of such faces up to and including the first
+    disconnected one, and that face (or None).
+    """
+    level = sorted(atoms)
+    masks = dict.fromkeys(level, 1)  # every atom covers the bottom alone
+    depth, tops = 1, 0
+    while level:
+        # the faces one rank up, each with [its bits, its coatoms' bit sets...]
+        covers: dict[int, list[int]] = {}
+        for k, x in enumerate(level):
+            bit, mask = 1 << k, masks[x]
+            for y in up[x]:
+                entry = covers.get(y)
+                if entry is None:
+                    covers[y] = [bit, mask]
+                else:
+                    entry[0] |= bit
+                    entry.append(mask)
+        level = sorted(covers)
+        depth += 1
+        if depth >= 3:
+            for g in level:
+                tops += 1
+                if not _linked(covers[g][1:]):
+                    return tops, g
+        masks = {g: entry[0] for g, entry in covers.items()}
+    return tops, None
 
 
 def verify_strong_flag_connectedness(
-    polytope: Graphicahedron,
-    max_flags: int = VERIFY_MAX_FLAGS,
-    drop_color: int | None = None,
+    polytope: Graphicahedron, drop_color: int | None = None
 ) -> VerifyReport:
-    """Connectivity of the full flag graph, plus of every section's flag graph.
+    """Strong flag-connectedness, checked section by section on the covers.
 
-    Both run on one flag graph, :func:`flag_graph` of the stored covers.
-    The section [F_i, F_j] is connected exactly when no two flags that share
-    every face outside ranks i+1..j-1 fall into different components under
-    the colors i+1..j-1, so sections are checked once per rank pair (i = -1
-    the least face, j = q the greatest).  Sections of rank below two are
-    connected for trivial reasons, so only pairs at rank distance three or
-    more are checked; [least, greatest] is the full graph.  ``checked``
-    counts the full graph plus the sections, ordered by (bottom id, top id)
-    with the least face first, up to the first failing one.  A face on no
-    flag escapes every section, so it fails the check after them.
-    ``drop_color`` deletes one adjacency color from the full flag graph and
-    exists purely as a negative-control hook for tests.
+    A poset is strongly flag-connected when the flag graph of each section
+    is connected (McMullen and Schulte, *Abstract Regular Polytopes* 2B,
+    show this equivalent to strong connectedness, a property of sections
+    alone); sections of rank below two always are.  So no flag is built:
+    the sections [F, G] with G three or more ranks above F are checked in
+    order, the least face with every face of rank two or more, then each
+    face F below rank q-2 with its up-set, both in id order.  Once every
+    smaller section [F, C] has passed, the flags of [F, G] form one class
+    per coatom C, and two classes meet exactly when their coatoms share a
+    face of the section one rank down (:func:`_walk_sections`).  ``checked``
+    counts the full flag graph plus the sections up to the first
+    disconnected one, the witness.  Then a face with no cover chain down to
+    a vertex or up to the greatest face lies on no flag, and fails.
+
+    A disconnected full flag graph shows as a failing section, at the
+    latest [least face, greatest face]; the flag-graph route before this
+    one reported it as "flag graph has n flags but only m reachable" at
+    ``checked`` 1.  The reports agree on every one- or two-face removal the
+    tests try and differ on some removals of three or more faces.
+
+    ``drop_color`` deletes one adjacency color from the full flag graph, a
+    negative-control hook for tests.  Flag 0 (the least chain as a tuple
+    indexed by rank) then reaches the flags through its rank-c face F_c:
+    chains(least, F_c) times chains(F_c, greatest) of the n chains on a
+    polytope, and fewer than n fail at ``checked`` 1.
     """
     q = polytope.rank
-    check_flag_capacity(polytope.graph, max_flags)
-    chains, tables = flag_graph(polytope.down, len(polytope) - 1, q)
-    n = len(chains)
-    kept = [table for j, table in enumerate(tables) if j != drop_color]
-    reached = _component_labels(kept, n).count(0)
-    if reached != n:
-        return VerifyReport(False, 1, f"flag graph has {n} flags but only {reached} reachable")
+    up = polytope.up
+    down_chains, up_chains = _chain_counts(polytope)
+    if drop_color in range(q):
+        n = sum(down_chains[polytope.first_of_rank(q):])
+        if n:
+            face = next(v for v in range(polytope.first_of_rank(1)) if up_chains[v])
+            for _ in range(drop_color):
+                face = next(j for j in up[face] if up_chains[j])
+            reached = down_chains[face] * up_chains[face]
+            if reached != n:
+                return VerifyReport(False, 1, f"flag graph has {n} flags but only {reached} reachable")
 
-    failing = []
-    for i in range(-1, q - 2):
-        for j in range(i + 3, q + 1 if i >= 0 else q):
-            labels = _component_labels(tables[i + 1:j], n)
-            outer_parts = set()
-            for x, label in enumerate(labels):
-                if label == x:
-                    chain = chains[x]
-                    outer = chain[:i + 1] + chain[j:]
-                    if outer in outer_parts:
-                        failing.append((chain[i] if i >= 0 else -1, chain[j]))
-                    outer_parts.add(outer)
-    first_failing = min(failing, default=None)
+    def failure(bottom: int, top: int) -> str:
+        bottom_id = face_id(polytope.face_at(bottom)) if bottom != -1 else "least face"
+        return f"section [{bottom_id}, {face_id(polytope.face_at(top))}] has a disconnected flag graph"
 
-    ranks = polytope.ranks
-
-    def sections() -> Iterator[tuple[int, int]]:
-        for top in range(polytope.first_of_rank(2), len(ranks)):
-            yield -1, top
-        for low in range(polytope.first_of_rank(q - 2)):
-            for top in sorted(polytope.up_set(low)):
-                if ranks[top] >= ranks[low] + 3:
-                    yield low, top
-
-    checked = 1
-    for bottom, top in sections():
-        checked += 1
-        if (bottom, top) == first_failing:
-            bottom_id = face_id(polytope.face_at(bottom)) if bottom != -1 else "least face"
-            return VerifyReport(
-                False,
-                checked,
-                f"section [{bottom_id}, {face_id(polytope.face_at(top))}] has a disconnected flag graph",
-            )
-    on_flags = set(itertools.chain.from_iterable(chains))
+    # Above the least face every face of rank two or more closes a section,
+    # so a section's place in the count is its id.
+    first_top = polytope.first_of_rank(2)
+    _, top = _walk_sections(range(polytope.first_of_rank(1)), up)
+    if top is not None:
+        return VerifyReport(False, 2 + top - first_top, failure(-1, top))
+    checked = 1 + len(polytope) - first_top
+    for bottom in range(polytope.first_of_rank(q - 2)):
+        tops, top = _walk_sections(up[bottom], up)
+        checked += tops
+        if top is not None:
+            return VerifyReport(False, checked, failure(bottom, top))
     for i in range(len(polytope)):
-        if i not in on_flags:
+        if not (down_chains[i] and up_chains[i]):
             return VerifyReport(False, checked, f"{face_id(polytope.face_at(i))} lies on no flag")
     return VerifyReport(True, checked)
 

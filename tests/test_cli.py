@@ -128,10 +128,10 @@ def test_negative_caps_exit_1(capsys, argv):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (("--preset", "path:5"), "86400 flags exceed the cap of 50000"),
-        (("--preset", "cycle:6"), "518400 flags exceed the cap of 50000"),
-        (("--preset", "path:6", "--max-perms", "5040"), "3628800 flags exceed the cap of 50000"),
-        (("--preset", "path:5", "--corrupt", "drop-face"), "86400 flags exceed the cap of 50000"),
+        (("--preset", "path:5", "--max-perms", "719"), "6! = 720 permutations exceeds the cap of 719"),
+        (("--preset", "path:7", "--max-perms", "5040"), "8! = 40320 permutations exceeds the cap of 5040"),
+        (("--preset", "path:6", "--corrupt", "drop-face"), "7! = 5040 permutations exceeds the cap of 720"),
+        (("--edges", "1-2,3-4,5-6,6-7"), "7! = 5040 permutations exceeds the cap of 720"),
         (("--preset", "path:6"), "7! = 5040 permutations exceeds the cap of 720"),
         (("--edges", "1-2,1-3,1-4,2-3,2-4,3-4,5-6"), "the graphicahedron is only defined for connected graphs"),
     ],
@@ -147,6 +147,22 @@ def test_verify_refuses_before_building_any_face(capsys, monkeypatch, argv, mess
     assert code == (2 if "connected" in message else 3)
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("preset", ["path:5", "star:5", "cycle:6"])
+def test_verify_at_p6_passes_at_the_defaults(capsys, preset):
+    code, report, err = run_json(capsys, "verify", "--preset", preset)
+    assert (code, err) == (0, "")
+    assert report["axioms"] == {"diamond": "pass", "strong_flag_connected": "pass", "simple": "pass"}
+
+
+def test_verify_at_p6_reports_a_dropped_face(capsys):
+    code, report, _ = run_json(capsys, "verify", "--preset", "path:5", "--corrupt", "drop-face")
+    assert code == 4
+    assert report["axioms"]["diamond"] == "fail"
+    assert report["axioms"]["witness"] == (
+        "1 faces between K{1,2,3}:a(1,2,3,4,5,6) and K{1,2,3,4,5}:a(1,2,3,4,5,6), expected 2"
+    )
 
 
 @pytest.mark.parametrize(
@@ -176,9 +192,9 @@ def test_analyze_refuses_before_building_any_face(capsys, monkeypatch, argv, mes
 def test_flag_count_past_the_int_digit_limit_is_named_not_printed(capsys):
     # the complete graph on 60 vertices has 60! <= 10**82 permutations and 1770! flag orders
     edges = ",".join(f"{i}-{j}" for i in range(1, 61) for j in range(i + 1, 61))
-    code, out, err = run(capsys, "verify", "--edges", edges, "--max-perms", str(10**82))
+    code, out, err = run(capsys, "analyze", "--edges", edges, "--max-perms", str(10**82))
     assert code == 3
-    assert err == "error: 60! * 1770! flags exceed the cap of 50000\n"
+    assert err == "error: 60! * 1770! flags exceed the cap of 5000\n"
 
 
 def test_max_perms_override(capsys):
@@ -363,6 +379,22 @@ def test_bad_input_exits_1_with_one_line(tmp_path, capsys, source, what):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"faces_per_rank": [6], "edges": []},
+        {"faces_per_rank": [24, 36], "edges": [[0, 1, 1], [0, 5, 3], [22, 23, 2]]},
+        {"nodes": ["1,2", "2,1"], "edges": [[0, 1, 1]]},
+    ],
+)
+def test_json_writer_matches_the_indenting_encoder(capsys, payload):
+    from graphicahedron.cli import _write_json_lists
+
+    _write_json_lists(payload)
+    assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+
 
 # stdout sha256 and exit code of each run, recorded before faces were
 # enumerated by coset shape; the last two fail before any face is built.

@@ -36,7 +36,7 @@ from graphicahedron import (
     verify_strong_flag_connectedness,
     vertex_figure_is_simplex,
 )
-from graphicahedron import polytope
+from graphicahedron import polytope, posets
 from graphicahedron.errors import CapacityError
 from graphicahedron.polytope import (
     build_skeleton,
@@ -310,13 +310,19 @@ def test_construction_flag_graph_maps_onto_the_poset_flag_graph(spec):
     assert any(propagate(construction, tables, k) is not None for k in range(count))
 
 
-def test_strong_flag_connectedness_checks_capacity_before_the_flag_graph(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("flag_graph ran before the capacity check")
+@pytest.mark.parametrize("name", ["paw", "fork"])
+def test_strong_flag_connectedness_builds_no_flag_graph(monkeypatch, name):
+    P = hedron(name)
+    expected = [sectionwise_strong_flag_connectedness(P, drop_color=c) for c in [None, *range(P.rank)]]
 
-    monkeypatch.setattr(polytope, "flag_graph", refuse)
-    with pytest.raises(CapacityError):
-        verify_strong_flag_connectedness(hedron("paw"), max_flags=100)
+    def refuse(*args):
+        raise AssertionError("a flag graph was built")
+
+    monkeypatch.setattr(posets, "flag_graph", refuse)
+    monkeypatch.setattr(polytope, "flag_graph", refuse, raising=False)
+    got = [verify_strong_flag_connectedness(P, drop_color=c) for c in [None, *range(P.rank)]]
+    assert got == expected
+    assert got[0].passed and not any(report.passed for report in got[1:])
 
 
 def test_flag_graph_rejects_a_poset_that_is_not_thin():
@@ -439,6 +445,40 @@ def test_strong_flag_connectedness_under_two_face_drops(spec, sample):
         assert verify_strong_flag_connectedness(corrupted).passed == expected
 
 
+@pytest.mark.parametrize("spec", ["cycle:3", "path:3", "star:3"])
+def test_strong_flag_connectedness_under_seeded_multi_face_drops(spec):
+    name, _, n = spec.partition(":")
+    P = hedron(name, int(n))
+    faces = list(P.all_faces())
+    rng = random.Random(0)
+    for _ in range(200):
+        corrupted = P
+        for face in rng.sample(faces, rng.randint(3, 12)):
+            corrupted = drop_face(corrupted, face)
+        new = verify_strong_flag_connectedness(corrupted)
+        old = sectionwise_strong_flag_connectedness(corrupted)
+        assert new.passed == (old.passed and not faces_on_no_flag(corrupted))
+        if not old.passed:  # the oracle's witness is a section
+            assert (new.checked, new.failure) == (old.checked, old.failure)
+
+
+def test_coatoms_sharing_only_an_atom_leave_a_section_disconnected():
+    # Two facets of cycle:3 left sharing vertices but no edge.  Comparing
+    # the facets' vertex sets instead of their edge sets would pass the
+    # section [least face, greatest face] and name a later one.
+    P = hedron("cycle", 3)
+    dropped = {
+        "K{1,2}:a(1,2,3)", "K{1}:a(1,3,2)", "K{1}:a(3,1,2)", "K{2}:a(2,1,3)", "K{2}:a(2,3,1)",
+        "K{3}:a(1,2,3)", "K{3}:a(1,3,2)", "K{3}:a(2,1,3)", "K{}:a(1,3,2)", "K{}:a(3,2,1)",
+    }
+    for face in P.all_faces():
+        if face_id(face) in dropped:
+            P = drop_face(P, face)
+    report = same_report(P)
+    assert (report.passed, report.checked) == (False, 4)
+    assert report.failure == "section [least face, K{1,2,3}:a(1,2,3)] has a disconnected flag graph"
+
+
 def test_a_section_fails_while_the_full_flag_graph_stays_connected():
     # two vertices joined by color 2 leave the hexagon K{1,3} in two pieces
     P = hedron("cycle", 3)
@@ -491,12 +531,15 @@ def test_direct_covers_match_pairwise_scan(spec):
 
 
 # (verify_diamond, verify_strong_flag_connectedness) ``checked`` counts,
-# recorded from the pairwise-incidence implementation.
+# recorded from the pairwise-incidence implementation; path:5 and star:5
+# from the flag-graph route that came before the walk of covers.
 PINNED_CHECKED = {
     "fork": (1820, 1007),
     "path:4": (1830, 1022),
     "star:4": (1800, 982),
     "cycle:5": (4125, 4002),
+    "path:5": (25020, 24244),
+    "star:5": (23700, 23252),
 }
 
 
