@@ -4,11 +4,14 @@ Vertices are all p! permutations, indexed by lexicographic rank for O(1)
 lookup.  Two permutations are adjacent when one is the other multiplied on
 the left by the transposition of some graph edge; that edge's index is the
 color of the Cayley edge, so each color class is a perfect matching.
+
+A graphicahedron store numbers its vertices the same way, so
+:func:`dot_graph` writes both this graph and a skeleton's 1-skeleton.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .graphs import SimpleGraph
 from .perms import Perm, all_perms, check_perm_capacity, compose, transposition_of_edge
@@ -29,14 +32,16 @@ PALETTE = (
 
 
 class CayleyGraph:
-    """Built Cayley color graph; immutable after construction."""
+    """Built Cayley color graph on all p! permutations; immutable after construction."""
 
-    def __init__(self, graph: SimpleGraph, perms: tuple[Perm, ...], neighbor: tuple[tuple[int, ...], ...]):
+    def __init__(self, graph: SimpleGraph):
         self.graph = graph
         self.p = graph.p
-        self.perms = perms
-        self.index = {a: i for i, a in enumerate(perms)}
-        self.neighbor = neighbor  # neighbor[color][vertex] -> vertex
+        self.perms = tuple(all_perms(graph.p))
+        self.index = {a: i for i, a in enumerate(self.perms)}
+        taus = [transposition_of_edge(graph.p, e) for e in graph.edges]
+        # neighbor[color][vertex] -> vertex
+        self.neighbor = tuple(tuple(self.index[compose(tau, a)] for a in self.perms) for tau in taus)
 
     @property
     def n_vertices(self) -> int:
@@ -58,15 +63,10 @@ class CayleyGraph:
 
 
 def build_cayley(graph: SimpleGraph, max_perms: int = DEFAULT_MAX_PERMS) -> CayleyGraph:
-    """Materialize the Cayley graph with one neighbor table per edge color."""
+    """Materialize the Cayley graph with one neighbor table per edge color,
+    after checking ``p!`` against ``max_perms``."""
     check_perm_capacity(graph.p, max_perms)
-    perms = tuple(all_perms(graph.p))
-    index = {a: i for i, a in enumerate(perms)}
-    taus = [transposition_of_edge(graph.p, e) for e in graph.edges]
-    neighbor = tuple(
-        tuple(index[compose(tau, a)] for a in perms) for tau in taus
-    )
-    return CayleyGraph(graph, perms, neighbor)
+    return CayleyGraph(graph)
 
 
 def component_of(graph: SimpleGraph, edge_subset: Iterable[int], a: Perm) -> tuple[Perm, ...]:
@@ -92,21 +92,23 @@ def component_of(graph: SimpleGraph, edge_subset: Iterable[int], a: Perm) -> tup
     return tuple(sorted(seen))
 
 
-def _node_label(a: Perm) -> str:
-    return ",".join(str(v + 1) for v in a)
+def dot_graph(name: str, perms: Sequence[Perm], edges: Iterable[tuple[int, int, int]]) -> str:
+    """Render colored edges between permutations in DOT format.
 
-
-def export_dot(cayley: CayleyGraph) -> str:
-    """Render the colored graph in DOT format.
-
-    Nodes are named ``v<lex rank>`` and labeled with the 1-based image
-    sequence; each edge carries the palette color of its generator.
+    Node ``v<i>`` is ``perms[i]``, labeled with its 1-based image sequence;
+    each (u, v, color) edge carries the palette color of its generator.
     """
-    lines = ["graph cayley {", "  node [shape=circle];"]
-    for i, a in enumerate(cayley.perms):
-        lines.append(f'  v{i} [label="{_node_label(a)}"];')
-    for u, v, color in sorted(cayley.edges()):
+    lines = [f"graph {name} {{", "  node [shape=circle];"]
+    for i, a in enumerate(perms):
+        label = ",".join(str(v + 1) for v in a)
+        lines.append(f'  v{i} [label="{label}"];')
+    for u, v, color in edges:
         hexcolor = PALETTE[color % len(PALETTE)]
         lines.append(f'  v{u} -- v{v} [color="{hexcolor}", generator={color + 1}];')
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def export_dot(cayley: CayleyGraph) -> str:
+    """The Cayley graph in DOT format: nodes named ``v<lex rank>``, edges sorted."""
+    return dot_graph("cayley", cayley.perms, sorted(cayley.edges()))

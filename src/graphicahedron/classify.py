@@ -241,13 +241,17 @@ def _merges_consecutively(fine: tuple, coarse: tuple) -> bool:
     return i == len(fine)
 
 
-def permutahedron_oracle(n: int, max_n: int = 5) -> RankedPoset:
+PERMUTAHEDRON_ORACLE_MAX_N = 5
+
+
+def permutahedron_oracle(n: int) -> RankedPoset:
     """The face poset of the rank-n permutahedron, built without any Cayley
     machinery: faces are ordered set partitions of n+1 items, ranked by
-    items minus blocks, ordered by consecutive-block merging.
+    items minus blocks, ordered by consecutive-block merging.  Raises
+    :class:`CapacityError` above rank :data:`PERMUTAHEDRON_ORACLE_MAX_N`.
     """
-    if n > max_n:
-        raise CapacityError(f"permutahedron oracle capped at n={max_n}")
+    if n > PERMUTAHEDRON_ORACLE_MAX_N:
+        raise CapacityError(f"permutahedron oracle capped at n={PERMUTAHEDRON_ORACLE_MAX_N}")
     levels: list[list[tuple]] = [[] for _ in range(n + 1)]
     for partition in ordered_set_partitions(n + 1):
         levels[n + 1 - len(partition)].append(partition)

@@ -15,7 +15,7 @@ import time
 from typing import Sequence
 
 from . import classify, polytope, symmetry
-from .cayley import build_cayley, export_dot
+from .cayley import build_cayley, dot_graph, export_dot
 from .errors import (
     CapacityError,
     DisconnectedGraphError,
@@ -216,7 +216,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_export(args: argparse.Namespace) -> int:
     graph = _graph_from_args(args)
     what, _, karg = args.what.partition(":")
-    if what == "cayley":
+    if args.what == "cayley":
         cayley = build_cayley(graph, max_perms=args.max_perms)
         if args.format == "dot":
             sys.stdout.write(export_dot(cayley))
@@ -235,24 +235,9 @@ def cmd_export(args: argparse.Namespace) -> int:
             skel = polytope.build_skeleton(graph, k, max_perms=args.max_perms)
         except ValueError as exc:
             raise ParseError(str(exc)) from None
-        if k >= 1:
-            edges = skel.vertex_edges()
-        else:
-            edges = ()
+        edges = skel.vertex_edges()
         if args.format == "dot":
-            from .cayley import PALETTE
-            from .perms import lex_rank
-
-            lines = ["graph skeleton {", "  node [shape=circle];"]
-            for f in skel.faces(0):
-                label = ",".join(str(v + 1) for v in f.rep)
-                lines.append(f'  v{lex_rank(f.rep)} [label="{label}"];')
-            for u, v, c in edges:
-                lines.append(
-                    f'  v{u} -- v{v} [color="{PALETTE[c % len(PALETTE)]}", generator={c + 1}];'
-                )
-            lines.append("}")
-            sys.stdout.write("\n".join(lines) + "\n")
+            sys.stdout.write(dot_graph("skeleton", skel.vertex_reps, edges))
         else:
             _write_json_lists({
                 "faces_per_rank": list(skel.f_vector()[:k + 1]),

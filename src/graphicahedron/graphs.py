@@ -215,15 +215,19 @@ def induced_edge_map(graph: SimpleGraph, vertex_map: Sequence[int]) -> Perm | No
     return tuple(out)
 
 
-def automorphisms(graph: SimpleGraph, max_p: int = 10) -> tuple[GraphAutomorphism, ...]:
+AUTOMORPHISMS_MAX_P = 10
+
+
+def automorphisms(graph: SimpleGraph) -> tuple[GraphAutomorphism, ...]:
     """All graph automorphisms, by pruned search over vertex permutations.
 
     Candidates are forced to respect degrees and the adjacency to already
     placed vertices, which keeps the search tiny for the graphs this library
-    targets (``p <= 10``).
+    targets; above :data:`AUTOMORPHISMS_MAX_P` vertices it raises
+    :class:`CapacityError`.
     """
-    if graph.p > max_p:
-        raise CapacityError(f"automorphism search capped at p={max_p}, got p={graph.p}")
+    if graph.p > AUTOMORPHISMS_MAX_P:
+        raise CapacityError(f"automorphism search capped at p={AUTOMORPHISMS_MAX_P}, got p={graph.p}")
 
     p = graph.p
     adj = graph.adjacency

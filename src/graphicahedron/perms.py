@@ -23,7 +23,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import CapacityError
 
@@ -33,16 +33,6 @@ Perm = tuple[int, ...]
 def identity(p: int) -> Perm:
     """The identity permutation on ``p`` points."""
     return tuple(range(p))
-
-
-def is_permutation(word: Sequence[int]) -> bool:
-    """
-    >>> is_permutation((1, 0, 2))
-    True
-    >>> is_permutation((0, 0, 2))
-    False
-    """
-    return sorted(word) == list(range(len(word)))
 
 
 def compose(a: Perm, b: Perm) -> Perm:
@@ -93,22 +83,6 @@ def transposition_of_edge(p: int, edge: tuple[int, int]) -> Perm:
 def all_perms(p: int) -> Iterator[Perm]:
     """All permutations of ``p`` points in lexicographic order."""
     return itertools.permutations(range(p))
-
-
-def lex_rank(a: Perm) -> int:
-    """Rank of ``a`` among all permutations of its size, in lexicographic order.
-
-    >>> lex_rank((0, 1, 2)), lex_rank((2, 1, 0))
-    (0, 5)
-    """
-    rank = 0
-    n = len(a)
-    seen = 0
-    for pos, v in enumerate(a):
-        smaller = v - (seen & ((1 << v) - 1)).bit_count()
-        rank += smaller * math.factorial(n - 1 - pos)
-        seen |= 1 << v
-    return rank
 
 
 @dataclass(frozen=True)

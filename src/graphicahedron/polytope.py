@@ -48,7 +48,6 @@ from .graphs import SimpleGraph, components, is_connected
 from .perms import (
     Perm,
     VertexPartition,
-    all_perms,
     canonical_rep,
     check_perm_capacity,
     compose,
@@ -109,6 +108,12 @@ class Graphicahedron:
 
     def __len__(self) -> int:
         return self.starts[-1]
+
+    @property
+    def vertex_reps(self) -> tuple[Perm, ...]:
+        """The permutations of the stored vertices; a vertex's id is its
+        position here."""
+        return self.blocks[0][1] if self.blocks and not self.blocks[0][0] else ()
 
     def faces(self, rank: int) -> tuple[Face, ...]:
         return tuple(map(self.face_at, range(self.first_of_rank(rank), self.first_of_rank(rank + 1))))
@@ -199,11 +204,6 @@ class Graphicahedron:
     @property
     def down(self) -> list[list[int]]:
         return self._cover_ids[1]
-
-    def face_index(self) -> Graphicahedron:
-        """The polytope itself, with ``up`` and ``down`` built."""
-        self._cover_ids
-        return self
 
     def covers(self) -> tuple[dict[Face, tuple[Face, ...]], dict[Face, tuple[Face, ...]]]:
         """``up`` and ``down`` as Face-keyed dicts, in ``all_faces()`` order."""
@@ -510,22 +510,33 @@ def vertex_figure_is_simplex(polytope: Graphicahedron, v: Face) -> bool:
 
 
 class Skeleton(Graphicahedron):
-    """The store of the proper faces of rank at most k, with the induced incidence."""
+    """The store of the proper faces of rank at most k, with the induced
+    incidence; its vertex ids number the vertices of its 1-skeleton."""
 
     def vertex_edges(self) -> tuple[tuple[int, int, int], ...]:
-        """Edges as (lex rank, lex rank, color), one per rank-1 face.
+        """The 1-skeleton as sorted (vertex id, vertex id, color) triples,
+        one per rank-1 face.
 
-        Lex ranks come from one permutation-to-rank dict over ``all_perms``.
+        The rank-1 face ({e}, c) is the coset {c, t_e c} of the edge's
+        transposition t_e, and its canonical rep c is the lesser of the two,
+        so its two vertex ids, looked up among the rank-0 block's reps, come
+        in order.  In a store holding all p! vertices a vertex id is the
+        lexicographic rank of its permutation, which is its
+        :class:`CayleyGraph` index.  Raises ValueError naming a rank-1 face
+        whose vertex is not stored.
         """
-        p = self.graph.p
-        rank_of = {a: i for i, a in enumerate(all_perms(p))}
-        taus = [transposition_of_edge(p, edge) for edge in self.graph.edges]
+        taus = [transposition_of_edge(self.graph.p, edge) for edge in self.graph.edges]
+        vertex_id = {a: i for i, a in enumerate(self.vertex_reps)}
         out = []
-        for f in self.faces(1):
-            (e,) = f.edges
-            u = rank_of[f.rep]
-            v = rank_of[compose(taus[e], f.rep)]
-            out.append((min(u, v), max(u, v), e))
+        for edges, reps in self.blocks:
+            if len(edges) != 1:
+                continue
+            (e,) = edges
+            for c in reps:
+                u, v = vertex_id.get(c), vertex_id.get(compose(taus[e], c))
+                if u is None or v is None:
+                    raise ValueError(f"{face_id(Face(edges, c))} has a vertex that is not stored")
+                out.append((u, v, e))
         return tuple(sorted(out))
 
 
@@ -553,23 +564,15 @@ def build_skeleton(graph: SimpleGraph, k: int, max_perms: int = DEFAULT_MAX_PERM
 
 
 def one_skeleton_equals_cayley(polytope: Graphicahedron, cayley: CayleyGraph) -> bool:
-    """Whether mapping each vertex face to its permutation carries the
-    1-skeleton onto the Cayley graph, color for color."""
+    """Whether the 1-skeleton is the Cayley graph, vertex ids and colors
+    included: p and q match, the stored vertex reps are ``cayley.perms`` in
+    order, and :meth:`Skeleton.vertex_edges` of the ranks up to 1 is the
+    sorted Cayley edge list."""
     graph = polytope.graph
     if graph.p != cayley.p or graph.q != cayley.n_colors:
         return False
-    if len(polytope.faces(0)) != cayley.n_vertices:
-        return False
-    if len(polytope.faces(1)) != cayley.edge_count():
-        return False
-    for f in polytope.faces(1):
-        (e,) = f.edges
-        tau = transposition_of_edge(graph.p, graph.edges[e])
-        u = cayley.index.get(f.rep)
-        v = cayley.index.get(compose(tau, f.rep))
-        if u is None or v is None or cayley.neighbor[e][u] != v:
-            return False
-    return True
+    ones = Skeleton(graph, (b for b in polytope.blocks if len(b[0]) <= 1))
+    return ones.vertex_reps == cayley.perms and ones.vertex_edges() == tuple(sorted(cayley.edges()))
 
 
 def interval_below(polytope: Graphicahedron, top: Face) -> RankedPoset:
@@ -592,17 +595,16 @@ def full_poset(polytope: Graphicahedron) -> RankedPoset:
     return interval_below(polytope, polytope.greatest_face)
 
 
-def tree_order_equals_coset_inclusion(
-    graph: SimpleGraph, max_perms: int = DEFAULT_MAX_PERMS
-) -> tuple[bool, tuple[Face, Face] | None]:
+def tree_order_equals_coset_inclusion(graph: SimpleGraph) -> tuple[bool, tuple[Face, Face] | None]:
     """Whether coset containment already implies the face order.
 
     Face order always implies coset containment.  The converse holds for
     trees, whose Young subgroups nest only when the edge sets do; cycles
     break it because different edge sets can generate the same subgroup.
-    Returns the first counterexample pair otherwise.
+    Returns the first counterexample pair otherwise.  Builds under
+    :data:`DEFAULT_MAX_PERMS`.
     """
-    polytope = build(graph, max_perms=max_perms)
+    polytope = build(graph)
     parts = {f.edges: polytope.partition_of(f.edges) for f in polytope.all_faces()}
     faces = list(polytope.all_faces())
     for f in faces:

@@ -130,14 +130,15 @@ def regular_by_graph_shape(graph: SimpleGraph) -> bool:
     return is_triangle(graph) or is_star(graph)
 
 
-def is_regular(polytope: Graphicahedron, max_flags: int = DEFAULT_MAX_FLAGS) -> bool:
+def is_regular(polytope: Graphicahedron) -> bool:
     """Flag-transitivity, decided by order counting and cross-checked.
 
     A polytope is regular exactly when its automorphism group is as large
     as its flag set.  The verdict must agree with the closed-form criterion
-    on the underlying graph; disagreement means a bug, not a warning.
+    on the underlying graph; disagreement means a bug, not a warning.  The
+    count runs under :data:`DEFAULT_MAX_FLAGS`.
     """
-    return _regular_by_order(polytope, full_aut_order_via_flags(polytope, max_flags=max_flags))
+    return _regular_by_order(polytope, full_aut_order_via_flags(polytope))
 
 
 def _regular_by_order(polytope: Graphicahedron, aut_order: int) -> bool:

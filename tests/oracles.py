@@ -323,14 +323,13 @@ def sectionwise_strong_flag_connectedness(polytope, drop_color=None) -> VerifyRe
     if reached != n:
         return VerifyReport(False, 1, f"flag graph has {n} flags but only {reached} reachable")
 
-    index = polytope.face_index()
-    ranks = index.ranks
+    ranks = polytope.ranks
 
     def sections():
-        for top in range(index.first_of_rank(2), len(ranks)):
+        for top in range(polytope.first_of_rank(2), len(ranks)):
             yield None, top, None
-        for low in range(index.first_of_rank(q - 2)):
-            above = index.up_set(low)
+        for low in range(polytope.first_of_rank(q - 2)):
+            above = polytope.up_set(low)
             for top in sorted(above):
                 if ranks[top] >= ranks[low] + 3:
                     yield low, top, above
@@ -339,12 +338,12 @@ def sectionwise_strong_flag_connectedness(polytope, drop_color=None) -> VerifyRe
     mids_between: dict = {}
     for bottom, top, above in sections():
         checked += 1
-        if not _section_connected(index, bottom, top, above, mids_between):
-            bottom_id = face_id(index.face_at(bottom)) if bottom is not None else "least face"
+        if not _section_connected(polytope, bottom, top, above, mids_between):
+            bottom_id = face_id(polytope.face_at(bottom)) if bottom is not None else "least face"
             return VerifyReport(
                 False,
                 checked,
-                f"section [{bottom_id}, {face_id(index.face_at(top))}] has a disconnected flag graph",
+                f"section [{bottom_id}, {face_id(polytope.face_at(top))}] has a disconnected flag graph",
             )
     return VerifyReport(True, checked)
 

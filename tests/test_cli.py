@@ -361,6 +361,7 @@ def test_export_unknown_target_exits_1(capsys):
         ("preset", "skeleton:-1"),
         ("preset", "skeleton:+1"),
         ("preset", "skeleton:\u0661"),
+        ("preset", "cayley:3"),
         ("directory", "cayley"),
         ("non-ascii", "cayley"),
     ],

@@ -18,7 +18,7 @@ from graphicahedron import (
     transposition_of_edge,
 )
 from graphicahedron.errors import CapacityError
-from graphicahedron.perms import check_perm_capacity, coset_le, coset_reps, lex_rank, refines
+from graphicahedron.perms import check_perm_capacity, coset_le, coset_reps, refines
 
 
 def tau(p, i, j):
@@ -96,12 +96,6 @@ def test_conjugation_moves_edge_transpositions_for_graph_automorphisms():
                 lhs = conjugate(transposition_of_edge(g.p, e), kappa.vertex_map)
                 rhs = transposition_of_edge(g.p, g.edges[kappa.edge_map[e_idx]])
                 assert lhs == rhs
-
-
-def test_lex_rank_matches_enumeration_order():
-    for p in range(1, 6):
-        for i, a in enumerate(itertools.permutations(range(p))):
-            assert lex_rank(a) == i
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ from graphicahedron import (
 from graphicahedron import polytope, posets
 from graphicahedron.errors import CapacityError
 from graphicahedron.polytope import (
+    Skeleton,
     build_skeleton,
     drop_face,
     face_id,
@@ -285,8 +286,7 @@ def test_distant_adjacencies_commute():
 
 
 def poset_flag_graph(P):
-    index = P.face_index()
-    return flag_graph(index.down, len(index) - 1, P.rank)
+    return flag_graph(P.down, len(P) - 1, P.rank)
 
 
 @pytest.mark.parametrize("name, n", SMALL_PRESETS)
@@ -422,7 +422,7 @@ def test_the_store_and_its_walks_make_no_face_objects(monkeypatch, name):
     monkeypatch.setattr(Face, "__init__", no_face)
     P = build(g)
     build_skeleton(g, g.q - 1)
-    P.face_index()
+    P.up  # builds the cover lists before the walks use them
     assert verify_diamond(P).passed
     assert verify_strong_flag_connectedness(P).passed
     assert full_aut_order_via_flags(P) == constructed_group_order(g)
@@ -612,11 +612,28 @@ def test_one_skeleton_mismatched_inputs():
     )
 
 
-def test_skeleton_edges_equal_cayley_edges():
-    g = preset_graph("cycle", 3)
-    skel_edges = set(skeleton(build(g), 1).vertex_edges())
-    cayley_edges = set(build_cayley(g).edges())
-    assert skel_edges == cayley_edges
+@pytest.mark.parametrize("name, n", [*SMALL_PRESETS, ("relabelled-cycle", 4)])
+def test_skeleton_edges_equal_cayley_edges(name, n):
+    # compared in order, so vertex ids must equal Cayley indices; the ranks
+    # up to 1 include the greatest face when q = 1
+    g = relabelled(preset_graph("cycle", n), 2) if name == "relabelled-cycle" else preset_graph(name, n)
+    ones = Skeleton(g, (b for b in build(g).blocks if len(b[0]) <= 1))
+    assert ones.vertex_edges() == tuple(sorted(build_cayley(g).edges()))
+
+
+@pytest.mark.parametrize("name, n", [("paw", None), ("cycle", 4)])
+@pytest.mark.parametrize("rank", [0, 1])
+def test_one_skeleton_rejects_a_dropped_face(name, n, rank):
+    g = preset_graph(name, n)
+    P = build(g)
+    assert not one_skeleton_equals_cayley(drop_face(P, P.faces(rank)[5]), build_cayley(g))
+
+
+def test_vertex_edges_rejects_a_skeleton_missing_an_endpoint():
+    P = hedron("cycle", 3)
+    vertex = P.faces(0)[2]
+    with pytest.raises(ValueError, match="not stored"):
+        skeleton(drop_face(P, vertex), 1).vertex_edges()
 
 
 # ---------------------------------------------------------------------------
