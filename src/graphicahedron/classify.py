@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import CapacityError, InternalInconsistencyError
-from .graphs import SimpleGraph, preset_graph
+from .graphs import SimpleGraph, components, preset_graph
 from .polytope import Face, Graphicahedron, build, face_count, face_id, full_poset, interval_below
 from .posets import RankedPoset, posets_isomorphic
 
@@ -72,14 +72,17 @@ def classify_2face(polytope: Graphicahedron, face: Face) -> FaceType:
 
     The verdict is cross-checked against the number of vertices under the
     face (6 versus 4), counted in its down-set in the store; a mismatch would
-    mean the poset is corrupt.
+    mean the poset is corrupt.  Raises ValueError for a face not stored.
     """
     if face.rank != 2:
         raise ValueError("classify_2face expects a rank-2 face")
     e1, e2 = sorted(face.edges)
     endpoints = set(polytope.graph.edges[e1]) & set(polytope.graph.edges[e2])
     verdict = HEXAGON if endpoints else SQUARE
-    n_vertices = interval_below(polytope, face).f_vector()[0]
+    i = polytope.id_of(face)
+    if i is None:
+        raise ValueError(f"{face_id(face)} is not a face of this polytope")
+    n_vertices = polytope.vertices_below(i)
     if n_vertices != (6 if verdict is HEXAGON else 4):
         raise InternalInconsistencyError(
             f"2-face {face_id(face)} classified {verdict.label} but has {n_vertices} vertices"
@@ -107,8 +110,6 @@ def classify_by_construction(graph: SimpleGraph, edge_subset: frozenset[int]) ->
     multiply, with a segment times a hexagon normalized to the hexagonal
     prism and k segments to the k-cube.
     """
-    from .graphs import components
-
     part = components(graph, edge_subset)
     tags: list[FaceType] = []
     for block in part.blocks:

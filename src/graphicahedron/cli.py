@@ -32,6 +32,16 @@ EXIT_CAPACITY = 3
 EXIT_AXIOM = 4
 EXIT_INCONSISTENT = 5
 
+# The exit code of each library error class; main looks up an error's
+# classes in method resolution order, so a subclass takes its base's code.
+ERROR_EXITS = {
+    ParseError: EXIT_PARSE,
+    DisconnectedGraphError: EXIT_DISCONNECTED,
+    CapacityError: EXIT_CAPACITY,
+    InternalInconsistencyError: EXIT_INCONSISTENT,
+    GraphicahedronError: EXIT_PARSE,
+}
+
 BUILD_MAX_PERMS = 5040  # p <= 7
 VERIFY_MAX_PERMS = 720  # p <= 6
 
@@ -314,21 +324,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_PARSE
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except DisconnectedGraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DISCONNECTED
-    except CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
-    except InternalInconsistencyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INCONSISTENT
     except GraphicahedronError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return next(ERROR_EXITS[cls] for cls in type(exc).__mro__ if cls in ERROR_EXITS)
 
 
 def entry() -> None:

@@ -20,9 +20,11 @@ cover lists of every id are built on first use, so intervals and vertex
 figures are walks along covers rather than scans of whole ranks.  A face
 missing from the store is simply a missing cover.
 
-An intact polytope has exactly p!q! flags (maximal chains); the library's
-flag graph, :func:`posets.flag_graph`, serves the automorphism count and
-poset isomorphism, not the verifiers here.
+The store is a :class:`posets.RankedPoset`, so the interval below a face
+is its down-set renumbered.  An intact polytope has exactly p!q! flags
+(maximal chains); the library's flag graph, :func:`posets.flag_graph`,
+serves the automorphism count and poset isomorphism, not the verifiers
+here.
 
 The verifiers in this module re-check the defining polytope axioms from the
 stored poset: the diamond condition (exactly two faces strictly between any
@@ -88,11 +90,12 @@ def face_id(face: Face) -> str:
     return f"K{{{edges}}}:a({images})"
 
 
-class Graphicahedron:
-    """The face poset as integer ids over ``blocks``, which must come in
-    ``face_sort_key`` order (empty ones are dropped).  Block b holds the ids
-    ``starts[b]`` up to ``starts[b + 1]``; ``up[i]`` and ``down[i]`` are the
-    ids covering and covered by id i, in increasing order."""
+class Graphicahedron(RankedPoset):
+    """The face poset as a :class:`RankedPoset` over ``blocks``, which must
+    come in ``face_sort_key`` order (empty ones are dropped).  Block b holds
+    the ids ``starts[b]`` up to ``starts[b + 1]``; ``up[i]`` and ``down[i]``
+    are the ids covering and covered by id i, in increasing order, from the
+    coset rule.  ``rank`` is q whatever ranks are stored."""
 
     def __init__(self, graph: SimpleGraph, blocks: Iterable[Block]):
         self.graph = graph
@@ -120,9 +123,6 @@ class Graphicahedron:
 
     def all_faces(self) -> Iterator[Face]:
         return map(self.face_at, range(len(self)))
-
-    def f_vector(self) -> tuple[int, ...]:
-        return tuple(self.first_of_rank(r + 1) - self.first_of_rank(r) for r in range(self.rank + 1))
 
     @property
     def greatest_face(self) -> Face:
@@ -212,23 +212,6 @@ class Graphicahedron:
             {f: tuple(faces[j] for j in ids[i]) for i, f in enumerate(faces)}
             for ids in (self.up, self.down)
         )
-
-    def up_set(self, i: int) -> set[int]:
-        return self._closure(i, self.up)
-
-    def down_set(self, i: int) -> set[int]:
-        return self._closure(i, self.down)
-
-    @staticmethod
-    def _closure(i: int, covers: list[list[int]]) -> set[int]:
-        seen = {i}
-        stack = [i]
-        while stack:
-            for j in covers[stack.pop()]:
-                if j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        return seen
 
 
 def check_buildable(graph: SimpleGraph, max_perms: int = DEFAULT_MAX_PERMS) -> None:
@@ -439,10 +422,9 @@ def verify_strong_flag_connectedness(
     a vertex or up to the greatest face lies on no flag, and fails.
 
     A disconnected full flag graph shows as a failing section, at the
-    latest [least face, greatest face]; the flag-graph route before this
-    one reported it as "flag graph has n flags but only m reachable" at
-    ``checked`` 1.  The reports agree on every one- or two-face removal the
-    tests try and differ on some removals of three or more faces.
+    latest [least face, greatest face].  The report agrees with a search
+    of the whole flag graph on every one- or two-face removal the tests
+    try, and differs from it on some removals of three or more faces.
 
     ``drop_color`` deletes one adjacency color from the full flag graph, a
     negative-control hook for tests.  Flag 0 (the least chain as a tuple
@@ -576,19 +558,17 @@ def one_skeleton_equals_cayley(polytope: Graphicahedron, cayley: CayleyGraph) ->
 
 
 def interval_below(polytope: Graphicahedron, top: Face) -> RankedPoset:
-    """The interval from the least face up to ``top``, as a standalone poset
-    on face ids: the down-set of ``top`` along covers, with the covers
-    inside it."""
+    """The interval from the least face up to ``top``, as a standalone
+    poset: the down-set of ``top`` along covers, its face ids renumbered in
+    order, with the covers inside it."""
     top_id = polytope.id_of(top)
     if top_id is None:
         raise ValueError(f"{face_id(top)} is not a face of this polytope")
-    inside = polytope.down_set(top_id)
-    levels: list[list[int]] = [[] for _ in range(top.rank + 1)]
-    up: dict[int, tuple[int, ...]] = {}
-    for i in sorted(inside):
-        levels[polytope.ranks[i]].append(i)
-        up[i] = () if i == top_id else tuple(j for j in polytope.up[i] if j in inside)
-    return RankedPoset(levels, up)
+    inside = sorted(polytope.down_set(top_id))
+    new_id = {i: k for k, i in enumerate(inside)}
+    return RankedPoset(
+        [polytope.ranks[i] for i in inside], [[new_id[j] for j in polytope.down[i]] for i in inside]
+    )
 
 
 def full_poset(polytope: Graphicahedron) -> RankedPoset:

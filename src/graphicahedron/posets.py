@@ -1,89 +1,118 @@
-"""Graded posets given by consecutive-rank cover lists.
+"""Graded posets on integer ids, and their flag graphs.
 
-Used for intervals of the polytope face poset, for reference posets built
-independently (ordered set partitions, products), and for an isomorphism
-test between such posets.
+:class:`RankedPoset` is the library's one graded-poset representation.
+The polytope's face store, its intervals and the reference posets built
+independently of it (ordered set partitions, products) all take its form.
 
 :func:`flag_graph` is the library's one flag graph: the maximal chains of
-a poset given by integer down-cover lists, with one neighbour table per
-rank.  It serves the isomorphism test here and, on the polytope's stored
-covers, strong flag-connectedness and the automorphism count.  Both need
-the poset to be *thin* (exactly two choices at every chain position),
-which holds for every polytope-like poset this library produces.  The
-color-preserving propagation :func:`propagate` runs on its tables.
+a poset with one neighbour table per rank, which needs the poset to be
+*thin* (exactly two choices at every chain position), as every
+polytope-like poset here is.  The automorphism count and the isomorphism
+test run the color-preserving propagation :func:`propagate` on its tables.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Hashable, Sequence
+from bisect import bisect_left
+from functools import cached_property
+from typing import Any, Callable, Sequence
 
 
 class RankedPoset:
-    """Elements grouped by rank ``0..R`` plus cover lists between consecutive ranks.
+    """A graded poset on the ids ``0..n-1``, numbered rank by rank.
 
-    The greatest element is assumed unique (``levels[-1]`` is a singleton);
-    the least element is left implicit.
+    ``ranks[i]`` is the rank of id i and ``down[i]`` the sorted ids that i
+    covers.  The greatest element is the last id and ``rank`` its rank;
+    the least element is implicit, below every id of rank 0.  A subclass
+    may provide ``ranks``, ``down``, ``rank`` and ``first_of_rank`` its own
+    way; the other methods derive from those.
     """
 
-    def __init__(self, levels: Sequence[Sequence[Hashable]], up: dict[Any, tuple]):
-        self.levels = tuple(tuple(level) for level in levels)
-        self.up = {x: tuple(ups) for x, ups in up.items()}
-        self.rank_of = {x: r for r, level in enumerate(self.levels) for x in level}
-        down: dict[Any, list] = {x: [] for level in self.levels for x in level}
-        for x, ups in self.up.items():
-            for y in ups:
-                down[y].append(x)
-        self.down = {x: tuple(d) for x, d in down.items()}
+    def __init__(self, ranks: Sequence[int], down: Sequence[Sequence[int]]):
+        self.ranks = ranks
+        self.down = down
 
     @classmethod
-    def from_le(cls, levels: Sequence[Sequence[Hashable]], le: Callable[[Any, Any], bool]) -> "RankedPoset":
-        up: dict[Any, tuple] = {}
-        for r in range(len(levels)):
-            above = levels[r + 1] if r + 1 < len(levels) else ()
-            for x in levels[r]:
-                up[x] = tuple(y for y in above if le(x, y))
-        return cls(levels, up)
+    def from_le(cls, levels: Sequence[Sequence[Any]], le: Callable[[Any, Any], bool]) -> "RankedPoset":
+        """Number labelled elements in level order; ``x`` at rank r - 1 is
+        covered by ``y`` at rank r when ``le(x, y)``."""
+        starts = list(itertools.accumulate(map(len, levels), initial=0))
+        ranks = [r for r, level in enumerate(levels) for _ in level]
+        down = [
+            [starts[r - 1] + k for k, x in enumerate(levels[r - 1]) if le(x, y)] if r else []
+            for r, level in enumerate(levels)
+            for y in level
+        ]
+        return cls(ranks, down)
 
     @property
-    def top_rank(self) -> int:
-        return len(self.levels) - 1
+    def rank(self) -> int:
+        return self.ranks[-1]
+
+    def __len__(self) -> int:
+        return len(self.ranks)
+
+    def first_of_rank(self, rank: int) -> int:
+        """The least id of rank at least ``rank``; ids of rank r are
+        ``range(first_of_rank(r), first_of_rank(r + 1))``."""
+        return bisect_left(self.ranks, rank)
+
+    @property
+    def levels(self) -> tuple[range, ...]:
+        """The ids of each rank ``0..rank``."""
+        firsts = [self.first_of_rank(r) for r in range(self.rank + 2)]
+        return tuple(map(range, firsts, firsts[1:]))
 
     def f_vector(self) -> tuple[int, ...]:
-        return tuple(len(level) for level in self.levels)
+        return tuple(map(len, self.levels))
 
-    def below(self, x) -> set:
-        """All elements ``<= x`` (including ``x``), by walking covers downward."""
-        seen = {x}
-        frontier = [x]
-        while frontier:
-            nxt = []
-            for y in frontier:
-                for z in self.down[y]:
-                    if z not in seen:
-                        seen.add(z)
-                        nxt.append(z)
-            frontier = nxt
-        return seen
+    @cached_property
+    def up(self) -> list[list[int]]:
+        """``up[i]`` is the sorted ids that cover id i."""
+        up: list[list[int]] = [[] for _ in range(len(self))]
+        for i, below in enumerate(self.down):
+            for j in below:
+                up[j].append(i)
+        return up
 
-    def vertices_below(self, x) -> int:
-        return sum(1 for y in self.below(x) if self.rank_of[y] == 0)
+    def up_set(self, i: int) -> set[int]:
+        """All ids ``>= i``, by walking covers upward."""
+        return _closure(i, self.up)
+
+    def down_set(self, i: int) -> set[int]:
+        """All ids ``<= i``, by walking covers downward."""
+        return _closure(i, self.down)
+
+    def vertices_below(self, i: int) -> int:
+        ranks = self.ranks
+        return sum(1 for j in self.down_set(i) if ranks[j] == 0)
 
 
-def flag_graph(
-    down: Sequence[Sequence[int]], top: int, rank: int
-) -> tuple[list[tuple[int, ...]], list[list[int]]]:
-    """The flag graph of a graded poset given by integer down-cover lists.
+def _closure(i: int, covers: Sequence[Sequence[int]]) -> set[int]:
+    seen = {i}
+    stack = [i]
+    while stack:
+        for j in covers[stack.pop()]:
+            if j not in seen:
+                seen.add(j)
+                stack.append(j)
+    return seen
 
-    The flags are the maximal chains from ``top`` down ``rank`` covers, each
-    a tuple of element ids indexed by rank (``chain[rank] == top``), in
-    increasing tuple order: the flags through the least element come first,
-    which keeps the automorphism count's first candidates at one vertex.
-    ``tables[s][x]`` is the flag that differs from flag ``x`` only at rank
-    ``s``, or -1 where there is no such flag.  Raises ValueError where there
-    is more than one: the poset is not thin.
+
+def flag_graph(poset: RankedPoset) -> tuple[list[tuple[int, ...]], list[list[int]]]:
+    """The flag graph of a thin graded poset.
+
+    The flags are the maximal chains from the last id down ``poset.rank``
+    covers, each a tuple of ids indexed by rank, in increasing tuple order:
+    the flags through the least element come first, which keeps the
+    automorphism count's first candidates at one vertex.  ``tables[s][x]``
+    is the flag that differs from flag ``x`` only at rank ``s``.  Raises
+    ValueError("poset is not thin") when there is no flag, or when some
+    flag has no such neighbour or more than one.
     """
-    chains = [(top,)]
+    down, rank = poset.down, poset.rank
+    chains = [(len(poset) - 1,)]
     for _ in range(rank):
         chains = [(x, *chain) for chain in chains for x in down[chain[0]]]
     chains.sort()
@@ -99,6 +128,8 @@ def flag_graph(
                 table[x] = y
                 table[y] = x
         tables.append(table)
+    if not chains or any(-1 in table for table in tables):
+        raise ValueError("poset is not thin")
     return chains, tables
 
 
@@ -139,12 +170,11 @@ def propagate(
 def posets_isomorphic(a: RankedPoset, b: RankedPoset) -> bool:
     """Rank- and incidence-preserving bijection test for thin graded posets.
 
-    Works on the flag graphs (:func:`flag_graph`, elements numbered in
-    level order): fixes a base flag of ``a`` and tries every flag of ``b``
-    as its image with :func:`propagate`.  Any successful propagation is a
-    poset isomorphism; if none succeeds the posets differ.  Raises
-    ValueError unless every flag of both posets has exactly one neighbour
-    at every rank.
+    Works on the flag graphs (:func:`flag_graph`, which raises ValueError
+    unless both posets are thin): fixes a base flag of ``a`` and tries
+    every flag of ``b`` as its image with :func:`propagate`.  Any
+    successful propagation is a poset isomorphism; if none succeeds the
+    posets differ.
 
     Assumes both flag graphs are connected (true for every polytope-like
     poset, where this is strong flag-connectedness); on a disconnected
@@ -152,33 +182,20 @@ def posets_isomorphic(a: RankedPoset, b: RankedPoset) -> bool:
     """
     if a.f_vector() != b.f_vector():
         return False
-    if a.top_rank <= 0:
+    if a.rank <= 0:
         return True
-    tables = []
-    for poset in (a, b):
-        ids = {x: i for i, x in enumerate(itertools.chain.from_iterable(poset.levels))}
-        down = [[ids[y] for y in poset.down[x]] for x in ids]
-        _, neighbours = flag_graph(down, len(ids) - 1, poset.top_rank)
-        if any(-1 in table for table in neighbours):
-            raise ValueError("poset is not thin")
-        tables.append(neighbours)
-    tables_a, tables_b = tables
+    _, tables_a = flag_graph(a)
+    _, tables_b = flag_graph(b)
     n = len(tables_a[0])
     if n != len(tables_b[0]):
         return False
-    return not n or any(propagate(tables_a, tables_b, image) is not None for image in range(n))
+    return any(propagate(tables_a, tables_b, image) is not None for image in range(n))
 
 
 def product_poset(a: RankedPoset, b: RankedPoset) -> RankedPoset:
-    """Direct product: elements are pairs, ordered componentwise, ranked additively."""
-    ra, rb = a.top_rank, b.top_rank
-    levels: list[list] = [[] for _ in range(ra + rb + 1)]
-    for x in a.rank_of:
-        for y in b.rank_of:
-            levels[a.rank_of[x] + b.rank_of[y]].append((x, y))
-    up: dict[Any, tuple] = {}
-    for x in a.rank_of:
-        for y in b.rank_of:
-            ups = [(x2, y) for x2 in a.up[x]] + [(x, y2) for y2 in b.up[y]]
-            up[(x, y)] = tuple(ups)
-    return RankedPoset(levels, up)
+    """Direct product: elements are pairs, ordered componentwise, ranked
+    additively, and numbered rank by rank in pair order within a rank."""
+    pairs = sorted((a.ranks[x] + b.ranks[y], x, y) for x in range(len(a)) for y in range(len(b)))
+    ids = {(x, y): i for i, (_, x, y) in enumerate(pairs)}
+    down = [sorted([ids[x2, y] for x2 in a.down[x]] + [ids[x, y2] for y2 in b.down[y]]) for _, x, y in pairs]
+    return RankedPoset([r for r, _, _ in pairs], down)

@@ -8,8 +8,8 @@ they generate a semidirect product of order p! * |graph automorphisms|
 whenever the graph has more than one edge.
 
 Independently of that construction, the full automorphism group is counted
-on the flag graph of the stored face poset (:func:`posets.flag_graph` of its
-covers): an automorphism is pinned down by the image of a single flag, and
+on the flag graph of the stored face poset (:func:`posets.flag_graph`): an
+automorphism is pinned down by the image of a single flag, and
 acts freely, so the group order equals the size of the orbit of a fixed
 base flag.  The orbit is grown from the automorphisms found so far,
 and a candidate image is tested only when no earlier test has already
@@ -66,9 +66,11 @@ def constructed_group_order(graph: SimpleGraph) -> int:
     2 of the segment's group is returned instead; `semidirect_applies`
     reports whether the formula itself was used.
     """
-    if graph.q == 1:
-        return 2
-    return math.factorial(graph.p) * len(automorphisms(graph))
+    return _constructed_order(graph, len(automorphisms(graph)))
+
+
+def _constructed_order(graph: SimpleGraph, graph_aut_order: int) -> int:
+    return math.factorial(graph.p) * graph_aut_order if semidirect_applies(graph) else 2
 
 
 def semidirect_applies(graph: SimpleGraph) -> bool:
@@ -86,14 +88,11 @@ def full_aut_order_via_flags(polytope: Graphicahedron, max_flags: int = DEFAULT_
     are skipped.  The action is free, so the order is the size of the base
     flag's class once every candidate is decided.
 
-    The flag graph is :func:`flag_graph` of the stored covers, so a face
-    missing from the store shows: ValueError unless every flag has exactly
-    one neighbour at every rank.
+    The flag graph is :func:`flag_graph` of the stored poset, so a face
+    missing from the store shows: ValueError unless the poset is thin.
     """
     check_flag_capacity(polytope.graph, max_flags)
-    chains, tables = flag_graph(polytope.down, len(polytope) - 1, polytope.rank)
-    if not chains or any(-1 in table for table in tables):
-        raise ValueError("poset is not thin")
+    chains, tables = flag_graph(polytope)
     n = len(chains)
     if polytope.graph.q == 0:
         return 1
@@ -178,11 +177,12 @@ class AutGroupSummary:
 def aut_summary(polytope: Graphicahedron, max_flags: int = DEFAULT_MAX_FLAGS) -> AutGroupSummary:
     graph = polytope.graph
     flag_aut_order = full_aut_order_via_flags(polytope, max_flags=max_flags)
+    graph_aut_order = len(automorphisms(graph))
     return AutGroupSummary(
-        constructed_order=constructed_group_order(graph),
+        constructed_order=_constructed_order(graph, graph_aut_order),
         flag_aut_order=flag_aut_order,
         sp_order=math.factorial(graph.p),
-        graph_aut_order=len(automorphisms(graph)),
+        graph_aut_order=graph_aut_order,
         regular=_regular_by_order(polytope, flag_aut_order),
         vertex_transitive=is_vertex_transitive(polytope),
         semidirect_applies=semidirect_applies(graph),

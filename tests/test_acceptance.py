@@ -91,7 +91,7 @@ def test_criterion_01_vertex_and_flag_counts():
         assert P.f_vector()[0] == math.factorial(graph.p), name
         assert flag_count(P) == math.factorial(graph.p) * math.factorial(graph.q), name
         assert sum(1 for _ in flags(P)) == flag_count(P), name
-        chains, _ = flag_graph(P.down, len(P) - 1, P.rank)
+        chains, _ = flag_graph(P)
         assert len(chains) == flag_count(P), name
 
 

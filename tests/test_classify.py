@@ -13,6 +13,7 @@ from graphicahedron import (
     permutahedron_oracle,
     posets_isomorphic,
     preset_graph,
+    product_poset,
 )
 from graphicahedron.classify import (
     HEXAGON,
@@ -283,13 +284,32 @@ def test_poset_isomorphism_distinguishes():
     assert not posets_isomorphic(permutahedron_oracle(2), permutahedron_oracle(3))
 
 
+def two_triangles():
+    """Two disjoint triangles under one greatest element, f-vector (6, 6, 1)."""
+    edges = [[0, 1], [1, 2], [0, 2], [3, 4], [4, 5], [3, 5]]
+    return RankedPoset([0] * 6 + [1] * 6 + [2], [[]] * 6 + edges + [list(range(6, 12))])
+
+
+@pytest.mark.parametrize("swap", [False, True], ids=["a-b", "b-a"])
+def test_poset_isomorphism_distinguishes_equal_f_vectors(swap):
+    segment = full_poset(hedron("path", 1))
+    hexagon = full_poset(hedron("path", 2))
+    pairs = [
+        (hexagon, two_triangles()),
+        (product_poset(segment, hexagon), product_poset(segment, two_triangles())),
+    ]
+    for a, b in pairs:
+        assert a.f_vector() == b.f_vector()
+        assert not posets_isomorphic(*((b, a) if swap else (a, b)))
+
+
 def test_poset_isomorphism_rejects_posets_that_are_not_thin():
     # a segment with three endpoints: three choices at rank 0
-    three = RankedPoset([["a", "b", "c"], ["E"]], {"a": ("E",), "b": ("E",), "c": ("E",), "E": ()})
+    three = RankedPoset([0, 0, 0, 1], [[], [], [], [0, 1, 2]])
     with pytest.raises(ValueError, match="poset is not thin"):
         posets_isomorphic(three, three)
     # a segment with one endpoint: no other choice at rank 0
-    one = RankedPoset([["a"], ["E"]], {"a": ("E",), "E": ()})
+    one = RankedPoset([0, 1], [[], [0]])
     with pytest.raises(ValueError, match="poset is not thin"):
         posets_isomorphic(one, one)
 

@@ -312,6 +312,19 @@ def test_internal_inconsistency_exits_5(capsys, monkeypatch):
     assert "disagree" in err
 
 
+@pytest.mark.parametrize("error, code", [
+    ("ParseError", 1), ("DisconnectedGraphError", 2), ("CapacityError", 3), ("GraphicahedronError", 1),
+])
+def test_library_errors_exit_with_their_codes(capsys, monkeypatch, error, code):
+    from graphicahedron import cli, errors
+
+    def boom(*args, **kwargs):
+        raise getattr(errors, error)("no good")
+
+    monkeypatch.setattr(cli.polytope, "build", boom)
+    assert run(capsys, "build", "--preset", "paw") == (code, "", "error: no good\n")
+
+
 def test_timings_are_opt_in(capsys):
     _, report, _ = run_json(capsys, "build", "--preset", "paw")
     assert "timings" not in report

@@ -26,6 +26,7 @@ from graphicahedron import (
     identity,
     make_graph,
     one_skeleton_equals_cayley,
+    permutahedron_oracle,
     posets_isomorphic,
     preset_graph,
     product_poset,
@@ -47,7 +48,7 @@ from graphicahedron.polytope import (
     full_poset,
     interval_below,
 )
-from graphicahedron.posets import flag_graph, propagate
+from graphicahedron.posets import RankedPoset, flag_graph, propagate
 
 SMALL_PRESETS = [
     ("path", 1),
@@ -285,14 +286,10 @@ def test_distant_adjacencies_commute():
                 assert a == b
 
 
-def poset_flag_graph(P):
-    return flag_graph(P.down, len(P) - 1, P.rank)
-
-
 @pytest.mark.parametrize("name, n", SMALL_PRESETS)
 def test_poset_flag_graph_has_pq_flags_and_is_thin(name, n):
     P = hedron(name, n)
-    chains, tables = poset_flag_graph(P)
+    chains, tables = flag_graph(P)
     assert len(chains) == flag_count(P) == math.factorial(P.graph.p) * math.factorial(P.rank)
     assert len(set(chains)) == len(chains)
     for s, table in enumerate(tables):
@@ -306,7 +303,7 @@ def test_construction_flag_graph_maps_onto_the_poset_flag_graph(spec):
     name, _, n = spec.partition(":")
     P = hedron(name, int(n) if n else None)
     count, construction = construction_flag_tables(P)
-    _, tables = poset_flag_graph(P)
+    _, tables = flag_graph(P)
     assert any(propagate(construction, tables, k) is not None for k in range(count))
 
 
@@ -328,9 +325,10 @@ def test_strong_flag_connectedness_builds_no_flag_graph(monkeypatch, name):
 def test_flag_graph_rejects_a_poset_that_is_not_thin():
     # one edge over three vertices
     with pytest.raises(ValueError, match="poset is not thin"):
-        flag_graph([[], [], [], [0, 1, 2]], 3, 1)
-    chains, tables = flag_graph([[], [0]], 1, 1)
-    assert chains == [(0, 1)] and tables == [[-1]]
+        flag_graph(RankedPoset([0, 0, 0, 1], [[], [], [], [0, 1, 2]]))
+    # one edge over one vertex
+    with pytest.raises(ValueError, match="poset is not thin"):
+        flag_graph(RankedPoset([0, 1], [[], [0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -656,6 +654,32 @@ def test_cycle_breaks_coset_inclusion_equivalence():
     assert not P.is_incident(f, g)
     assert brute_coset(P.partition_of(f.edges), f.rep) <= brute_coset(P.partition_of(g.edges), g.rep)
     assert not (f.edges <= g.edges)
+
+
+def fork_facet_interval():
+    P = hedron("fork")
+    return interval_below(P, P.faces(3)[-1])
+
+
+NUMBERED_POSETS = {
+    "fork store": lambda: hedron("fork"),
+    "fork facet interval": fork_facet_interval,
+    "prism": lambda: product_poset(full_poset(hedron("path", 1)), full_poset(hedron("path", 2))),
+    "permutahedron oracle": lambda: permutahedron_oracle(3),
+}
+
+
+@pytest.mark.parametrize("name", NUMBERED_POSETS)
+def test_posets_are_numbered_rank_by_rank(name):
+    P = NUMBERED_POSETS[name]()
+    ranks = list(P.ranks)
+    assert ranks == sorted(ranks) and ranks[-1] == P.rank and ranks.count(P.rank) == 1
+    by_rank = [[i for i in range(len(P)) if ranks[i] == r] for r in range(P.rank + 1)]
+    assert [list(level) for level in P.levels] == by_rank
+    for i, below in enumerate(P.down):
+        assert list(below) == sorted(below) and all(ranks[j] == ranks[i] - 1 for j in below)
+        assert all(i in P.up[j] for j in below)
+    assert sum(map(len, P.up)) == sum(map(len, P.down))
 
 
 def test_prism_facets_are_products_of_component_polytopes():

@@ -152,18 +152,27 @@ def test_flag_count_oracle_matches_constructed_order():
 
 def test_aut_summary_counts_once(monkeypatch):
     counted = []
+    searched = []
     real = symmetry.full_aut_order_via_flags
+    real_search = symmetry.automorphisms
 
     def counting(*args, **kwargs):
         counted.append(args)
         return real(*args, **kwargs)
 
+    def searching(graph):
+        searched.append(graph)
+        return real_search(graph)
+
     monkeypatch.setattr(symmetry, "full_aut_order_via_flags", counting)
-    for name, n in [("star", 3), ("paw", None)]:
+    monkeypatch.setattr(symmetry, "automorphisms", searching)
+    for name, n in [("path", 1), ("star", 3), ("paw", None), ("fork", None)]:
         counted.clear()
+        searched.clear()
         s = aut_summary(hedron(name, n))
-        assert len(counted) == 1
+        assert len(counted) == 1 and len(searched) == 1
         assert s.regular == regular_by_graph_shape(preset_graph(name, n))
+        assert s.constructed_order == constructed_group_order(preset_graph(name, n))
 
 
 # propagate calls per count, the identity included: the flags through the
