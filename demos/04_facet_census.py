@@ -2,10 +2,11 @@
 
 Each facet sits over a 3-edge subset; its type is readable from the
 components of that subset (a path gives a permutahedron, the triangle and
-the 3-star give toroidal maps, disconnected subsets give products).  An
-independent classifier recomputes the type from the face counts, 2-face
-sizes, Euler characteristic and, for the toroids, an explicit poset
-isomorphism -- the census insists the two routes agree on every facet.
+the 3-star give toroidal maps, disconnected subsets give products).  The
+census checks each reading against the poset: the interval below every
+facet must be isomorphic to its type's reference poset, built from ordered
+set partitions and poset products (for the toroids, from the triangle and
+the 3-star).
 """
 
 from graphicahedron import build, facet_census, preset_graph

@@ -14,9 +14,9 @@ from .classify import (
     FacetCensus,
     classify_2face,
     classify_by_construction,
-    classify_intrinsic_rank3,
     facet_census,
     permutahedron_oracle,
+    reference_poset,
 )
 from .errors import (
     CapacityError,
@@ -102,7 +102,6 @@ __all__ = [
     "canonical_rep",
     "classify_2face",
     "classify_by_construction",
-    "classify_intrinsic_rank3",
     "component_of",
     "components",
     "compose",
@@ -126,6 +125,7 @@ __all__ = [
     "posets_isomorphic",
     "preset_graph",
     "product_poset",
+    "reference_poset",
     "same_coset",
     "skeleton",
     "transposition_of_edge",

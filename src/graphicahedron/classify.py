@@ -1,26 +1,25 @@
 """Classification of 2-faces and facets, and the facet census.
 
-Two classifiers run independently.  The *by-construction* classifier reads
-the facet's edge subset: each nontrivial component of the spanning
-subgraph contributes a factor (a path of length n gives the rank-n
-permutahedron, the triangle and the 3-star give the two hexagonal toroids),
-and a facet over several components is the product of its factors.  The
-*intrinsic* classifier ignores the construction and examines the interval
-below the facet: face counts, 2-face sizes and the Euler characteristic,
-with the two toroids pinned down by poset isomorphism against reference
-polytopes built fresh from the triangle and the 3-star.  The census
-requires the two classifiers to agree on every rank-3 facet.
+A facet's type is read off its edge subset by :func:`classify_by_construction`:
+each nontrivial component of the spanning subgraph contributes a factor (a
+path of length n gives the rank-n permutahedron, the triangle and the 3-star
+give the two hexagonal toroids), and a facet over several components is the
+product of its factors.  The census checks that reading against the poset at
+every facet rank: the interval below each facet must be isomorphic to the
+:func:`reference_poset` of its type, built from ordered set partitions and
+poset products rather than from the Cayley machinery (the toroids excepted).
+Facets of a type with no reference are typed by construction alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .errors import CapacityError, InternalInconsistencyError
 from .graphs import SimpleGraph, components, preset_graph
 from .polytope import Face, Graphicahedron, build, face_count, face_id, full_poset, interval_below
-from .posets import RankedPoset, posets_isomorphic
+from .posets import RankedPoset, posets_isomorphic, product_poset
 
 
 @dataclass(frozen=True)
@@ -136,38 +135,36 @@ def classify_by_construction(graph: SimpleGraph, edge_subset: frozenset[int]) ->
 
 
 @lru_cache(maxsize=None)
-def _reference_toroid(kind: str) -> RankedPoset:
-    graph = preset_graph("cycle", 3) if kind == "toroid_63_11" else preset_graph("star", 3)
-    return full_poset(build(graph))
+def reference_poset(tag: FaceType) -> RankedPoset | None:
+    """The face poset of a facet type, built once per process.
 
-
-def classify_intrinsic_rank3(polytope: Graphicahedron, face: Face) -> FaceType:
-    """Type a rank-3 face from its interval alone.
-
-    The sphere-like signatures (permutahedron, hexagonal prism, cube) are
-    decided by face counts, 2-face sizes and Euler characteristic 2; the
-    flat signatures (Euler characteristic 0, all hexagons) are confirmed by
-    poset isomorphism with the matching reference toroid.
+    Permutahedra up to rank :data:`PERMUTAHEDRON_ORACLE_MAX_N` (a vertex, a
+    segment and a hexagon among them) come from :func:`permutahedron_oracle`;
+    cubes, the hexagonal prism and products are :func:`product_poset` of
+    their factors' references.  None of these touches the Cayley machinery.
+    The two toroids are the exception: their references are the
+    graphicahedra of the triangle and the 3-star, built by the same
+    construction they check, so that route is weaker.  Returns None for an
+    unrecognized type, a larger permutahedron, or a product with such a
+    factor; facets of those types are typed by construction alone.
     """
-    if face.rank != 3:
-        raise ValueError("classify_intrinsic_rank3 expects a rank-3 face")
-    interval = interval_below(polytope, face)
-    v, e, f2, _ = interval.f_vector()
-    gon = sorted(interval.vertices_below(m) for m in interval.levels[2])
-    euler = v - e + f2
-    signature = ((v, e, f2), tuple(gon), euler)
-
-    if signature == ((24, 36, 14), (4,) * 6 + (6,) * 8, 2):
-        return permutahedron_type(3)
-    if signature == ((12, 18, 8), (4,) * 6 + (6,) * 2, 2):
-        return HEXAGONAL_PRISM
-    if signature == ((8, 12, 6), (4,) * 6, 2):
-        return cube_type(3)
-    if euler == 0 and set(gon) == {6} and v in (6, 24):
-        candidate = TOROID_63_11 if v == 6 else TOROID_63_22
-        if posets_isomorphic(interval, _reference_toroid(candidate.kind)):
-            return candidate
-    return FaceType("unrecognized", certificate=signature)
+    if tag.kind in ("vertex", "segment", "hexagon", "permutahedron"):
+        n = {"vertex": 0, "segment": 1, "hexagon": 2}.get(tag.kind, tag.size)
+        return permutahedron_oracle(n) if n <= PERMUTAHEDRON_ORACLE_MAX_N else None
+    if tag in (TOROID_63_11, TOROID_63_22):
+        return full_poset(build(preset_graph("cycle" if tag == TOROID_63_11 else "star", 3)))
+    if tag.kind in ("square", "cube"):
+        factors = (SEGMENT,) * (2 if tag == SQUARE else tag.size)
+    elif tag == HEXAGONAL_PRISM:
+        factors = (SEGMENT, HEXAGON)
+    elif tag.kind == "product":
+        factors = tag.parts
+    else:
+        return None
+    references = [reference_poset(factor) for factor in factors]
+    if any(reference is None for reference in references):
+        return None
+    return reduce(product_poset, references)
 
 
 @dataclass(frozen=True)
@@ -182,23 +179,29 @@ class FacetCensus:
 
 
 def facet_census(polytope: Graphicahedron) -> FacetCensus:
-    """Classify every facet; at facet rank 3 the two classifiers must agree."""
+    """Type every facet by construction, one edge subset at a time, and
+    require each facet's interval to be isomorphic to its type's
+    :func:`reference_poset` when the type has one.  Raises
+    :class:`InternalInconsistencyError` naming the first facet that is not,
+    or when the facets do not add up to the face count of their rank."""
     q = polytope.rank
     if q < 1:
         raise ValueError("the facet census needs rank at least 1")
     counts: dict[FaceType, int] = {}
     samples: dict[FaceType, str] = {}
-    for facet in polytope.faces(q - 1):
-        tag = classify_by_construction(polytope.graph, facet.edges)
-        if q - 1 == 3:
-            intrinsic = classify_intrinsic_rank3(polytope, facet)
-            if intrinsic != tag:
-                raise InternalInconsistencyError(
-                    f"facet {face_id(facet)}: construction says {tag.label}, "
-                    f"interval says {intrinsic.label}"
-                )
-        counts[tag] = counts.get(tag, 0) + 1
-        samples.setdefault(tag, face_id(facet))
+    for edges, reps in polytope.blocks:
+        if len(edges) != q - 1:
+            continue
+        tag = classify_by_construction(polytope.graph, edges)
+        reference = reference_poset(tag)
+        if reference is not None:
+            for facet in (Face(edges, rep) for rep in reps):
+                if not posets_isomorphic(interval_below(polytope, facet), reference):
+                    raise InternalInconsistencyError(
+                        f"facet {face_id(facet)}: interval is not isomorphic to the {tag.label} reference"
+                    )
+        counts[tag] = counts.get(tag, 0) + len(reps)
+        samples.setdefault(tag, face_id(Face(edges, reps[0])))
     entries = tuple(
         (tag, counts[tag], samples[tag])
         for tag in sorted(counts, key=lambda t: t.label)

@@ -9,6 +9,7 @@ graph, 3 capacity exceeded, 4 axiom failure, 5 internal inconsistency.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -208,15 +209,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     report = _report_head(graph, hedron)
     report.update({
-        "symmetry": {
-            "constructed_order": summary.constructed_order,
-            "flag_aut_order": summary.flag_aut_order,
-            "sp_order": summary.sp_order,
-            "graph_aut_order": summary.graph_aut_order,
-            "regular": summary.regular,
-            "vertex_transitive": summary.vertex_transitive,
-            "semidirect_applies": summary.semidirect_applies,
-        },
+        "symmetry": dataclasses.asdict(summary),
         "facet_census": census_json,
     })
     _print_report(report, args, timings)

@@ -208,8 +208,9 @@ def test_criterion_08_facet_censuses():
         "hexagonal_prism": 10,
     }
     assert fork_census.total == 25
-    # facet_census raises on any disagreement between the by-construction
-    # and intrinsic classifiers, so reaching this point certifies agreement
+    # facet_census raises unless every facet's interval is isomorphic to the
+    # reference poset of its construction type, so reaching this point
+    # certifies every facet type
 
 
 @criterion(9, "path graphicahedra are permutahedra")

@@ -7,13 +7,13 @@ from graphicahedron import (
     build,
     classify_2face,
     classify_by_construction,
-    classify_intrinsic_rank3,
     face_count,
     facet_census,
     permutahedron_oracle,
     posets_isomorphic,
     preset_graph,
     product_poset,
+    reference_poset,
 )
 from graphicahedron.classify import (
     HEXAGON,
@@ -22,11 +22,13 @@ from graphicahedron.classify import (
     SQUARE,
     TOROID_63_11,
     TOROID_63_22,
+    FaceType,
     cube_type,
     ordered_set_partitions,
     permutahedron_type,
 )
-from graphicahedron.polytope import full_poset, interval_below
+from graphicahedron.errors import InternalInconsistencyError
+from graphicahedron.polytope import drop_face, full_poset, interval_below
 from graphicahedron.posets import RankedPoset
 
 
@@ -128,7 +130,7 @@ def test_permutahedron_type_naming():
 
 
 # ---------------------------------------------------------------------------
-# Intrinsic rank-3 classification
+# Reference posets
 
 
 def test_paw_triangle_facet_intrinsic():
@@ -136,8 +138,8 @@ def test_paw_triangle_facet_intrinsic():
     facets = [f for f in P.faces(3) if f.edges == frozenset([0, 1, 2])]
     assert len(facets) == 4
     for facet in facets:
-        assert classify_intrinsic_rank3(P, facet) == TOROID_63_11
         interval = interval_below(P, facet)
+        assert posets_isomorphic(interval, reference_poset(TOROID_63_11))
         assert interval.f_vector()[:3] == (6, 9, 3)
         v, e, f2, _ = interval.f_vector()
         assert v - e + f2 == 0
@@ -146,8 +148,8 @@ def test_paw_triangle_facet_intrinsic():
 def test_paw_star_facet_intrinsic():
     P = hedron("paw")
     (facet,) = [f for f in P.faces(3) if f.edges == frozenset([0, 1, 3])]
-    assert classify_intrinsic_rank3(P, facet) == TOROID_63_22
     interval = interval_below(P, facet)
+    assert posets_isomorphic(interval, reference_poset(TOROID_63_22))
     assert interval.f_vector() == (24, 36, 12, 1)
     v, e, f2, _ = interval.f_vector()
     assert v - e + f2 == 0
@@ -157,15 +159,22 @@ def test_fork_path_facet_intrinsic():
     P = hedron("fork")
     facets = [f for f in P.faces(3) if f.edges == frozenset([0, 1, 2])]
     for facet in facets[:2]:
-        tag = classify_intrinsic_rank3(P, facet)
-        assert tag == permutahedron_type(3)
-        assert interval_below(P, facet).f_vector() == (24, 36, 14, 1)
+        interval = interval_below(P, facet)
+        assert posets_isomorphic(interval, reference_poset(permutahedron_type(3)))
+        assert interval.f_vector() == (24, 36, 14, 1)
 
 
-def test_intrinsic_rejects_wrong_rank():
-    P = hedron("paw")
-    with pytest.raises(ValueError):
-        classify_intrinsic_rank3(P, P.faces(0)[0])
+def test_rank3_references_are_distinct():
+    tags = [permutahedron_type(3), HEXAGONAL_PRISM, cube_type(3), TOROID_63_11, TOROID_63_22]
+    f_vectors = [reference_poset(tag).f_vector() for tag in tags]
+    assert len(set(f_vectors)) == len(tags)
+    assert reference_poset(cube_type(3)).f_vector() == (8, 12, 6, 1)
+
+
+def test_types_without_a_reference():
+    assert reference_poset(FaceType("unrecognized", certificate=(5, 4, (1, 1, 1, 1, 4)))) is None
+    assert reference_poset(permutahedron_type(6)) is None
+    assert reference_poset(FaceType("product", parts=(SEGMENT, permutahedron_type(6)))) is None
 
 
 # ---------------------------------------------------------------------------
@@ -220,11 +229,40 @@ def test_census_totals_match_face_count():
         assert census.total == face_count(P.graph, P.rank - 1)
 
 
-def test_census_agreement_on_rank3_facets_of_q4_presets():
-    # facet_census raises on any classifier disagreement; run it on every
-    # 4-edge preset so each rank-3 facet passes both classifiers
-    for name, n in [("path", 4), ("cycle", 4), ("star", 4), ("paw", None), ("fork", None)]:
-        facet_census(hedron(name, n))
+CENSUSES = {
+    ("path", 1): {"vertex": 2},
+    ("path", 2): {"segment": 6},
+    ("path", 3): {"hexagon": 8, "square": 6},
+    ("path", 4): {"hexagonal_prism": 20, "permutahedron(3)": 10},
+    ("path", 5): {
+        "permutahedron(4)": 12,
+        "product(hexagon x hexagon)": 20,
+        "product(permutahedron(3) x segment)": 30,
+    },
+    ("cycle", 3): {"hexagon": 3},
+    ("cycle", 4): {"permutahedron(3)": 4},
+    ("cycle", 5): {"permutahedron(4)": 5},
+    ("star", 2): {"segment": 6},
+    ("star", 3): {"hexagon": 12},
+    ("star", 4): {"toroid_63_22": 20},
+    ("star", 5): {"unrecognized(5, 4, (1, 1, 1, 1, 4))": 30},
+    ("paw", None): {"permutahedron(3)": 2, "toroid_63_11": 4, "toroid_63_22": 1},
+    ("fork", None): {"hexagonal_prism": 10, "permutahedron(3)": 10, "toroid_63_22": 5},
+}
+
+
+@pytest.mark.parametrize("name, n", list(CENSUSES), ids=[f"{a}:{b}" if b else a for a, b in CENSUSES])
+def test_census_at_every_facet_rank(name, n):
+    # facet_census raises unless every facet whose type has a reference
+    # poset is isomorphic to it, whatever the facet rank
+    assert facet_census(hedron(name, n)).as_dict() == CENSUSES[name, n]
+
+
+@pytest.mark.parametrize("name, n", [("cycle", 3), ("paw", None), ("fork", None)])
+def test_census_rejects_a_dropped_vertex(name, n):
+    P = hedron(name, n)
+    with pytest.raises(InternalInconsistencyError, match=r"^facet K\{.*reference$"):
+        facet_census(drop_face(P, P.faces(0)[0]))
 
 
 def test_census_euler_characteristic_per_tag():
