@@ -229,6 +229,14 @@ def test_census_totals_match_face_count():
         assert census.total == face_count(P.graph, P.rank - 1)
 
 
+def test_census_agreement_on_rank3_facets_of_q4_presets():
+    # facet_census raises when a facet's interval disagrees with the
+    # reference poset of its type; run it on every 4-edge preset so each
+    # rank-3 facet passes that check
+    for name, n in [("path", 4), ("cycle", 4), ("star", 4), ("paw", None), ("fork", None)]:
+        facet_census(hedron(name, n))
+
+
 CENSUSES = {
     ("path", 1): {"vertex": 2},
     ("path", 2): {"segment": 6},
