@@ -3,10 +3,9 @@
 Each facet sits over a 3-edge subset; its type is readable from the
 components of that subset (a path gives a permutahedron, the triangle and
 the 3-star give toroidal maps, disconnected subsets give products).  The
-census checks each reading against the poset: the interval below every
-facet must be isomorphic to its type's reference poset, built from ordered
-set partitions and poset products (for the toroids, from the triangle and
-the 3-star).
+census checks every facet against the poset: the interval below it must be
+isomorphic to a model built from its edge subset's components alone, in
+which each block of a smaller edge subset holds its own set of positions.
 """
 
 from graphicahedron import build, facet_census, preset_graph

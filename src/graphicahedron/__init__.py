@@ -15,8 +15,8 @@ from .classify import (
     classify_2face,
     classify_by_construction,
     facet_census,
+    labelled_poset,
     permutahedron_oracle,
-    reference_poset,
 )
 from .errors import (
     CapacityError,
@@ -60,7 +60,7 @@ from .polytope import (
     verify_strong_flag_connectedness,
     vertex_figure_is_simplex,
 )
-from .posets import RankedPoset, posets_isomorphic, product_poset
+from .posets import RankedPoset, posets_isomorphic
 from .symmetry import (
     AutGroupSummary,
     PolytopeAutomorphism,
@@ -118,14 +118,13 @@ __all__ = [
     "is_connected",
     "is_regular",
     "is_vertex_transitive",
+    "labelled_poset",
     "make_graph",
     "one_skeleton_equals_cayley",
     "parse_graph",
     "permutahedron_oracle",
     "posets_isomorphic",
     "preset_graph",
-    "product_poset",
-    "reference_poset",
     "same_coset",
     "skeleton",
     "transposition_of_edge",

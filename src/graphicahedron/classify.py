@@ -4,22 +4,23 @@ A facet's type is read off its edge subset by :func:`classify_by_construction`:
 each nontrivial component of the spanning subgraph contributes a factor (a
 path of length n gives the rank-n permutahedron, the triangle and the 3-star
 give the two hexagonal toroids), and a facet over several components is the
-product of its factors.  The census checks that reading against the poset at
-every facet rank: the interval below each facet must be isomorphic to the
-:func:`reference_poset` of its type, built from ordered set partitions and
-poset products rather than from the Cayley machinery (the toroids excepted).
-Facets of a type with no reference are typed by construction alone.
+product of its factors.  The census checks every facet against the poset:
+the interval below it must be isomorphic to :func:`labelled_poset` of its
+edge set, built from the components alone, with no permutation, coset or
+stored face.  :func:`permutahedron_oracle` is a second such model, of the
+permutahedron, on ordered set partitions.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from typing import Iterable
 
 from .errors import CapacityError, InternalInconsistencyError
-from .graphs import SimpleGraph, components, preset_graph
-from .polytope import Face, Graphicahedron, build, face_count, face_id, full_poset, interval_below
-from .posets import RankedPoset, posets_isomorphic, product_poset
+from .graphs import SimpleGraph, components
+from .polytope import Face, Graphicahedron, face_count, face_id, interval_below
+from .posets import RankedPoset, posets_isomorphic
 
 
 @dataclass(frozen=True)
@@ -134,37 +135,39 @@ def classify_by_construction(graph: SimpleGraph, edge_subset: frozenset[int]) ->
     return FaceType("product", parts=tuple(sorted(tags, key=lambda t: t.label)))
 
 
-@lru_cache(maxsize=None)
-def reference_poset(tag: FaceType) -> RankedPoset | None:
-    """The face poset of a facet type, built once per process.
+def labelled_poset(graph: SimpleGraph, edges: Iterable[int]) -> RankedPoset:
+    """The interval below the face over ``edges`` in which each component
+    of ``edges`` holds its own vertex set, built from the components alone.
 
-    Permutahedra up to rank :data:`PERMUTAHEDRON_ORACLE_MAX_N` (a vertex, a
-    segment and a hexagon among them) come from :func:`permutahedron_oracle`;
-    cubes, the hexagonal prism and products are :func:`product_poset` of
-    their factors' references.  None of these touches the Cayley machinery.
-    The two toroids are the exception: their references are the
-    graphicahedra of the triangle and the 3-star, built by the same
-    construction they check, so that route is weaker.  Returns None for an
-    unrecognized type, a larger permutahedron, or a product with such a
-    factor; facets of those types are typed by construction alone.
+    A face over ``K`` within ``edges`` gives each block B of ``K``'s
+    component partition a set of |B| positions inside the component of
+    ``edges`` that holds B.  It is recorded as ``(K, labels)``: the
+    positions are the vertices taken component by component, and each
+    position's label is the least vertex of the block holding it.  It is
+    covered by the face over ``K`` plus an edge e whose labels merge e's
+    two blocks (the same labels when e closes a cycle in ``K``).  Ids run
+    rank by rank in ``(K, labels)`` order.
     """
-    if tag.kind in ("vertex", "segment", "hexagon", "permutahedron"):
-        n = {"vertex": 0, "segment": 1, "hexagon": 2}.get(tag.kind, tag.size)
-        return permutahedron_oracle(n) if n <= PERMUTAHEDRON_ORACLE_MAX_N else None
-    if tag in (TOROID_63_11, TOROID_63_22):
-        return full_poset(build(preset_graph("cycle" if tag == TOROID_63_11 else "star", 3)))
-    if tag.kind in ("square", "cube"):
-        factors = (SEGMENT,) * (2 if tag == SQUARE else tag.size)
-    elif tag == HEXAGONAL_PRISM:
-        factors = (SEGMENT, HEXAGON)
-    elif tag.kind == "product":
-        factors = tag.parts
-    else:
-        return None
-    references = [reference_poset(factor) for factor in factors]
-    if any(reference is None for reference in references):
-        return None
-    return reduce(product_poset, references)
+    edges = sorted(edges)
+    tops = components(graph, edges).blocks
+    least_of: dict[tuple[int, ...], list[int]] = {}
+    elements: list[tuple] = []
+    for rank in range(len(edges) + 1):
+        level = []
+        for K in itertools.combinations(edges, rank):
+            part = components(graph, K)
+            least = least_of[K] = [part.blocks[b][0] for b in part.block_of]
+            arrangements = [set(itertools.permutations([least[v] for v in top])) for top in tops]
+            level += [(K, sum(choice, ())) for choice in itertools.product(*arrangements)]
+        elements += sorted(level)
+    ids = {element: i for i, element in enumerate(elements)}
+    down: list[list[int]] = [[] for _ in elements]
+    for i, (K, labels) in enumerate(elements):
+        for e in sorted(set(edges) - set(K)):
+            a, b = sorted(least_of[K][v] for v in graph.edges[e])
+            merged = tuple(a if x == b else x for x in labels)
+            down[ids[tuple(sorted(K + (e,))), merged]].append(i)
+    return RankedPoset([len(K) for K, _ in elements], down)
 
 
 @dataclass(frozen=True)
@@ -180,10 +183,11 @@ class FacetCensus:
 
 def facet_census(polytope: Graphicahedron) -> FacetCensus:
     """Type every facet by construction, one edge subset at a time, and
-    require each facet's interval to be isomorphic to its type's
-    :func:`reference_poset` when the type has one.  Raises
-    :class:`InternalInconsistencyError` naming the first facet that is not,
-    or when the facets do not add up to the face count of their rank."""
+    require each facet's interval to be isomorphic to the
+    :func:`labelled_poset` of its edge subset, built once per subset.
+    Raises :class:`InternalInconsistencyError` naming the first facet that
+    is not, or when the facets do not add up to the face count of their
+    rank."""
     q = polytope.rank
     if q < 1:
         raise ValueError("the facet census needs rank at least 1")
@@ -193,13 +197,12 @@ def facet_census(polytope: Graphicahedron) -> FacetCensus:
         if len(edges) != q - 1:
             continue
         tag = classify_by_construction(polytope.graph, edges)
-        reference = reference_poset(tag)
-        if reference is not None:
-            for facet in (Face(edges, rep) for rep in reps):
-                if not posets_isomorphic(interval_below(polytope, facet), reference):
-                    raise InternalInconsistencyError(
-                        f"facet {face_id(facet)}: interval is not isomorphic to the {tag.label} reference"
-                    )
+        reference = labelled_poset(polytope.graph, edges)
+        for facet in (Face(edges, rep) for rep in reps):
+            if not posets_isomorphic(interval_below(polytope, facet), reference):
+                raise InternalInconsistencyError(
+                    f"facet {face_id(facet)}: interval is not isomorphic to the {tag.label} reference"
+                )
         counts[tag] = counts.get(tag, 0) + len(reps)
         samples.setdefault(tag, face_id(Face(edges, reps[0])))
     entries = tuple(
@@ -231,18 +234,15 @@ def ordered_set_partitions(n_items: int):
             yield smaller[:i] + ((item,),) + smaller[i:]
 
 
-def _merges_consecutively(fine: tuple, coarse: tuple) -> bool:
-    """Whether ``coarse`` is obtained from ``fine`` by merging runs of consecutive blocks."""
-    i = 0
-    for block in coarse:
-        want = set(block)
-        got: set[int] = set()
-        while got != want:
-            if i >= len(fine) or not set(fine[i]) <= want:
-                return False
-            got |= set(fine[i])
-            i += 1
-    return i == len(fine)
+def _splits(partition: tuple) -> list[tuple]:
+    """The ordered set partitions made by splitting one block of
+    ``partition`` into two ordered non-empty parts, in place."""
+    return [
+        partition[:i] + (first, tuple(x for x in block if x not in first)) + partition[i + 1:]
+        for i, block in enumerate(partition)
+        for size in range(1, len(block))
+        for first in itertools.combinations(block, size)
+    ]
 
 
 PERMUTAHEDRON_ORACLE_MAX_N = 5
@@ -251,13 +251,15 @@ PERMUTAHEDRON_ORACLE_MAX_N = 5
 def permutahedron_oracle(n: int) -> RankedPoset:
     """The face poset of the rank-n permutahedron, built without any Cayley
     machinery: faces are ordered set partitions of n+1 items, ranked by
-    items minus blocks, ordered by consecutive-block merging.  Raises
-    :class:`CapacityError` above rank :data:`PERMUTAHEDRON_ORACLE_MAX_N`.
+    items minus blocks, numbered rank by rank in sorted order; a face
+    covers the partitions made by splitting one of its blocks in two.
+    Raises :class:`CapacityError` above rank :data:`PERMUTAHEDRON_ORACLE_MAX_N`.
     """
     if n > PERMUTAHEDRON_ORACLE_MAX_N:
         raise CapacityError(f"permutahedron oracle capped at n={PERMUTAHEDRON_ORACLE_MAX_N}")
-    levels: list[list[tuple]] = [[] for _ in range(n + 1)]
-    for partition in ordered_set_partitions(n + 1):
-        levels[n + 1 - len(partition)].append(partition)
-    ordered_levels = [sorted(level) for level in levels]
-    return RankedPoset.from_le(ordered_levels, _merges_consecutively)
+    elements = sorted(ordered_set_partitions(n + 1), key=lambda partition: (-len(partition), partition))
+    ids = {partition: i for i, partition in enumerate(elements)}
+    return RankedPoset(
+        [n + 1 - len(partition) for partition in elements],
+        [sorted(ids[finer] for finer in _splits(partition)) for partition in elements],
+    )

@@ -24,7 +24,8 @@ from .errors import (
     InternalInconsistencyError,
     ParseError,
 )
-from .graphs import SimpleGraph, parse_graph, parse_int, preset_graph
+from .graphs import SimpleGraph, parse_graph, parse_int, preset_graph, preset_order
+from .perms import check_perm_capacity
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -47,18 +48,6 @@ BUILD_MAX_PERMS = 5040  # p <= 7
 VERIFY_MAX_PERMS = 720  # p <= 6
 
 
-def _parse_preset(text: str) -> SimpleGraph:
-    name, _, arg = text.partition(":")
-    try:
-        n = parse_int(arg) if arg else None
-    except ValueError:
-        raise ParseError(f"bad preset size in {text!r}") from None
-    try:
-        return preset_graph(name, n)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
-
-
 def _parse_inline_edges(text: str) -> SimpleGraph:
     lines = []
     for chunk in text.split(","):
@@ -71,16 +60,27 @@ def _parse_inline_edges(text: str) -> SimpleGraph:
 
 
 def _graph_from_args(args: argparse.Namespace) -> SimpleGraph:
-    if args.file:
+    if args.file is not None:
         try:
             with open(args.file, encoding="ascii") as handle:
                 text = handle.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise ParseError(f"cannot read graph file: {exc}") from None
         return parse_graph(text)
-    if args.edges:
+    if args.edges is not None:
         return _parse_inline_edges(args.edges)
-    return _parse_preset(args.preset)
+    name, _, arg = args.preset.partition(":")
+    try:
+        n = parse_int(arg) if arg else None
+    except ValueError:
+        raise ParseError(f"bad preset size in {args.preset!r}") from None
+    try:
+        p = preset_order(name, n)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
+    # a preset's size is known before its edges are listed: refuse a huge one first
+    check_perm_capacity(p, args.max_perms)
+    return preset_graph(name, n)
 
 
 def _graph_echo(graph: SimpleGraph) -> dict:

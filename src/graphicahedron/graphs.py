@@ -128,6 +128,29 @@ def parse_graph(text: str) -> SimpleGraph:
     return SimpleGraph(p, tuple(pairs))
 
 
+def preset_order(name: str, n: int | None = None) -> int:
+    """The vertex count of ``preset_graph(name, n)``, found without listing
+    its edges; raises ValueError for the inputs that :func:`preset_graph`
+    refuses."""
+    if name in ("paw", "fork"):
+        if n is not None:
+            raise ValueError(f"{name} takes no size parameter")
+        return 4 if name == "paw" else 5
+    if name == "path":
+        if n is None or n < 1:
+            raise ValueError("path needs a length n >= 1")
+        return n + 1
+    if name == "cycle":
+        if n is None or n < 3:
+            raise ValueError("cycle needs a length n >= 3")
+        return n
+    if name == "star":
+        if n is None or n < 1:
+            raise ValueError("star needs at least one edge")
+        return n + 1
+    raise ValueError(f"unknown preset {name!r}")
+
+
 def preset_graph(name: str, n: int | None = None) -> SimpleGraph:
     """Named small graphs: path, cycle, star (parametrized), paw and fork.
 
@@ -135,25 +158,16 @@ def preset_graph(name: str, n: int | None = None) -> SimpleGraph:
     tree with degree sequence (3,2,1,1,1).  These are the only connected
     4-edge graphs besides the path, the cycle and the star.
     """
+    p = preset_order(name, n)
     if name == "path":
-        if n is None or n < 1:
-            raise ValueError("path needs a length n >= 1")
-        return make_graph(n + 1, [(v, v + 1) for v in range(n)])
+        return make_graph(p, [(v, v + 1) for v in range(n)])
     if name == "cycle":
-        if n is None or n < 3:
-            raise ValueError("cycle needs a length n >= 3")
-        return make_graph(n, [(v, (v + 1) % n) for v in range(n)])
+        return make_graph(p, [(v, (v + 1) % n) for v in range(n)])
     if name == "star":
-        if n is None or n < 1:
-            raise ValueError("star needs at least one edge")
-        return make_graph(n + 1, [(0, v) for v in range(1, n + 1)])
-    if name in ("paw", "fork"):
-        if n is not None:
-            raise ValueError(f"{name} takes no size parameter")
-        if name == "paw":
-            return make_graph(4, [(0, 1), (0, 2), (1, 2), (0, 3)])
-        return make_graph(5, [(0, 1), (1, 2), (2, 3), (2, 4)])
-    raise ValueError(f"unknown preset {name!r}")
+        return make_graph(p, [(0, v) for v in range(1, p)])
+    if name == "paw":
+        return make_graph(p, [(0, 1), (0, 2), (1, 2), (0, 3)])
+    return make_graph(p, [(0, 1), (1, 2), (2, 3), (2, 4)])
 
 
 def components(graph: SimpleGraph, edge_subset: Iterable[int]) -> VertexPartition:

@@ -1,8 +1,9 @@
 """Graded posets on integer ids, and their flag graphs.
 
 :class:`RankedPoset` is the library's one graded-poset representation.
-The polytope's face store, its intervals and the reference posets built
-independently of it (ordered set partitions, products) all take its form.
+The polytope's face store, its intervals and the models built
+independently of it (labelled partitions, ordered set partitions) all
+take its form.
 
 :func:`flag_graph` is the library's one flag graph: the maximal chains of
 a poset with one neighbour table per rank, which needs the poset to be
@@ -13,10 +14,9 @@ test run the color-preserving propagation :func:`propagate` on its tables.
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_left
 from functools import cached_property
-from typing import Any, Callable, Sequence
+from typing import Sequence
 
 
 class RankedPoset:
@@ -32,19 +32,6 @@ class RankedPoset:
     def __init__(self, ranks: Sequence[int], down: Sequence[Sequence[int]]):
         self.ranks = ranks
         self.down = down
-
-    @classmethod
-    def from_le(cls, levels: Sequence[Sequence[Any]], le: Callable[[Any, Any], bool]) -> "RankedPoset":
-        """Number labelled elements in level order; ``x`` at rank r - 1 is
-        covered by ``y`` at rank r when ``le(x, y)``."""
-        starts = list(itertools.accumulate(map(len, levels), initial=0))
-        ranks = [r for r, level in enumerate(levels) for _ in level]
-        down = [
-            [starts[r - 1] + k for k, x in enumerate(levels[r - 1]) if le(x, y)] if r else []
-            for r, level in enumerate(levels)
-            for y in level
-        ]
-        return cls(ranks, down)
 
     @property
     def rank(self) -> int:
@@ -87,6 +74,10 @@ class RankedPoset:
     def vertices_below(self, i: int) -> int:
         ranks = self.ranks
         return sum(1 for j in self.down_set(i) if ranks[j] == 0)
+
+    @cached_property
+    def _flag_tables(self) -> list[list[int]]:
+        return flag_graph(self)[1]
 
 
 def _closure(i: int, covers: Sequence[Sequence[int]]) -> set[int]:
@@ -174,7 +165,8 @@ def posets_isomorphic(a: RankedPoset, b: RankedPoset) -> bool:
     unless both posets are thin): fixes a base flag of ``a`` and tries
     every flag of ``b`` as its image with :func:`propagate`.  Any
     successful propagation is a poset isomorphism; if none succeeds the
-    posets differ.
+    posets differ.  ``b`` keeps its flag graph, so a reference tested
+    against many posets builds it once.
 
     Assumes both flag graphs are connected (true for every polytope-like
     poset, where this is strong flag-connectedness); on a disconnected
@@ -185,17 +177,8 @@ def posets_isomorphic(a: RankedPoset, b: RankedPoset) -> bool:
     if a.rank <= 0:
         return True
     _, tables_a = flag_graph(a)
-    _, tables_b = flag_graph(b)
+    tables_b = b._flag_tables
     n = len(tables_a[0])
     if n != len(tables_b[0]):
         return False
     return any(propagate(tables_a, tables_b, image) is not None for image in range(n))
-
-
-def product_poset(a: RankedPoset, b: RankedPoset) -> RankedPoset:
-    """Direct product: elements are pairs, ordered componentwise, ranked
-    additively, and numbered rank by rank in pair order within a rank."""
-    pairs = sorted((a.ranks[x] + b.ranks[y], x, y) for x in range(len(a)) for y in range(len(b)))
-    ids = {(x, y): i for i, (_, x, y) in enumerate(pairs)}
-    down = [sorted([ids[x2, y] for x2 in a.down[x]] + [ids[x, y2] for y2 in b.down[y]]) for _, x, y in pairs]
-    return RankedPoset([r for r, _, _ in pairs], down)

@@ -12,7 +12,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from graphicahedron import Perm, SimpleGraph, VertexPartition, compose, make_graph, transposition_of_edge
+from graphicahedron import (
+    Perm,
+    RankedPoset,
+    SimpleGraph,
+    VertexPartition,
+    compose,
+    make_graph,
+    transposition_of_edge,
+)
 from graphicahedron.perms import all_perms
 from graphicahedron.polytope import VerifyReport, face_id
 
@@ -94,6 +102,56 @@ def stirling2(n: int, k: int) -> int:
     if k == 0:
         return 0
     return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
+
+
+def product_poset(a: RankedPoset, b: RankedPoset) -> RankedPoset:
+    """Direct product: elements are pairs, ordered componentwise, ranked
+    additively, and numbered rank by rank in pair order within a rank."""
+    pairs = sorted((a.ranks[x] + b.ranks[y], x, y) for x in range(len(a)) for y in range(len(b)))
+    ids = {(x, y): i for i, (_, x, y) in enumerate(pairs)}
+    down = [sorted([ids[x2, y] for x2 in a.down[x]] + [ids[x, y2] for y2 in b.down[y]]) for _, x, y in pairs]
+    return RankedPoset([r for r, _, _ in pairs], down)
+
+
+def hexagonal_toroid(b: int, c: int) -> RankedPoset:
+    """The face poset of the toroidal map {6,3}_(b,c): the hexagonal tiling
+    modulo the lattice L spanned by b + c·ω and its 60° rotation, with
+    ω = e^{iπ/3}.
+
+    Hexagons are the points m + n·ω of the triangular lattice modulo L, so
+    there are D = b² + bc + c² of them; a point's class is keyed by its two
+    coordinates in the basis of L, times D, modulo D.  Each hexagon h owns
+    one up vertex (its top corner) and one down vertex (its bottom corner);
+    going round h from its upper-right corner its vertices are
+    d(h + ω), u(h), d(h + ω - 1), u(h - ω), d(h), u(h - ω + 1), and its
+    edges join consecutive ones.  An edge is named by its two vertices,
+    which needs D >= 3 (no two edges with the same ends).
+    """
+    D = b * b + b * c + c * c
+
+    def key(m: int, n: int) -> tuple[int, int]:
+        return ((b + c) * m + c * n) % D, (b * n - c * m) % D
+
+    hexagons: dict[tuple[int, int], list] = {}
+    for m, n in itertools.product(range(D), repeat=2):
+        corners = [
+            ("d", key(m, n + 1)), ("u", key(m, n)), ("d", key(m - 1, n + 1)),
+            ("u", key(m, n - 1)), ("d", key(m, n)), ("u", key(m + 1, n - 1)),
+        ]
+        hexagons.setdefault(key(m, n), [frozenset(pair) for pair in zip(corners, corners[1:] + corners[:1])])
+    vertices = sorted({v for sides in hexagons.values() for side in sides for v in side})
+    edges = sorted({side for sides in hexagons.values() for side in sides}, key=sorted)
+    vertex_id = {v: i for i, v in enumerate(vertices)}
+    edge_id = {e: len(vertices) + i for i, e in enumerate(edges)}
+    first_hexagon = len(vertices) + len(edges)
+    down = (
+        [[] for _ in vertices]
+        + [sorted(vertex_id[v] for v in e) for e in edges]
+        + [sorted(edge_id[e] for e in sides) for _, sides in sorted(hexagons.items())]
+        + [list(range(first_hexagon, first_hexagon + len(hexagons)))]
+    )
+    ranks = [0] * len(vertices) + [1] * len(edges) + [2] * len(hexagons) + [3]
+    return RankedPoset(ranks, down)
 
 
 def pairwise_covers(polytope) -> tuple[dict, dict]:

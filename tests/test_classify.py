@@ -1,7 +1,10 @@
 import math
 
+import sys
+from functools import reduce
+
 import pytest
-from oracles import stirling2
+from oracles import connected_graphs_with_edges, hexagonal_toroid, product_poset, stirling2
 
 from graphicahedron import (
     build,
@@ -9,11 +12,11 @@ from graphicahedron import (
     classify_by_construction,
     face_count,
     facet_census,
+    labelled_poset,
+    make_graph,
     permutahedron_oracle,
     posets_isomorphic,
     preset_graph,
-    product_poset,
-    reference_poset,
 )
 from graphicahedron.classify import (
     HEXAGON,
@@ -22,7 +25,6 @@ from graphicahedron.classify import (
     SQUARE,
     TOROID_63_11,
     TOROID_63_22,
-    FaceType,
     cube_type,
     ordered_set_partitions,
     permutahedron_type,
@@ -130,7 +132,7 @@ def test_permutahedron_type_naming():
 
 
 # ---------------------------------------------------------------------------
-# Reference posets
+# The labelled-partition model, and the type names against oracles
 
 
 def test_paw_triangle_facet_intrinsic():
@@ -139,7 +141,7 @@ def test_paw_triangle_facet_intrinsic():
     assert len(facets) == 4
     for facet in facets:
         interval = interval_below(P, facet)
-        assert posets_isomorphic(interval, reference_poset(TOROID_63_11))
+        assert posets_isomorphic(interval, hexagonal_toroid(1, 1))
         assert interval.f_vector()[:3] == (6, 9, 3)
         v, e, f2, _ = interval.f_vector()
         assert v - e + f2 == 0
@@ -149,7 +151,7 @@ def test_paw_star_facet_intrinsic():
     P = hedron("paw")
     (facet,) = [f for f in P.faces(3) if f.edges == frozenset([0, 1, 3])]
     interval = interval_below(P, facet)
-    assert posets_isomorphic(interval, reference_poset(TOROID_63_22))
+    assert posets_isomorphic(interval, hexagonal_toroid(2, 2))
     assert interval.f_vector() == (24, 36, 12, 1)
     v, e, f2, _ = interval.f_vector()
     assert v - e + f2 == 0
@@ -160,21 +162,80 @@ def test_fork_path_facet_intrinsic():
     facets = [f for f in P.faces(3) if f.edges == frozenset([0, 1, 2])]
     for facet in facets[:2]:
         interval = interval_below(P, facet)
-        assert posets_isomorphic(interval, reference_poset(permutahedron_type(3)))
+        assert posets_isomorphic(interval, permutahedron_oracle(3))
         assert interval.f_vector() == (24, 36, 14, 1)
 
 
+def segments(k):
+    return reduce(product_poset, [permutahedron_oracle(1)] * k)
+
+
+# One edge subset per facet type, and that type's poset built by an oracle;
+# the permutahedra are whole paths.
+TYPE_ORACLES = {
+    "vertex": (("path", 3), [], lambda: permutahedron_oracle(0)),
+    "segment": (("path", 1), [0], lambda: permutahedron_oracle(1)),
+    "hexagon": (("path", 2), [0, 1], lambda: permutahedron_oracle(2)),
+    "permutahedron(3)": (("path", 3), [0, 1, 2], lambda: permutahedron_oracle(3)),
+    "permutahedron(4)": (("path", 4), [0, 1, 2, 3], lambda: permutahedron_oracle(4)),
+    "square": (("path", 3), [0, 2], lambda: segments(2)),
+    "cube(3)": (("path", 5), [0, 2, 4], lambda: segments(3)),
+    "hexagonal_prism": (("fork", None), [0, 2, 3], lambda: product_poset(segments(1), permutahedron_oracle(2))),
+    "product(hexagon x hexagon)": (
+        ("path", 5), [0, 1, 3, 4], lambda: product_poset(permutahedron_oracle(2), permutahedron_oracle(2))
+    ),
+    "toroid_63_11": (("cycle", 3), [0, 1, 2], lambda: hexagonal_toroid(1, 1)),
+    "toroid_63_22": (("star", 3), [0, 1, 2], lambda: hexagonal_toroid(2, 2)),
+}
+
+
+@pytest.mark.parametrize("label", TYPE_ORACLES)
+def test_each_type_name_matches_its_oracle(label):
+    (name, n), edges, oracle = TYPE_ORACLES[label]
+    graph = preset_graph(name, n)
+    assert classify_by_construction(graph, frozenset(edges)).label == label
+    assert posets_isomorphic(labelled_poset(graph, edges), oracle())
+
+
+def test_toroid_oracles_do_not_cross():
+    triangle = labelled_poset(preset_graph("cycle", 3), range(3))
+    star = labelled_poset(preset_graph("star", 3), range(3))
+    assert hexagonal_toroid(1, 1).f_vector() == (6, 9, 3, 1)
+    assert hexagonal_toroid(2, 2).f_vector() == (24, 36, 12, 1)
+    assert not posets_isomorphic(triangle, hexagonal_toroid(2, 2))
+    assert not posets_isomorphic(star, hexagonal_toroid(1, 1))
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+def test_labelled_poset_of_all_edges_is_the_graphicahedron(q):
+    for graph in connected_graphs_with_edges(q):
+        assert posets_isomorphic(full_poset(build(graph)), labelled_poset(graph, range(graph.q)))
+
+
+def test_labelled_poset_and_oracle_build_without_cosets(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the model used the Cayley construction")
+
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "graphicahedron"]
+    for module in modules:
+        for attr in ("build", "canonical_rep", "coset_reps"):
+            if hasattr(module, attr):
+                monkeypatch.setattr(module, attr, refuse)
+    assert labelled_poset(preset_graph("fork"), [0, 2, 3]).f_vector() == (12, 18, 8, 1)
+    assert permutahedron_oracle(3).f_vector() == (24, 36, 14, 1)
+
+
 def test_rank3_references_are_distinct():
-    tags = [permutahedron_type(3), HEXAGONAL_PRISM, cube_type(3), TOROID_63_11, TOROID_63_22]
-    f_vectors = [reference_poset(tag).f_vector() for tag in tags]
-    assert len(set(f_vectors)) == len(tags)
-    assert reference_poset(cube_type(3)).f_vector() == (8, 12, 6, 1)
-
-
-def test_types_without_a_reference():
-    assert reference_poset(FaceType("unrecognized", certificate=(5, 4, (1, 1, 1, 1, 4)))) is None
-    assert reference_poset(permutahedron_type(6)) is None
-    assert reference_poset(FaceType("product", parts=(SEGMENT, permutahedron_type(6)))) is None
+    oracles = [
+        permutahedron_oracle(3),
+        product_poset(segments(1), permutahedron_oracle(2)),
+        segments(3),
+        hexagonal_toroid(1, 1),
+        hexagonal_toroid(2, 2),
+    ]
+    f_vectors = [oracle.f_vector() for oracle in oracles]
+    assert len(set(f_vectors)) == len(oracles)
+    assert segments(3).f_vector() == (8, 12, 6, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +292,8 @@ def test_census_totals_match_face_count():
 
 def test_census_agreement_on_rank3_facets_of_q4_presets():
     # facet_census raises when a facet's interval disagrees with the
-    # reference poset of its type; run it on every 4-edge preset so each
-    # rank-3 facet passes that check
+    # labelled model of its edge subset; run it on every 4-edge preset so
+    # each rank-3 facet passes that check
     for name, n in [("path", 4), ("cycle", 4), ("star", 4), ("paw", None), ("fork", None)]:
         facet_census(hedron(name, n))
 
@@ -261,16 +322,39 @@ CENSUSES = {
 
 @pytest.mark.parametrize("name, n", list(CENSUSES), ids=[f"{a}:{b}" if b else a for a, b in CENSUSES])
 def test_census_at_every_facet_rank(name, n):
-    # facet_census raises unless every facet whose type has a reference
-    # poset is isomorphic to it, whatever the facet rank
+    # facet_census raises unless every facet is isomorphic to the labelled
+    # model of its edge subset, whatever the facet rank
     assert facet_census(hedron(name, n)).as_dict() == CENSUSES[name, n]
 
 
-@pytest.mark.parametrize("name, n", [("cycle", 3), ("paw", None), ("fork", None)])
+@pytest.mark.parametrize("name, n", [("cycle", 3), ("paw", None), ("fork", None), ("star", 5)])
 def test_census_rejects_a_dropped_vertex(name, n):
     P = hedron(name, n)
     with pytest.raises(InternalInconsistencyError, match=r"^facet K\{.*reference$"):
         facet_census(drop_face(P, P.faces(0)[0]))
+
+
+# The 12 connected graphs with 5 edges, as 1-based edge lists.
+Q5_GRAPHS = [
+    [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)],
+    [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3)],
+    [(1, 2), (1, 3), (1, 4), (2, 3), (2, 5)],
+    [(1, 2), (1, 3), (1, 4), (2, 3), (4, 5)],
+    [(1, 2), (1, 3), (1, 4), (2, 5), (3, 5)],
+    [(1, 2), (1, 3), (2, 4), (3, 5), (4, 5)],
+    [(1, 2), (1, 3), (1, 4), (1, 5), (1, 6)],
+    [(1, 2), (1, 3), (1, 4), (1, 5), (2, 6)],
+    [(1, 2), (1, 3), (1, 4), (2, 5), (2, 6)],
+    [(1, 2), (1, 3), (1, 4), (2, 5), (3, 6)],
+    [(1, 2), (1, 3), (1, 4), (2, 5), (5, 6)],
+    [(1, 2), (1, 3), (2, 4), (3, 5), (4, 6)],
+]
+
+
+@pytest.mark.parametrize("edges", Q5_GRAPHS, ids=lambda edges: ",".join(f"{i}-{j}" for i, j in edges))
+def test_census_checks_every_facet_of_the_q5_graphs(edges):
+    graph = make_graph(max(map(max, edges)), [(i - 1, j - 1) for i, j in edges])
+    assert facet_census(build(graph)).total == face_count(graph, 4)
 
 
 def test_census_euler_characteristic_per_tag():

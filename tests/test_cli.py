@@ -98,6 +98,10 @@ def test_capacity_exits_3(capsys):
         ("build", "--edges", "1-3000"),
         ("verify", "--edges", "1-3000"),
         ("export", "--edges", "1-3000", "--what", "cayley"),
+        ("build", "--preset", "star:99999999999999999999999"),
+        ("build", "--preset", "path:30000000"),
+        ("verify", "--preset", "cycle:30000000"),
+        ("export", "--preset", "path:30000000", "--what", "skeleton:1"),
     ],
 )
 def test_huge_graph_exits_3_before_any_factorial(capsys, argv):
@@ -377,6 +381,8 @@ def test_export_unknown_target_exits_1(capsys):
         ("preset", "cayley:3"),
         ("directory", "cayley"),
         ("non-ascii", "cayley"),
+        ("empty-edges", "cayley"),
+        ("empty-file-name", "cayley"),
     ],
 )
 def test_bad_input_exits_1_with_one_line(tmp_path, capsys, source, what):
@@ -384,6 +390,10 @@ def test_bad_input_exits_1_with_one_line(tmp_path, capsys, source, what):
         graph = ["--preset", "paw"]
     elif source == "directory":
         graph = ["--file", str(tmp_path)]
+    elif source == "empty-edges":
+        graph = ["--edges", ""]
+    elif source == "empty-file-name":
+        graph = ["--file", ""]
     else:
         path = tmp_path / "graph.txt"
         path.write_bytes("# caf\u00e9\n1 2\n".encode("utf-8"))

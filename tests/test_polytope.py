@@ -11,6 +11,7 @@ from oracles import (
     faces_on_no_flag,
     flags,
     pairwise_covers,
+    product_poset,
     sectionwise_strong_flag_connectedness,
 )
 
@@ -24,12 +25,12 @@ from graphicahedron import (
     flag_count,
     full_aut_order_via_flags,
     identity,
+    labelled_poset,
     make_graph,
     one_skeleton_equals_cayley,
     permutahedron_oracle,
     posets_isomorphic,
     preset_graph,
-    product_poset,
     skeleton,
     transposition_of_edge,
     tree_order_equals_coset_inclusion,
@@ -666,6 +667,7 @@ NUMBERED_POSETS = {
     "fork facet interval": fork_facet_interval,
     "prism": lambda: product_poset(full_poset(hedron("path", 1)), full_poset(hedron("path", 2))),
     "permutahedron oracle": lambda: permutahedron_oracle(3),
+    "labelled prism": lambda: labelled_poset(preset_graph("fork"), [0, 2, 3]),
 }
 
 
