@@ -3,10 +3,12 @@
 The construction supplies automorphisms directly: right multiplication by
 any element of S_p, and the action of any graph symmetry.  For graphs with
 more than one edge these generate the whole group, of order
-p! * |graph automorphisms|.  The flag-based counter knows nothing of that:
-it counts the images of a base flag under color-preserving flag-graph maps.
-The two numbers agree, and a polytope is regular exactly when they reach
-the flag count -- which happens only for the triangle and the stars.
+p! * |graph automorphisms|.  The frame-based counter knows nothing of that:
+it reads the stored face poset alone, where an automorphism is fixed by the
+image of one vertex with its edges in order (a frame), and counts a
+vertex's orbit times its stabiliser.  The two numbers agree, and a polytope
+is regular exactly when they reach the flag count -- which happens only for
+the triangle and the stars.
 """
 
 from graphicahedron import (

@@ -146,9 +146,12 @@ def labelled_poset(graph: SimpleGraph, edges: Iterable[int]) -> RankedPoset:
     position's label is the least vertex of the block holding it.  It is
     covered by the face over ``K`` plus an edge e whose labels merge e's
     two blocks (the same labels when e closes a cycle in ``K``).  Ids run
-    rank by rank in ``(K, labels)`` order.
+    rank by rank in ``(K, labels)`` order.  Raises ValueError on a
+    repeated edge index.
     """
     edges = sorted(edges)
+    if len(set(edges)) != len(edges):
+        raise ValueError(f"repeated edge index in {edges}")
     tops = components(graph, edges).blocks
     least_of: dict[tuple[int, ...], list[int]] = {}
     elements: list[tuple] = []

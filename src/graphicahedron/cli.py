@@ -187,7 +187,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     timings: dict[str, float] = {}
     graph = _graph_from_args(args)
-    # the automorphism count refuses large flag graphs; do so before any face is built
+    # the automorphism count refuses more than --max-flags flags; do so before any face is built
     polytope.check_buildable(graph, max_perms=args.max_perms)
     polytope.check_flag_capacity(graph, args.max_flags)
     hedron = polytope.build(graph, max_perms=args.max_perms)

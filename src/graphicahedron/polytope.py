@@ -22,9 +22,7 @@ missing from the store is simply a missing cover.
 
 The store is a :class:`posets.RankedPoset`, so the interval below a face
 is its down-set renumbered.  An intact polytope has exactly p!q! flags
-(maximal chains); the library's flag graph, :func:`posets.flag_graph`,
-serves the automorphism count and poset isomorphism, not the verifiers
-here.
+(maximal chains), but none is built: the verifiers here walk covers.
 
 The verifiers in this module re-check the defining polytope axioms from the
 stored poset: the diamond condition (exactly two faces strictly between any
@@ -468,23 +466,13 @@ def verify_strong_flag_connectedness(
 
 
 def vertex_figure_is_simplex(polytope: Graphicahedron, v: Face) -> bool:
-    """Whether the faces above a vertex form the Boolean lattice on q atoms.
-
-    Walks the up-set of ``v`` along covers and checks binomial counts per
-    rank.  A face reached from ``v`` is the one face with its edge set whose
-    coset contains ``v``, and each cover adds one edge, so with those counts
-    the up-set holds one face per edge subset, ordered by containment.
-    """
+    """Whether the faces above a vertex form the Boolean lattice on its q
+    edges (:meth:`RankedPoset.is_simple_at`), the check that the frame
+    route of the automorphism count makes at every vertex."""
     if v.rank != 0:
         raise ValueError("vertex figures are computed at rank-0 faces")
     start = polytope.id_of(v)
-    if start is None:
-        return False
-    ranks = polytope.ranks
-    per_rank = [0] * (polytope.rank + 1)
-    for i in polytope.up_set(start):
-        per_rank[ranks[i]] += 1
-    return per_rank == [math.comb(polytope.rank, r) for r in range(polytope.rank + 1)]
+    return start is not None and polytope.is_simple_at(start)
 
 
 # ---------------------------------------------------------------------------

@@ -1,32 +1,33 @@
-"""Graded posets on integer ids, and their flag graphs.
+"""Graded posets on integer ids, and their isomorphisms by vertex frames.
 
-:class:`RankedPoset` is the library's one graded-poset representation.
-The polytope's face store, its intervals and the models built
-independently of it (labelled partitions, ordered set partitions) all
-take its form.
-
-:func:`flag_graph` is the library's one flag graph: the maximal chains of
-a poset with one neighbour table per rank, which needs the poset to be
-*thin* (exactly two choices at every chain position), as every
-polytope-like poset here is.  The automorphism count and the isomorphism
-test run the color-preserving propagation :func:`propagate` on its tables.
+:class:`RankedPoset` is the one graded-poset form of the face store, its
+intervals and the models built independently of it.  In a *simple* poset
+the faces through a vertex are the subsets of its edges, so an
+isomorphism is fixed by where it sends one vertex and its edges in order,
+a *frame*.  :func:`map_frame` is the one propagation that extends a frame;
+:func:`posets_isomorphic` and the automorphism count
+(:attr:`RankedPoset.vertex_orbit_and_stabiliser`) both run on it.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from bisect import bisect_left
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Iterable, Iterator, Sequence
+
+from .errors import InternalInconsistencyError
 
 
 class RankedPoset:
     """A graded poset on the ids ``0..n-1``, numbered rank by rank.
 
-    ``ranks[i]`` is the rank of id i and ``down[i]`` the sorted ids that i
-    covers.  The greatest element is the last id and ``rank`` its rank;
-    the least element is implicit, below every id of rank 0.  A subclass
-    may provide ``ranks``, ``down``, ``rank`` and ``first_of_rank`` its own
-    way; the other methods derive from those.
+    ``ranks[i]`` is the rank of id i and ``down[i]`` the sorted list of ids
+    that i covers.  The greatest element is the last id and ``rank`` its
+    rank; the least element is implicit, below every id of rank 0.  A
+    subclass may provide ``ranks``, ``down``, ``rank`` and ``first_of_rank``
+    its own way; the other methods derive from those.
     """
 
     def __init__(self, ranks: Sequence[int], down: Sequence[Sequence[int]]):
@@ -63,122 +64,178 @@ class RankedPoset:
                 up[j].append(i)
         return up
 
-    def up_set(self, i: int) -> set[int]:
-        """All ids ``>= i``, by walking covers upward."""
-        return _closure(i, self.up)
-
     def down_set(self, i: int) -> set[int]:
         """All ids ``<= i``, by walking covers downward."""
-        return _closure(i, self.down)
+        return _closure([i], self.down.__getitem__)
 
     def vertices_below(self, i: int) -> int:
         ranks = self.ranks
         return sum(1 for j in self.down_set(i) if ranks[j] == 0)
 
+    def is_simple_at(self, v: int) -> bool:
+        """Whether the ids above the rank-0 id ``v`` form the Boolean lattice
+        on its ``rank`` edges.  Named by the set of v's edges below them, the
+        ids of rank r must be C(rank, r) distinct r-sets, covering r times as
+        many ids, since none covers more than the r sets one smaller."""
+        q, up = self.rank, self.up
+        level = {e: 1 << k for k, e in enumerate(up[v])}
+        for r in range(2, q + 1):
+            covers, above = 0, {}
+            for x, mask in level.items():
+                covers += len(up[x])
+                for y in up[x]:
+                    above[y] = above.get(y, 0) | mask
+            level, masks = above, {m for m in above.values() if m.bit_count() == r}
+            if not covers == r * len(level) == r * len(masks) == r * math.comb(q, r):
+                return False
+        return len(up[v]) == q
+
     @cached_property
-    def _flag_tables(self) -> list[list[int]]:
-        return flag_graph(self)[1]
+    def _frames_apply(self) -> bool:
+        """Whether frames fix isomorphisms (and the poset is thin): there is a
+        vertex, all are simple, edges cover two and higher ids cover some."""
+        ranks, down, first_edge = self.ranks, self.down, self.first_of_rank(1)
+        return len(self) > 0 and ranks[0] == 0 and all(map(self.is_simple_at, range(first_edge))) and all(
+            len(down[i]) == 2 if ranks[i] == 1 else down[i] for i in range(first_edge, len(self))
+        )
+
+    @cached_property
+    def vertex_orbit_and_stabiliser(self) -> tuple[int, int]:
+        """The size of vertex 0's orbit under the automorphisms and the order
+        of its stabiliser, each automorphism one frame test (:func:`map_frame`).
+
+        Frames at vertex 0 are tested one per left coset of the stabiliser
+        found so far, as a failing frame rules out its coset; then each vertex
+        outside the orbit found so far, until a frame there succeeds.  Raises
+        ValueError("poset is not thin") unless the frame check passes."""
+        if not self._frames_apply:
+            raise ValueError("poset is not thin")
+        edges = self.up[0]
+        if map_frame(self, self, 0, edges) is None:
+            raise InternalInconsistencyError("the 1-skeleton is not connected")
+        position = {e: k for k, e in enumerate(edges)}
+        found: list[list[int]] = []
+        gens: list[tuple[int, ...]] = []
+        group, ruled_out = {tuple(range(len(edges)))}, set()
+        for order in _frames_at(self, self, 0):
+            sigma = tuple(map(position.__getitem__, order))
+            if sigma in group or sigma in ruled_out:
+                continue
+            image = map_frame(self, self, 0, order)
+            if image is None:
+                ruled_out.update(tuple(sigma[k] for k in h) for h in group)
+                continue
+            found.append(image)
+            gens.append(sigma)
+            group = _closure(group, lambda g: (tuple(g[k] for k in s) for s in gens))
+            ruled_out = {tuple(bad[k] for k in h) for bad in ruled_out for h in group}
+        orbit = _closure([0], lambda v: (image[v] for image in found))
+        for w in range(1, self.first_of_rank(1)):
+            if w not in orbit:
+                frames = (map_frame(self, self, w, order) for order in _frames_at(self, self, w))
+                found.extend(itertools.islice(filter(None, frames), 1))
+                orbit = _closure([0], lambda v: (image[v] for image in found))
+        return len(orbit), len(group)
 
 
-def _closure(i: int, covers: Sequence[Sequence[int]]) -> set[int]:
-    seen = {i}
-    stack = [i]
+def _closure(starts: Iterable, step: Callable[[object], Iterable]) -> set:
+    """Everything reached from ``starts`` by repeated ``step``."""
+    seen = set(starts)
+    stack = list(seen)
     while stack:
-        for j in covers[stack.pop()]:
-            if j not in seen:
-                seen.add(j)
-                stack.append(j)
+        for y in step(stack.pop()):
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
     return seen
 
 
-def flag_graph(poset: RankedPoset) -> tuple[list[tuple[int, ...]], list[list[int]]]:
-    """The flag graph of a thin graded poset.
+def _two_face(poset: RankedPoset, e: int, f: int) -> int:
+    """The 2-face above the edges ``e`` and ``f``, which meet at a simple vertex."""
+    down = poset.down
+    return next(t for t in poset.up[e] if f in down[t])
 
-    The flags are the maximal chains from the last id down ``poset.rank``
-    covers, each a tuple of ids indexed by rank, in increasing tuple order:
-    the flags through the least element come first, which keeps the
-    automorphism count's first candidates at one vertex.  ``tables[s][x]``
-    is the flag that differs from flag ``x`` only at rank ``s``.  Raises
-    ValueError("poset is not thin") when there is no flag, or when some
-    flag has no such neighbour or more than one.
+
+def _other_edge(down: Sequence[Sequence[int]], t: int, x: int, e: int) -> int:
+    """The edge other than ``e`` at the vertex ``x`` below the 2-face ``t``."""
+    return next(h for h in down[t] if h != e and x in down[h])
+
+
+def _frames_at(a: RankedPoset, b: RankedPoset, w: int) -> Iterator[tuple[int, ...]]:
+    """The orderings of the edges at b's vertex ``w`` in which every pair
+    spans a 2-face of as many edges as the matching pair at a's vertex 0."""
+    want = [len(a.down[_two_face(a, e, f)]) for e, f in itertools.combinations(a.up[0], 2)]
+    gon = {(e, f): len(b.down[_two_face(b, e, f)]) for e, f in itertools.permutations(b.up[w], 2)}
+    return (
+        order for order in itertools.permutations(b.up[w])
+        if [gon[pair] for pair in itertools.combinations(order, 2)] == want
+    )
+
+
+def map_frame(a: RankedPoset, b: RankedPoset, w: int, edges: Sequence[int]) -> list[int] | None:
+    """The isomorphism from ``a`` onto ``b`` (both passing the frame check,
+    with equal f-vectors) sending a's vertex 0 to ``w`` and its edges, in id
+    order, to ``edges``, the edges at ``w``; None if there is none.
+
+    Crossing an edge e from v to u, each 2-face above e meets u in e and an
+    edge f, and v in e and an edge g; f goes to the edge at u's image below
+    the 2-face of the images of e and g.  A higher face goes to the
+    face covering the images of its down-covers.  Only an injective map,
+    which then keeps every down-cover list, is returned.
     """
-    down, rank = poset.down, poset.rank
-    chains = [(len(poset) - 1,)]
-    for _ in range(rank):
-        chains = [(x, *chain) for chain in chains for x in down[chain[0]]]
-    chains.sort()
-    tables = []
-    for s in range(rank):
-        table = [-1] * len(chains)
-        first: dict[tuple[int, ...], int] = {}
-        for x, chain in enumerate(chains):
-            y = first.setdefault(chain[:s] + chain[s + 1:], x)
-            if y != x:
-                if table[y] != -1:
-                    raise ValueError("poset is not thin")
-                table[x] = y
-                table[y] = x
-        tables.append(table)
-    if not chains or any(-1 in table for table in tables):
-        raise ValueError("poset is not thin")
-    return chains, tables
+    up_a, down_a, up_b, down_b = a.up, a.down, b.up, b.down
+    image = [-1] * len(a)
+    used = bytearray(len(b))
 
+    def put(x: int, y: int) -> bool:
+        if image[x] == -1 and not used[y]:
+            image[x] = y
+            used[y] = 1
+        return image[x] == y
 
-def propagate(
-    tables_a: Sequence[Sequence[int]], tables_b: Sequence[Sequence[int]], image_of_base: int
-) -> list[int] | None:
-    """Extend ``0 -> image_of_base`` to a color-preserving injection.
-
-    ``tables_a[c][x]`` is the neighbor of node ``x`` along color ``c`` in
-    the first colored graph, ``tables_b`` the same for the second.  On a
-    connected first graph the extension is unique if it exists.  Returns
-    the map as a list, or None at the first conflict or repeated image, or
-    when the first graph is not connected.
-    """
-    mapping = [-1] * len(tables_a[0])
-    mapping[0] = image_of_base
-    used = bytearray(len(tables_b[0]))
-    used[image_of_base] = 1
-    pairs = tuple(zip(tables_a, tables_b))
+    for x, y in zip((0, *up_a[0]), (w, *edges)):
+        put(x, y)
     stack = [0]
     while stack:
-        x = stack.pop()
-        y = mapping[x]
-        for ta, tb in pairs:
-            xs, ys = ta[x], tb[y]
-            known = mapping[xs]
-            if known == -1:
-                if used[ys]:
-                    return None
-                used[ys] = 1
-                mapping[xs] = ys
-                stack.append(xs)
-            elif known != ys:
+        v = stack.pop()
+        for e in up_a[v]:
+            u, ie = sum(down_a[e]) - v, image[e]
+            new = image[u] == -1
+            if not put(u, sum(down_b[ie]) - image[v]):
                 return None
-    return None if -1 in mapping else mapping
+            if new:
+                stack.append(u)
+                for t in up_a[e]:
+                    g, f = _other_edge(down_a, t, v, e), _other_edge(down_a, t, u, e)
+                    if not put(f, _other_edge(down_b, _two_face(b, ie, image[g]), image[u], ie)):
+                        return None
+    if -1 in image[:a.first_of_rank(1)]:
+        return None
+    for x in range(a.first_of_rank(2), len(a)):
+        below = sorted(image[y] for y in down_a[x])
+        y = next((t for t in up_b[below[0]] if down_b[t] == below), None)
+        if y is None or not put(x, y):
+            return None
+    return image
 
 
 def posets_isomorphic(a: RankedPoset, b: RankedPoset) -> bool:
-    """Rank- and incidence-preserving bijection test for thin graded posets.
+    """Rank- and incidence-preserving bijection test for simple graded posets.
 
-    Works on the flag graphs (:func:`flag_graph`, which raises ValueError
-    unless both posets are thin): fixes a base flag of ``a`` and tries
-    every flag of ``b`` as its image with :func:`propagate`.  Any
-    successful propagation is a poset isomorphism; if none succeeds the
-    posets differ.  ``b`` keeps its flag graph, so a reference tested
-    against many posets builds it once.
-
-    Assumes both flag graphs are connected (true for every polytope-like
-    poset, where this is strong flag-connectedness); on a disconnected
-    input the test is conservative and may report False.
+    Tries each frame of ``b`` that keeps the 2-face sizes at a's vertex 0
+    as the image of that vertex's frame (:func:`map_frame`).  Raises
+    ValueError("poset is not thin") unless both pass the frame check; ``b``
+    keeps its verdict and covers for the next test.  On a disconnected
+    1-skeleton the test is conservative and may report False.
     """
     if a.f_vector() != b.f_vector():
         return False
     if a.rank <= 0:
         return True
-    _, tables_a = flag_graph(a)
-    tables_b = b._flag_tables
-    n = len(tables_a[0])
-    if n != len(tables_b[0]):
-        return False
-    return any(propagate(tables_a, tables_b, image) is not None for image in range(n))
+    if not (a._frames_apply and b._frames_apply):
+        raise ValueError("poset is not thin")
+    return any(
+        map_frame(a, b, w, order) is not None
+        for w in range(b.first_of_rank(1))
+        for order in _frames_at(a, b, w)
+    )

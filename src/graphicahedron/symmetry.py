@@ -8,12 +8,8 @@ they generate a semidirect product of order p! * |graph automorphisms|
 whenever the graph has more than one edge.
 
 Independently of that construction, the full automorphism group is counted
-on the flag graph of the stored face poset (:func:`posets.flag_graph`): an
-automorphism is pinned down by the image of a single flag, and
-acts freely, so the group order equals the size of the orbit of a fixed
-base flag.  The orbit is grown from the automorphisms found so far,
-and a candidate image is tested only when no earlier test has already
-decided its orbit.
+on the stored face poset by vertex frames (:mod:`posets`): the size of a
+vertex's orbit times its stabiliser.
 """
 
 from __future__ import annotations
@@ -23,9 +19,8 @@ from dataclasses import dataclass
 
 from .errors import InternalInconsistencyError
 from .graphs import GraphAutomorphism, SimpleGraph, automorphisms, is_star, is_triangle
-from .perms import Perm, all_perms, canonical_rep, compose, conjugate
+from .perms import Perm, canonical_rep, compose, conjugate
 from .polytope import Face, Graphicahedron, check_flag_capacity, flag_count
-from .posets import flag_graph, propagate
 
 DEFAULT_MAX_FLAGS = 5000
 
@@ -78,49 +73,13 @@ def semidirect_applies(graph: SimpleGraph) -> bool:
 
 
 def full_aut_order_via_flags(polytope: Graphicahedron, max_flags: int = DEFAULT_MAX_FLAGS) -> int:
-    """Count polytope automorphisms directly on the flag graph.
-
-    Fix flag 0 as base.  Each candidate image flag determines at most one
-    color-preserving extension over the connected flag graph (:func:`propagate`).
-    A success is an automorphism: merging every flag with its image keeps
-    the classes equal to the orbits of the group found so far.  A failure
-    rules out the candidate's whole class, and candidates in a decided class
-    are skipped.  The action is free, so the order is the size of the base
-    flag's class once every candidate is decided.
-
-    The flag graph is :func:`flag_graph` of the stored poset, so a face
-    missing from the store shows: ValueError unless the poset is thin.
-    """
+    """Count polytope automorphisms on the vertex frames of the stored poset,
+    after :func:`check_flag_capacity`: vertex 0's orbit times its stabiliser
+    (:attr:`RankedPoset.vertex_orbit_and_stabiliser`).  A face missing from
+    the store shows: ValueError unless every vertex figure is a simplex."""
     check_flag_capacity(polytope.graph, max_flags)
-    chains, tables = flag_graph(polytope)
-    n = len(chains)
-    if polytope.graph.q == 0:
-        return 1
-    if propagate(tables, tables, 0) is None:
-        raise InternalInconsistencyError("flag graph is not connected")
-    parent = list(range(n))
-    bad = bytearray(n)
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
-    for candidate in range(1, n):
-        root = find(candidate)
-        if bad[root] or root == find(0):
-            continue
-        image = propagate(tables, tables, candidate)
-        if image is None:
-            bad[root] = 1
-            continue
-        for x, y in enumerate(image):
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[ry] = rx
-                bad[rx] |= bad[ry]
-    base = find(0)
-    return sum(find(x) == base for x in range(n))
+    orbit, stabiliser = polytope.vertex_orbit_and_stabiliser
+    return orbit * stabiliser
 
 
 def regular_by_graph_shape(graph: SimpleGraph) -> bool:
@@ -151,16 +110,9 @@ def _regular_by_order(polytope: Graphicahedron, aut_order: int) -> bool:
 
 
 def is_vertex_transitive(polytope: Graphicahedron) -> bool:
-    """Simple transitivity on vertices, verified constructively.
-
-    Right multiplication maps the base vertex onto every vertex exactly
-    once as the multiplier runs over S_p; freeness at one point of a
-    transitive group action gives the unique transporter for every pair.
-    """
-    vertices = polytope.faces(0)
-    base = vertices[0]
-    images = {apply_right(polytope, gamma, base) for gamma in all_perms(polytope.graph.p)}
-    return len(images) == len(vertices) and images == set(vertices)
+    """Whether vertex 0's orbit under the automorphisms counted on frames
+    is every vertex."""
+    return polytope.vertex_orbit_and_stabiliser[0] == polytope.first_of_rank(1)
 
 
 @dataclass(frozen=True)

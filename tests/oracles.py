@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from graphicahedron import (
     Perm,
@@ -152,6 +152,128 @@ def hexagonal_toroid(b: int, c: int) -> RankedPoset:
     )
     ranks = [0] * len(vertices) + [1] * len(edges) + [2] * len(hexagons) + [3]
     return RankedPoset(ranks, down)
+
+
+# ---------------------------------------------------------------------------
+# The flag graph of a stored poset and the color-preserving propagation on
+# it: the references the library's vertex-frame route is tested against.
+
+
+def flag_graph(poset: RankedPoset) -> tuple[list[tuple[int, ...]], list[list[int]]]:
+    """The flag graph of a thin graded poset.
+
+    The flags are the maximal chains from the last id down ``poset.rank``
+    covers, each a tuple of ids indexed by rank, in increasing tuple order:
+    the flags through the least element come first, which keeps the
+    automorphism count's first candidates at one vertex.  ``tables[s][x]``
+    is the flag that differs from flag ``x`` only at rank ``s``.  Raises
+    ValueError("poset is not thin") when there is no flag, or when some
+    flag has no such neighbour or more than one.
+    """
+    down, rank = poset.down, poset.rank
+    chains = [(len(poset) - 1,)]
+    for _ in range(rank):
+        chains = [(x, *chain) for chain in chains for x in down[chain[0]]]
+    chains.sort()
+    tables = []
+    for s in range(rank):
+        table = [-1] * len(chains)
+        first: dict[tuple[int, ...], int] = {}
+        for x, chain in enumerate(chains):
+            y = first.setdefault(chain[:s] + chain[s + 1:], x)
+            if y != x:
+                if table[y] != -1:
+                    raise ValueError("poset is not thin")
+                table[x] = y
+                table[y] = x
+        tables.append(table)
+    if not chains or any(-1 in table for table in tables):
+        raise ValueError("poset is not thin")
+    return chains, tables
+
+
+def propagate(
+    tables_a: Sequence[Sequence[int]], tables_b: Sequence[Sequence[int]], image_of_base: int
+) -> list[int] | None:
+    """Extend ``0 -> image_of_base`` to a color-preserving injection.
+
+    ``tables_a[c][x]`` is the neighbor of node ``x`` along color ``c`` in
+    the first colored graph, ``tables_b`` the same for the second.  On a
+    connected first graph the extension is unique if it exists.  Returns
+    the map as a list, or None at the first conflict or repeated image, or
+    when the first graph is not connected.
+    """
+    mapping = [-1] * len(tables_a[0])
+    mapping[0] = image_of_base
+    used = bytearray(len(tables_b[0]))
+    used[image_of_base] = 1
+    pairs = tuple(zip(tables_a, tables_b))
+    stack = [0]
+    while stack:
+        x = stack.pop()
+        y = mapping[x]
+        for ta, tb in pairs:
+            xs, ys = ta[x], tb[y]
+            known = mapping[xs]
+            if known == -1:
+                if used[ys]:
+                    return None
+                used[ys] = 1
+                mapping[xs] = ys
+                stack.append(xs)
+            elif known != ys:
+                return None
+    return None if -1 in mapping else mapping
+
+
+def flag_aut_order(poset: RankedPoset) -> int:
+    """The automorphism group's order as the orbit of flag 0 under the
+    color-preserving maps of :func:`flag_graph`: a success merges every
+    flag with its image in a union-find, a failure rules out the
+    candidate's whole class, and the action is free.  Raises ValueError
+    unless the poset is thin."""
+    chains, tables = flag_graph(poset)
+    n = len(chains)
+    if poset.rank == 0:
+        return 1
+    if propagate(tables, tables, 0) is None:
+        raise AssertionError("flag graph is not connected")
+    parent = list(range(n))
+    bad = bytearray(n)
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    for candidate in range(1, n):
+        root = find(candidate)
+        if bad[root] or root == find(0):
+            continue
+        image = propagate(tables, tables, candidate)
+        if image is None:
+            bad[root] = 1
+            continue
+        for x, y in enumerate(image):
+            rx, ry = find(x), find(y)
+            if rx != ry:
+                parent[ry] = rx
+                bad[rx] |= bad[ry]
+    base = find(0)
+    return sum(find(x) == base for x in range(n))
+
+
+def flag_posets_isomorphic(a: RankedPoset, b: RankedPoset) -> bool:
+    """Isomorphism of thin graded posets on their flag graphs: every flag
+    of ``b`` is tried as the image of a's flag 0."""
+    if a.f_vector() != b.f_vector():
+        return False
+    if a.rank <= 0:
+        return True
+    _, tables_a = flag_graph(a)
+    _, tables_b = flag_graph(b)
+    n = len(tables_a[0])
+    return n == len(tables_b[0]) and any(propagate(tables_a, tables_b, k) is not None for k in range(n))
 
 
 def pairwise_covers(polytope) -> tuple[dict, dict]:
@@ -387,7 +509,12 @@ def sectionwise_strong_flag_connectedness(polytope, drop_color=None) -> VerifyRe
         for top in range(polytope.first_of_rank(2), len(ranks)):
             yield None, top, None
         for low in range(polytope.first_of_rank(q - 2)):
-            above = polytope.up_set(low)
+            above, stack = {low}, [low]
+            while stack:
+                for g in polytope.up[stack.pop()]:
+                    if g not in above:
+                        above.add(g)
+                        stack.append(g)
             for top in sorted(above):
                 if ranks[top] >= ranks[low] + 3:
                     yield low, top, above

@@ -13,6 +13,7 @@ from oracles import (
     all_set_partitions,
     brute_coset,
     connected_graphs_with_edges,
+    flag_graph,
     flags,
     graphs_isomorphic,
 )
@@ -43,7 +44,6 @@ from graphicahedron import (
 )
 from graphicahedron.classify import HEXAGON, SQUARE
 from graphicahedron.polytope import drop_face, full_poset, interval_below
-from graphicahedron.posets import flag_graph
 
 CRITERION_1_GRAPHS = [
     ("P_1", preset_graph("path", 1)),

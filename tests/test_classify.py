@@ -4,7 +4,13 @@ import sys
 from functools import reduce
 
 import pytest
-from oracles import connected_graphs_with_edges, hexagonal_toroid, product_poset, stirling2
+from oracles import (
+    connected_graphs_with_edges,
+    flag_posets_isomorphic,
+    hexagonal_toroid,
+    product_poset,
+    stirling2,
+)
 
 from graphicahedron import (
     build,
@@ -210,6 +216,13 @@ def test_toroid_oracles_do_not_cross():
 def test_labelled_poset_of_all_edges_is_the_graphicahedron(q):
     for graph in connected_graphs_with_edges(q):
         assert posets_isomorphic(full_poset(build(graph)), labelled_poset(graph, range(graph.q)))
+
+
+def test_labelled_poset_rejects_a_repeated_edge():
+    with pytest.raises(ValueError, match="repeated edge index"):
+        labelled_poset(preset_graph("path", 2), [0, 0])
+    with pytest.raises(ValueError, match="repeated edge index"):
+        labelled_poset(preset_graph("paw"), (3, 1, 3))
 
 
 def test_labelled_poset_and_oracle_build_without_cosets(monkeypatch):
@@ -430,7 +443,10 @@ def test_poset_isomorphism_distinguishes_equal_f_vectors(swap):
     ]
     for a, b in pairs:
         assert a.f_vector() == b.f_vector()
-        assert not posets_isomorphic(*((b, a) if swap else (a, b)))
+        ordered = (b, a) if swap else (a, b)
+        assert not posets_isomorphic(*ordered)
+        assert not flag_posets_isomorphic(*ordered)
+        assert posets_isomorphic(a, a) and flag_posets_isomorphic(a, a)
 
 
 def test_poset_isomorphism_rejects_posets_that_are_not_thin():

@@ -1,12 +1,19 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import graphicahedron
 from graphicahedron.cli import main
 
 
@@ -291,8 +298,11 @@ def test_deterministic_output(capsys):
 
 
 def test_deterministic_across_processes_and_hash_seeds():
+    src = str(Path(graphicahedron.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
     def run_once(seed):
-        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
         return subprocess.run(
             [sys.executable, "-m", "graphicahedron.cli", "analyze", "--preset", "paw"],
             capture_output=True,
@@ -529,3 +539,54 @@ def test_cli_stdout_is_pinned(capsys, argv, code, digest):
         assert err == ""
     else:
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# Arbitrary text, edge lists on up to 6 vertices, which reach the
+# connectivity and capacity checks, and trees on up to 5 vertices (vertex
+# k + 2 hangs from a vertex up to k + 1), which run the whole command.
+PAIRS = st.one_of(
+    st.lists(
+        st.tuples(st.integers(1, 6), st.integers(1, 6)).filter(lambda e: e[0] != e[1]),
+        min_size=1, max_size=6, unique_by=frozenset,
+    ),
+    st.lists(st.integers(1, 4), min_size=1, max_size=4).map(
+        lambda hangs: [(min(h, k + 1), k + 2) for k, h in enumerate(hangs)]
+    ),
+)
+EDGE_TEXT = st.one_of(st.text(max_size=30), PAIRS.map(lambda es: ",".join(f"{i}-{j}" for i, j in es)))
+FILE_TEXT = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=40),
+    PAIRS.map(lambda es: "\n".join(f"{i} {j}" for i, j in es)),
+)
+COMMANDS = st.sampled_from([("analyze",), ("verify", "--max-perms", "24")])
+
+
+def run_quietly(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_clean_exit(code, err):
+    assert code in range(6)
+    assert "Traceback" not in err
+    assert err == "" or (err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(EDGE_TEXT, COMMANDS)
+def test_any_edges_text_ends_in_an_exit_code_and_one_line(text, command):
+    code, _, err = run_quietly(*command, f"--edges={text}")
+    assert_clean_exit(code, err)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(FILE_TEXT, COMMANDS)
+def test_any_graph_file_ends_in_an_exit_code_and_one_line(text, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "graph.txt")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        code, _, err = run_quietly(*command, "--file", path)
+    assert_clean_exit(code, err)

@@ -1,5 +1,7 @@
+import importlib
 import itertools
 import math
+import pkgutil
 import random
 
 import pytest
@@ -9,9 +11,11 @@ from oracles import (
     brute_coset,
     construction_flag_tables,
     faces_on_no_flag,
+    flag_graph,
     flags,
     pairwise_covers,
     product_poset,
+    propagate,
     sectionwise_strong_flag_connectedness,
 )
 
@@ -38,6 +42,7 @@ from graphicahedron import (
     verify_strong_flag_connectedness,
     vertex_figure_is_simplex,
 )
+import graphicahedron
 from graphicahedron import polytope, posets
 from graphicahedron.errors import CapacityError
 from graphicahedron.polytope import (
@@ -49,7 +54,7 @@ from graphicahedron.polytope import (
     full_poset,
     interval_below,
 )
-from graphicahedron.posets import RankedPoset, flag_graph, propagate
+from graphicahedron.posets import RankedPoset
 
 SMALL_PRESETS = [
     ("path", 1),
@@ -310,14 +315,19 @@ def test_construction_flag_graph_maps_onto_the_poset_flag_graph(spec):
 
 @pytest.mark.parametrize("name", ["paw", "fork"])
 def test_strong_flag_connectedness_builds_no_flag_graph(monkeypatch, name):
+    # No module of the library defines a flag graph, and the verifier does
+    # not go through the frame propagation either: it walks covers.
+    for info in pkgutil.iter_modules(graphicahedron.__path__):
+        module = importlib.import_module(f"graphicahedron.{info.name}")
+        assert not any(hasattr(module, attr) for attr in ("flag_graph", "propagate")), info.name
+    assert not hasattr(posets.RankedPoset, "_flag_tables")
     P = hedron(name)
     expected = [sectionwise_strong_flag_connectedness(P, drop_color=c) for c in [None, *range(P.rank)]]
 
     def refuse(*args):
-        raise AssertionError("a flag graph was built")
+        raise AssertionError("a frame map was built")
 
-    monkeypatch.setattr(posets, "flag_graph", refuse)
-    monkeypatch.setattr(polytope, "flag_graph", refuse, raising=False)
+    monkeypatch.setattr(posets, "map_frame", refuse)
     got = [verify_strong_flag_connectedness(P, drop_color=c) for c in [None, *range(P.rank)]]
     assert got == expected
     assert got[0].passed and not any(report.passed for report in got[1:])

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from oracles import flag_aut_order, propagate
 
 import graphicahedron
 
@@ -17,6 +18,7 @@ from graphicahedron import (
     build,
     conjugate,
     constructed_group_order,
+    facet_census,
     flag_count,
     full_aut_order_via_flags,
     identity,
@@ -24,10 +26,9 @@ from graphicahedron import (
     is_vertex_transitive,
     preset_graph,
 )
-from graphicahedron import symmetry
+from graphicahedron import posets, symmetry
 from graphicahedron.errors import CapacityError
 from graphicahedron.polytope import drop_face
-from graphicahedron.posets import propagate
 from graphicahedron.symmetry import (
     PolytopeAutomorphism,
     regular_by_graph_shape,
@@ -150,6 +151,34 @@ def test_flag_count_oracle_matches_constructed_order():
         assert full_aut_order_via_flags(P, max_flags=20000) == constructed_group_order(P.graph)
 
 
+@pytest.mark.parametrize("spec", [
+    "path:2", "path:3", "path:4", "cycle:3", "cycle:4", "cycle:5", "star:3", "star:4", "paw", "fork",
+])
+def test_frame_count_equals_the_flag_count(spec):
+    name, _, n = spec.partition(":")
+    P = hedron(name, int(n) if n else None)
+    assert full_aut_order_via_flags(P, max_flags=20000) == flag_aut_order(P)
+
+
+@pytest.mark.parametrize("spec", ["paw", "fork", "cycle:4"])
+def test_both_counts_reject_every_single_face_drop(spec):
+    name, _, n = spec.partition(":")
+    P = hedron(name, int(n) if n else None)
+    for face in P.all_faces():
+        dropped = drop_face(P, face)
+        with pytest.raises(ValueError, match="poset is not thin"):
+            full_aut_order_via_flags(dropped)
+        with pytest.raises(ValueError, match="poset is not thin"):
+            flag_aut_order(dropped)
+
+
+def test_cycle6_counts_on_frames_at_p6():
+    P = hedron("cycle", 6)
+    assert full_aut_order_via_flags(P, max_flags=10**6) == 8640 == constructed_group_order(P.graph)
+    assert is_vertex_transitive(P)
+    assert facet_census(P).total == 6
+
+
 def test_aut_summary_counts_once(monkeypatch):
     counted = []
     searched = []
@@ -175,24 +204,27 @@ def test_aut_summary_counts_once(monkeypatch):
         assert s.constructed_order == constructed_group_order(preset_graph(name, n))
 
 
-# propagate calls per count, the identity included: the flags through the
-# least vertex come first, so the first candidates share the base vertex.
-PROPAGATE_CALLS = {"paw": 15, "fork": 17, "star:4": 6, "cycle:5": 31}
+# frame tests per count, the identity included: one per left coset of the
+# stabiliser found so far at vertex 0, then one per vertex outside the orbit
+# grown so far.  A vertex's edges come in edge order, so its first frame is
+# a right multiplication and succeeds.
+FRAME_TESTS = {"paw": 5, "fork": 6, "star:4": 6, "cycle:5": 4}
 
 
-@pytest.mark.parametrize("spec", sorted(PROPAGATE_CALLS))
+@pytest.mark.parametrize("spec", sorted(FRAME_TESTS))
 def test_aut_count_tests_few_candidates(spec, monkeypatch):
     calls = []
 
     def counting(*args):
         calls.append(args[2])
-        return propagate(*args)
+        return real(*args)
 
-    monkeypatch.setattr(symmetry, "propagate", counting)
+    real = posets.map_frame
+    monkeypatch.setattr(posets, "map_frame", counting)
     name, _, n = spec.partition(":")
     P = hedron(name, int(n) if n else None)
     assert full_aut_order_via_flags(P, max_flags=20000) == constructed_group_order(P.graph)
-    assert len(calls) == PROPAGATE_CALLS[spec]
+    assert len(calls) == FRAME_TESTS[spec]
 
 
 def _alternating_cycles(n_cycles, length):
