@@ -76,14 +76,12 @@ def classify_2face(polytope: Graphicahedron, face: Face) -> FaceType:
     """
     if face.rank != 2:
         raise ValueError("classify_2face expects a rank-2 face")
-    e1, e2 = sorted(face.edges)
-    endpoints = set(polytope.graph.edges[e1]) & set(polytope.graph.edges[e2])
-    verdict = HEXAGON if endpoints else SQUARE
     i = polytope.id_of(face)
     if i is None:
         raise ValueError(f"{face_id(face)} is not a face of this polytope")
+    verdict = classify_by_construction(polytope.graph, face.edges)
     n_vertices = polytope.vertices_below(i)
-    if n_vertices != (6 if verdict is HEXAGON else 4):
+    if n_vertices != (6 if verdict == HEXAGON else 4):
         raise InternalInconsistencyError(
             f"2-face {face_id(face)} classified {verdict.label} but has {n_vertices} vertices"
         )

@@ -4,16 +4,20 @@ Subcommands: ``build`` (face counts), ``verify`` (polytope axioms),
 ``analyze`` (symmetry and facet census), ``export`` (Cayley graph or
 skeleton as DOT/JSON).  Exit codes: 0 ok, 1 parse error, 2 disconnected
 graph, 3 capacity exceeded, 4 axiom failure, 5 internal inconsistency.
+
+A bad, missing or unknown option or subcommand ends like a bad graph, in
+one ``error:`` line and exit 1; ``--max-*`` values take ASCII decimal digits.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
 import time
-from typing import Sequence
+from typing import Callable, Iterator, NoReturn, Sequence
 
 from . import classify, polytope, symmetry
 from .cayley import build_cayley, dot_graph, export_dot
@@ -44,7 +48,6 @@ ERROR_EXITS = {
     GraphicahedronError: EXIT_PARSE,
 }
 
-BUILD_MAX_PERMS = 5040  # p <= 7
 VERIFY_MAX_PERMS = 720  # p <= 6
 
 
@@ -64,7 +67,7 @@ def _graph_from_args(args: argparse.Namespace) -> SimpleGraph:
         try:
             with open(args.file, encoding="ascii") as handle:
                 text = handle.read()
-        except (OSError, UnicodeDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: a NUL in the name, or non-ASCII text
             raise ParseError(f"cannot read graph file: {exc}") from None
         return parse_graph(text)
     if args.edges is not None:
@@ -126,8 +129,16 @@ def _write_json_lists(payload: dict[str, list]) -> None:
     sys.stdout.write("{\n" + body + "\n}\n")
 
 
+@contextlib.contextmanager
+def _stage(timings: dict[str, float], name: str) -> Iterator[None]:
+    """Record the wall time of the enclosed block as ``timings[name]``."""
+    start = time.perf_counter()
+    yield
+    timings[name] = time.perf_counter() - start
+
+
 def _print_report(report: dict, args: argparse.Namespace, timings: dict) -> None:
-    if getattr(args, "timings", False):
+    if args.timings:
         report["timings"] = {k: round(v, 6) for k, v in timings.items()}
     sys.stdout.write(json.dumps(report, indent=2) + "\n")
 
@@ -135,9 +146,8 @@ def _print_report(report: dict, args: argparse.Namespace, timings: dict) -> None
 def cmd_build(args: argparse.Namespace) -> int:
     timings: dict[str, float] = {}
     graph = _graph_from_args(args)
-    t0 = time.perf_counter()
-    hedron = polytope.build(graph, max_perms=args.max_perms)
-    timings["build"] = time.perf_counter() - t0
+    with _stage(timings, "build"):
+        hedron = polytope.build(graph, max_perms=args.max_perms)
     report = _report_head(graph, hedron)
     _print_report(report, args, timings)
     return EXIT_OK
@@ -156,19 +166,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     elif args.corrupt == "drop-adjacency" and graph.q >= 2:
         drop_color = 0
 
-    t0 = time.perf_counter()
-    diamond = polytope.verify_diamond(hedron)
-    timings["diamond"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    connected = polytope.verify_strong_flag_connectedness(hedron, drop_color=drop_color)
-    timings["strong_flag_connected"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    simple = all(
-        polytope.vertex_figure_is_simplex(hedron, v) for v in hedron.faces(0)
-    )
-    timings["simple"] = time.perf_counter() - t0
+    with _stage(timings, "diamond"):
+        diamond = polytope.verify_diamond(hedron)
+    with _stage(timings, "strong_flag_connected"):
+        connected = polytope.verify_strong_flag_connectedness(hedron, drop_color=drop_color)
+    with _stage(timings, "simple"):
+        simple = all(
+            polytope.vertex_figure_is_simplex(hedron, v) for v in hedron.faces(0)
+        )
 
     axioms: dict = {
         "diamond": "pass" if diamond.passed else "fail",
@@ -192,25 +197,17 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     polytope.check_flag_capacity(graph, args.max_flags)
     hedron = polytope.build(graph, max_perms=args.max_perms)
 
-    t0 = time.perf_counter()
-    summary = symmetry.aut_summary(hedron, max_flags=args.max_flags)
-    timings["symmetry"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    if graph.q >= 1:
-        census = classify.facet_census(hedron)
-        census_json = [
-            {"type": tag.label, "count": count, "sample_facet_id": sample}
-            for tag, count, sample in census.entries
-        ]
-    else:
-        census_json = []
-    timings["census"] = time.perf_counter() - t0
+    with _stage(timings, "symmetry"):
+        summary = symmetry.aut_summary(hedron, max_flags=args.max_flags)
+    with _stage(timings, "census"):
+        census = classify.facet_census(hedron).entries if graph.q >= 1 else ()
 
     report = _report_head(graph, hedron)
     report.update({
         "symmetry": dataclasses.asdict(summary),
-        "facet_census": census_json,
+        "facet_census": [
+            {"type": tag.label, "count": count, "sample_facet_id": sample} for tag, count, sample in census
+        ],
     })
     _print_report(report, args, timings)
     return EXIT_OK
@@ -251,72 +248,69 @@ def cmd_export(args: argparse.Namespace) -> int:
 
 
 def _cap(text: str) -> int:
-    """A ``--max-*`` value: a non-negative integer."""
+    """A ``--max-*`` value: a non-negative integer in ASCII decimal digits."""
     try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        value = parse_int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
     return value
 
 
-def _add_graph_source(parser: argparse.ArgumentParser) -> None:
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as :class:`ParseError`, as do its subcommands' parsers."""
+
+    def error(self, message: str) -> NoReturn:
+        # argparse leaves unrecognized arguments unquoted: escape their line breaks
+        raise ParseError("".join(c if c.isprintable() else ascii(c)[1:-1] for c in message))
+
+
+def _subcommand(
+    sub, name: str, func: Callable[[argparse.Namespace], int], summary: str,
+    max_perms: int = polytope.DEFAULT_MAX_PERMS, timings: bool = True,
+) -> argparse.ArgumentParser:
+    """A subcommand with its handler, one graph source, ``--max-perms`` and,
+    when it writes a JSON report (all but ``export``), ``--timings``."""
+    parser = sub.add_parser(name, help=summary)
     source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument("--file", help="graph file in edge-list format")
     source.add_argument("--edges", help='inline edge list, e.g. "1-2,2-3"')
     source.add_argument("--preset", help="named graph: path:N, cycle:N, star:N, paw, fork")
+    parser.add_argument("--max-perms", type=_cap, default=max_perms)
+    if timings:
+        parser.add_argument("--timings", action="store_true")
+    parser.set_defaults(func=func)
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="graphicahedron",
         description="Build, verify and analyze the graphicahedron of a connected graph.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_build = sub.add_parser("build", help="face counts and flag count")
-    _add_graph_source(p_build)
-    p_build.add_argument("--max-perms", type=_cap, default=BUILD_MAX_PERMS)
-    p_build.add_argument("--timings", action="store_true")
-    p_build.set_defaults(func=cmd_build)
-
-    p_verify = sub.add_parser("verify", help="check the abstract-polytope axioms")
-    _add_graph_source(p_verify)
-    p_verify.add_argument("--max-perms", type=_cap, default=VERIFY_MAX_PERMS)
-    p_verify.add_argument("--timings", action="store_true")
+    _subcommand(sub, "build", cmd_build, "face counts and flag count")
+    p_verify = _subcommand(sub, "verify", cmd_verify, "check the abstract-polytope axioms", VERIFY_MAX_PERMS)
     p_verify.add_argument(
         "--corrupt",
         choices=["drop-face", "drop-adjacency"],
         help=argparse.SUPPRESS,  # test-only defect injection
     )
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_analyze = sub.add_parser("analyze", help="symmetry group and facet census")
-    _add_graph_source(p_analyze)
-    p_analyze.add_argument("--max-perms", type=_cap, default=VERIFY_MAX_PERMS)
+    p_analyze = _subcommand(sub, "analyze", cmd_analyze, "symmetry group and facet census", VERIFY_MAX_PERMS)
     p_analyze.add_argument("--max-flags", type=_cap, default=symmetry.DEFAULT_MAX_FLAGS)
-    p_analyze.add_argument("--timings", action="store_true")
-    p_analyze.set_defaults(func=cmd_analyze)
-
-    p_export = sub.add_parser("export", help="Cayley graph or skeleton as DOT/JSON")
-    _add_graph_source(p_export)
+    p_export = _subcommand(sub, "export", cmd_export, "Cayley graph or skeleton as DOT/JSON", timings=False)
     p_export.add_argument("--what", required=True, help="cayley or skeleton:K")
     p_export.add_argument("--format", choices=["dot", "json"], default="dot")
-    p_export.add_argument("--max-perms", type=_cap, default=BUILD_MAX_PERMS)
-    p_export.set_defaults(func=cmd_export)
-
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_OK if exc.code in (0, None) else EXIT_PARSE
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit:  # --help printed its text: every other usage error is a ParseError
+        return EXIT_OK
     except GraphicahedronError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(ERROR_EXITS[cls] for cls in type(exc).__mro__ if cls in ERROR_EXITS)

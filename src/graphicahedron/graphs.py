@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import CapacityError, ParseError
 from .perms import Perm, VertexPartition, inverse
@@ -128,27 +128,28 @@ def parse_graph(text: str) -> SimpleGraph:
     return SimpleGraph(p, tuple(pairs))
 
 
+# name: (the least size n, None if it takes none; vertex count from n; edges from n)
+_PRESETS: dict[str, tuple[int | None, Callable[[int], int], Callable[[int], list[Edge]]]] = {
+    "path": (1, lambda n: n + 1, lambda n: [(v, v + 1) for v in range(n)]),
+    "cycle": (3, lambda n: n, lambda n: [(v, (v + 1) % n) for v in range(n)]),
+    "star": (1, lambda n: n + 1, lambda n: [(0, v) for v in range(1, n + 1)]),
+    "paw": (None, lambda n: 4, lambda n: [(0, 1), (0, 2), (1, 2), (0, 3)]),
+    "fork": (None, lambda n: 5, lambda n: [(0, 1), (1, 2), (2, 3), (2, 4)]),
+}
+
+
 def preset_order(name: str, n: int | None = None) -> int:
     """The vertex count of ``preset_graph(name, n)``, found without listing
     its edges; raises ValueError for the inputs that :func:`preset_graph`
     refuses."""
-    if name in ("paw", "fork"):
-        if n is not None:
-            raise ValueError(f"{name} takes no size parameter")
-        return 4 if name == "paw" else 5
-    if name == "path":
-        if n is None or n < 1:
-            raise ValueError("path needs a length n >= 1")
-        return n + 1
-    if name == "cycle":
-        if n is None or n < 3:
-            raise ValueError("cycle needs a length n >= 3")
-        return n
-    if name == "star":
-        if n is None or n < 1:
-            raise ValueError("star needs at least one edge")
-        return n + 1
-    raise ValueError(f"unknown preset {name!r}")
+    if name not in _PRESETS:
+        raise ValueError(f"unknown preset {name!r}")
+    least, order, _ = _PRESETS[name]
+    if least is None and n is not None:
+        raise ValueError(f"{name} takes no size parameter")
+    if least is not None and (n is None or n < least):
+        raise ValueError(f"{name} needs a size n >= {least}")
+    return order(n)
 
 
 def preset_graph(name: str, n: int | None = None) -> SimpleGraph:
@@ -158,16 +159,7 @@ def preset_graph(name: str, n: int | None = None) -> SimpleGraph:
     tree with degree sequence (3,2,1,1,1).  These are the only connected
     4-edge graphs besides the path, the cycle and the star.
     """
-    p = preset_order(name, n)
-    if name == "path":
-        return make_graph(p, [(v, v + 1) for v in range(n)])
-    if name == "cycle":
-        return make_graph(p, [(v, (v + 1) % n) for v in range(n)])
-    if name == "star":
-        return make_graph(p, [(0, v) for v in range(1, p)])
-    if name == "paw":
-        return make_graph(p, [(0, 1), (0, 2), (1, 2), (0, 3)])
-    return make_graph(p, [(0, 1), (1, 2), (2, 3), (2, 4)])
+    return make_graph(preset_order(name, n), _PRESETS[name][2](n))
 
 
 def components(graph: SimpleGraph, edge_subset: Iterable[int]) -> VertexPartition:

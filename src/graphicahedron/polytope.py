@@ -175,10 +175,9 @@ class Graphicahedron(RankedPoset):
         return [len(edges) for edges, reps in self.blocks for _ in reps]
 
     @cached_property
-    def _cover_ids(self) -> tuple[list[list[int]], list[list[int]]]:
-        up: list[list[int]] = [[] for _ in range(len(self))]
+    def down(self) -> list[list[int]]:
         down: list[list[int]] = [[] for _ in range(len(self))]
-        # Blocks come in id order and e ascends, so both lists end up sorted.
+        # Blocks come in id order, so each list ends up sorted.
         for (edges, reps), start in zip(self.blocks, self.starts):
             for e in range(self.rank):
                 if e in edges:
@@ -191,17 +190,8 @@ class Graphicahedron(RankedPoset):
                 for i, rep in enumerate(reps, start):
                     j = self._id_in_block(b, canonical_rep(part, rep))
                     if j is not None:
-                        up[i].append(j)
                         down[j].append(i)
-        return up, down
-
-    @property
-    def up(self) -> list[list[int]]:
-        return self._cover_ids[0]
-
-    @property
-    def down(self) -> list[list[int]]:
-        return self._cover_ids[1]
+        return down
 
     def covers(self) -> tuple[dict[Face, tuple[Face, ...]], dict[Face, tuple[Face, ...]]]:
         """``up`` and ``down`` as Face-keyed dicts, in ``all_faces()`` order."""
@@ -554,9 +544,13 @@ def interval_below(polytope: Graphicahedron, top: Face) -> RankedPoset:
         raise ValueError(f"{face_id(top)} is not a face of this polytope")
     inside = sorted(polytope.down_set(top_id))
     new_id = {i: k for k, i in enumerate(inside)}
-    return RankedPoset(
+    interval = RankedPoset(
         [polytope.ranks[i] for i in inside], [[new_id[j] for j in polytope.down[i]] for i in inside]
     )
+    # each vertex's up-set is Boolean if the store passes the frame check, and so is its part below top
+    if polytope._frames_apply:
+        interval._frames_apply = True
+    return interval
 
 
 def full_poset(polytope: Graphicahedron) -> RankedPoset:

@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -82,8 +83,41 @@ def test_preset_size_takes_ascii_digits_only(capsys, preset):
     assert err == f"error: bad preset size in {preset!r}\n"
 
 
-def test_usage_error_exits_1(capsys):
-    assert main(["build"]) == 1  # no graph source
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("build",),
+        ("analyze", "--edges", "-1-2"),
+        ("verify", "--preset", "paw", "--max-perms"),
+        ("bogus",),
+        (),
+        ("build", "--preset", "paw", "--file\nname"),
+        ("verify", "--preset", "paw", "--max-perms", "+720"),
+        ("verify", "--preset", "paw", "--max-perms", "7_20"),
+        ("verify", "--preset", "paw", "--max-perms", " 720 "),
+        ("verify", "--preset", "paw", "--max-perms", "\u0667\u0662\u0660"),
+        ("analyze", "--preset", "paw", "--max-flags", "5_000"),
+    ],
+    ids=[
+        "no-graph-source", "value-like-an-option", "missing-value", "unknown-subcommand", "no-subcommand",
+        "unknown-argument-with-a-line-break", "max-perms-plus", "max-perms-underscore", "max-perms-blanks",
+        "max-perms-arabic-indic", "max-flags-underscore",
+    ],
+)
+def test_usage_error_exits_1(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "usage:" not in err
+
+
+@pytest.mark.parametrize(
+    "argv", [(), ("build",), ("verify",), ("analyze",), ("export",)], ids=lambda argv: " ".join(argv) or "top-level"
+)
+def test_help_exits_0(capsys, argv):
+    code, out, err = run(capsys, *argv, "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: graphicahedron")
 
 
 def test_disconnected_exits_2(capsys):
@@ -393,6 +427,7 @@ def test_export_unknown_target_exits_1(capsys):
         ("non-ascii", "cayley"),
         ("empty-edges", "cayley"),
         ("empty-file-name", "cayley"),
+        ("nul-in-file-name", "cayley"),
     ],
 )
 def test_bad_input_exits_1_with_one_line(tmp_path, capsys, source, what):
@@ -404,6 +439,8 @@ def test_bad_input_exits_1_with_one_line(tmp_path, capsys, source, what):
         graph = ["--edges", ""]
     elif source == "empty-file-name":
         graph = ["--file", ""]
+    elif source == "nul-in-file-name":
+        graph = ["--file", "graph\x00.txt"]
     else:
         path = tmp_path / "graph.txt"
         path.write_bytes("# caf\u00e9\n1 2\n".encode("utf-8"))
@@ -589,4 +626,35 @@ def test_any_graph_file_ends_in_an_exit_code_and_one_line(text, command):
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
         code, _, err = run_quietly(*command, "--file", path)
+    assert_clean_exit(code, err)
+
+
+# A subcommand, a graph source option with a value, then up to three
+# options, each with or without a value, or stray tokens: every token on
+# its own, drawn from the subcommand and option names, values they take
+# and arbitrary text.  The trailing --max-perms 24 wins over any earlier
+# value, so no run builds a graph on more than 4 vertices.
+SUBCOMMANDS = ["build", "verify", "analyze", "export"]
+OPTIONS = st.sampled_from([
+    "--file", "--edges", "--preset", "--max-perms", "--max-flags", "--timings", "--what", "--format",
+    "--corrupt", "--help", "-h",
+])
+VALUES = st.one_of(
+    st.sampled_from(
+        SUBCOMMANDS + ["paw", "path:2", "1-2,2-3", "1-2,3-4", "cayley", "skeleton:1", "json", "drop-face"]
+    ),
+    st.text(max_size=12),
+)
+ARGV = st.tuples(
+    st.sampled_from(SUBCOMMANDS),
+    st.sampled_from(["--file", "--edges", "--preset"]),
+    VALUES,
+    st.lists(st.one_of(st.tuples(OPTIONS, VALUES), st.tuples(st.one_of(OPTIONS, VALUES))), max_size=3),
+).map(lambda drawn: [*drawn[:3], *itertools.chain.from_iterable(drawn[3])])
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(ARGV)
+def test_any_argv_ends_in_an_exit_code_and_one_line(argv):
+    code, _, err = run_quietly(*argv, "--max-perms", "24")
     assert_clean_exit(code, err)
