@@ -160,16 +160,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # the verifiers walk covers, so no flag count bounds them
     hedron = polytope.build(graph, max_perms=args.max_perms)
 
-    drop_color = None
-    if args.corrupt == "drop-face" and graph.q >= 1:
-        hedron = polytope.drop_face(hedron, hedron.faces(graph.q - 1)[0])
-    elif args.corrupt == "drop-adjacency" and graph.q >= 2:
-        drop_color = 0
-
     with _stage(timings, "diamond"):
         diamond = polytope.verify_diamond(hedron)
     with _stage(timings, "strong_flag_connected"):
-        connected = polytope.verify_strong_flag_connectedness(hedron, drop_color=drop_color)
+        connected = polytope.verify_strong_flag_connectedness(hedron)
     with _stage(timings, "simple"):
         simple = all(
             polytope.vertex_figure_is_simplex(hedron, v) for v in hedron.faces(0)
@@ -291,12 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     _subcommand(sub, "build", cmd_build, "face counts and flag count")
-    p_verify = _subcommand(sub, "verify", cmd_verify, "check the abstract-polytope axioms", VERIFY_MAX_PERMS)
-    p_verify.add_argument(
-        "--corrupt",
-        choices=["drop-face", "drop-adjacency"],
-        help=argparse.SUPPRESS,  # test-only defect injection
-    )
+    _subcommand(sub, "verify", cmd_verify, "check the abstract-polytope axioms", VERIFY_MAX_PERMS)
     p_analyze = _subcommand(sub, "analyze", cmd_analyze, "symmetry group and facet census", VERIFY_MAX_PERMS)
     p_analyze.add_argument("--max-flags", type=_cap, default=symmetry.DEFAULT_MAX_FLAGS)
     p_export = _subcommand(sub, "export", cmd_export, "Cayley graph or skeleton as DOT/JSON", timings=False)

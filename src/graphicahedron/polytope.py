@@ -25,12 +25,12 @@ is its down-set renumbered.  An intact polytope has exactly p!q! flags
 (maximal chains), but none is built: the verifiers here walk covers.
 
 The verifiers in this module re-check the defining polytope axioms from the
-stored poset: the diamond condition (exactly two faces strictly between any
-two incident faces two ranks apart) and strong flag-connectedness (every
-section of rank at least two has a connected flag graph).  By McMullen and
-Schulte, *Abstract Regular Polytopes* 2B, the latter is a property of the
-sections, so it is checked by walking covers upward from each bottom face,
-in time that grows with the faces rather than with the p!q! flags.
+stored poset alone, their negative controls being stores with faces dropped
+(:func:`drop_face`): the diamond condition (exactly two faces strictly between
+any two incident faces two ranks apart) and strong flag-connectedness (each
+section of rank two or more has a connected flag graph, a property of the
+sections alone by McMullen and Schulte, *Abstract Regular Polytopes* 2B),
+walked up the covers from each bottom face in time that grows with faces.
 """
 
 from __future__ import annotations
@@ -249,8 +249,8 @@ def face_count(graph: SimpleGraph, rank: int) -> int:
 
 
 def drop_face(polytope: Graphicahedron, face: Face) -> Graphicahedron:
-    """A defective copy with one face removed; used as a negative control
-    when exercising the axiom verifiers."""
+    """A copy of the store without ``face``: stores with faces dropped are
+    the negative controls of the axiom verifiers, which read only the poset."""
     return Graphicahedron(polytope.graph, (
         (edges, tuple(r for r in reps if r != face.rep) if edges == face.edges else reps)
         for edges, reps in polytope.blocks
@@ -390,9 +390,7 @@ def _walk_sections(atoms: Iterable[int], up: list[list[int]]) -> tuple[int, int 
     return tops, None
 
 
-def verify_strong_flag_connectedness(
-    polytope: Graphicahedron, drop_color: int | None = None
-) -> VerifyReport:
+def verify_strong_flag_connectedness(polytope: Graphicahedron) -> VerifyReport:
     """Strong flag-connectedness, checked section by section on the covers.
 
     A poset is strongly flag-connected when the flag graph of each section
@@ -413,25 +411,8 @@ def verify_strong_flag_connectedness(
     latest [least face, greatest face].  The report agrees with a search
     of the whole flag graph on every one- or two-face removal the tests
     try, and differs from it on some removals of three or more faces.
-
-    ``drop_color`` deletes one adjacency color from the full flag graph, a
-    negative-control hook for tests.  Flag 0 (the least chain as a tuple
-    indexed by rank) then reaches the flags through its rank-c face F_c:
-    chains(least, F_c) times chains(F_c, greatest) of the n chains on a
-    polytope, and fewer than n fail at ``checked`` 1.
     """
-    q = polytope.rank
     up = polytope.up
-    down_chains, up_chains = _chain_counts(polytope)
-    if drop_color in range(q):
-        n = sum(down_chains[polytope.first_of_rank(q):])
-        if n:
-            face = next(v for v in range(polytope.first_of_rank(1)) if up_chains[v])
-            for _ in range(drop_color):
-                face = next(j for j in up[face] if up_chains[j])
-            reached = down_chains[face] * up_chains[face]
-            if reached != n:
-                return VerifyReport(False, 1, f"flag graph has {n} flags but only {reached} reachable")
 
     def failure(bottom: int, top: int) -> str:
         bottom_id = face_id(polytope.face_at(bottom)) if bottom != -1 else "least face"
@@ -444,11 +425,12 @@ def verify_strong_flag_connectedness(
     if top is not None:
         return VerifyReport(False, 2 + top - first_top, failure(-1, top))
     checked = 1 + len(polytope) - first_top
-    for bottom in range(polytope.first_of_rank(q - 2)):
+    for bottom in range(polytope.first_of_rank(polytope.rank - 2)):
         tops, top = _walk_sections(up[bottom], up)
         checked += tops
         if top is not None:
             return VerifyReport(False, checked, failure(bottom, top))
+    down_chains, up_chains = _chain_counts(polytope)
     for i in range(len(polytope)):
         if not (down_chains[i] and up_chains[i]):
             return VerifyReport(False, checked, f"{face_id(polytope.face_at(i))} lies on no flag")

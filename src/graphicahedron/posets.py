@@ -100,6 +100,12 @@ class RankedPoset:
         )
 
     @cached_property
+    def _skeleton_connected(self) -> bool:
+        """Whether every vertex is reached from vertex 0 along the edges."""
+        reached = _closure([0], lambda v: (u for e in self.up[v] for u in self.down[e]))
+        return len(reached) == self.first_of_rank(1)
+
+    @cached_property
     def vertex_orbit_and_stabiliser(self) -> tuple[int, int]:
         """The size of vertex 0's orbit under the automorphisms and the order
         of its stabiliser, each automorphism one frame test (:func:`map_frame`).
@@ -110,13 +116,12 @@ class RankedPoset:
         ValueError("poset is not thin") unless the frame check passes."""
         if not self._frames_apply:
             raise ValueError("poset is not thin")
-        edges = self.up[0]
-        if map_frame(self, self, 0, edges) is None:
+        if not self._skeleton_connected:
             raise InternalInconsistencyError("the 1-skeleton is not connected")
-        position = {e: k for k, e in enumerate(edges)}
+        position = {e: k for k, e in enumerate(self.up[0])}
         found: list[list[int]] = []
         gens: list[tuple[int, ...]] = []
-        group, ruled_out = {tuple(range(len(edges)))}, set()
+        group, ruled_out = {tuple(range(len(position)))}, set()
         for order in _frames_at(self, self, 0):
             sigma = tuple(map(position.__getitem__, order))
             if sigma in group or sigma in ruled_out:
@@ -225,8 +230,8 @@ def posets_isomorphic(a: RankedPoset, b: RankedPoset) -> bool:
     Tries each frame of ``b`` that keeps the 2-face sizes at a's vertex 0
     as the image of that vertex's frame (:func:`map_frame`).  Raises
     ValueError("poset is not thin") unless both pass the frame check; ``b``
-    keeps its verdict and covers for the next test.  On a disconnected
-    1-skeleton the test is conservative and may report False.
+    keeps its verdict and covers for the next test.  A disconnected 1-skeleton
+    is not isomorphic to a connected one; two disconnected ones raise ValueError.
     """
     if a.f_vector() != b.f_vector():
         return False
@@ -234,6 +239,10 @@ def posets_isomorphic(a: RankedPoset, b: RankedPoset) -> bool:
         return True
     if not (a._frames_apply and b._frames_apply):
         raise ValueError("poset is not thin")
+    if a._skeleton_connected != b._skeleton_connected:
+        return False
+    if not a._skeleton_connected:
+        raise ValueError("the 1-skeleta are not connected")
     return any(
         map_frame(a, b, w, order) is not None
         for w in range(b.first_of_rank(1))

@@ -471,38 +471,18 @@ def _section_connected(index, bottom, top, above_bottom, mids_between) -> bool:
     return reached == len(chains)
 
 
-def sectionwise_strong_flag_connectedness(polytope, drop_color=None) -> VerifyReport:
-    """Strong flag-connectedness as the construction's flag graph
-    (:func:`construction_flag_tables`) plus a walk of every section's own
-    chains of stored faces.
+def sectionwise_strong_flag_connectedness(polytope) -> VerifyReport:
+    """Strong flag-connectedness as a walk of every section's own chains of
+    stored faces.
 
     Sections of rank below two are connected for trivial reasons, so only
     pairs of incident faces at rank distance three or more are walked (with
     the implicit least face and the greatest face included as endpoints).
     The upper ends of the sections above a face come from its up-set.
-    ``drop_color`` deletes one adjacency color from the full flag graph and
-    exists purely as a negative-control hook for tests.
+    ``checked`` counts the full flag graph once before the sections, as the
+    verifier does; its walk is the section [least face, greatest face].
     """
     q = polytope.rank
-    n, tables = construction_flag_tables(polytope)
-    colors = [j for j in range(q) if j != drop_color]
-    seen = bytearray(n)
-    seen[0] = 1
-    frontier = [0]
-    reached = 1
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for j in colors:
-                k = tables[j][i]
-                if not seen[k]:
-                    seen[k] = 1
-                    reached += 1
-                    nxt.append(k)
-        frontier = nxt
-    if reached != n:
-        return VerifyReport(False, 1, f"flag graph has {n} flags but only {reached} reachable")
-
     ranks = polytope.ranks
 
     def sections():

@@ -16,6 +16,7 @@ from oracles import (
     flag_graph,
     flags,
     graphs_isomorphic,
+    sectionwise_strong_flag_connectedness,
 )
 
 from graphicahedron import (
@@ -43,7 +44,7 @@ from graphicahedron import (
     vertex_figure_is_simplex,
 )
 from graphicahedron.classify import HEXAGON, SQUARE
-from graphicahedron.polytope import drop_face, full_poset, interval_below
+from graphicahedron.polytope import drop_face, face_id, full_poset, interval_below
 
 CRITERION_1_GRAPHS = [
     ("P_1", preset_graph("path", 1)),
@@ -116,12 +117,18 @@ def test_criterion_04_axioms():
         assert verify_diamond(P).passed, name
         assert verify_strong_flag_connectedness(P).passed, name
         assert all(vertex_figure_is_simplex(P, v) for v in P.faces(0)), name
-    # negative controls: a deleted face breaks the diamond count, a deleted
-    # adjacency color disconnects the flag graph
+    # negative controls: a deleted face breaks the diamond count, and two
+    # deleted opposite vertices of a hexagon leave its section in two
+    # pieces, as the section-by-section oracle finds too
     P = polytope_of("C_3")
     corrupted = drop_face(P, P.faces(1)[0])
     assert not verify_diamond(corrupted).passed
-    assert not verify_strong_flag_connectedness(P, drop_color=0).passed
+    for label in ("K{}:a(1,2,3)", "K{}:a(1,3,2)"):
+        P = drop_face(P, next(v for v in P.faces(0) if face_id(v) == label))
+    report = verify_strong_flag_connectedness(P)
+    assert report == sectionwise_strong_flag_connectedness(P)
+    assert not report.passed
+    assert report.failure == "section [least face, K{1,3}:a(1,2,3)] has a disconnected flag graph"
 
 
 @criterion(5, "automorphism group order is p! * |graph automorphisms|")

@@ -37,7 +37,7 @@ from graphicahedron.classify import (
 )
 from graphicahedron.errors import InternalInconsistencyError
 from graphicahedron.polytope import drop_face, full_poset, interval_below
-from graphicahedron.posets import RankedPoset
+from graphicahedron.posets import RankedPoset, map_frame
 
 
 def hedron(name, n=None):
@@ -447,6 +447,40 @@ def test_poset_isomorphism_distinguishes_equal_f_vectors(swap):
         assert not posets_isomorphic(*ordered)
         assert not flag_posets_isomorphic(*ordered)
         assert posets_isomorphic(a, a) and flag_posets_isomorphic(a, a)
+
+
+def test_disconnected_posets_are_not_compared():
+    # two triangles pass the frame check, but a frame reaches one triangle only
+    with pytest.raises(ValueError, match="^the 1-skeleta are not connected$"):
+        posets_isomorphic(two_triangles(), two_triangles())
+    with pytest.raises(InternalInconsistencyError, match="^the 1-skeleton is not connected$"):
+        two_triangles().vertex_orbit_and_stabiliser
+
+
+def with_down(poset, i, below):
+    """A copy of ``poset`` in which the id ``i`` covers ``below`` instead."""
+    down = [list(d) for d in poset.down]
+    down[i] = sorted(below)
+    return RankedPoset(list(poset.ranks), down)
+
+
+def test_map_frame_maps_every_higher_face_by_its_covers():
+    # A copy of paw's poset with its 2-skeleton kept and the first rank-3
+    # face changed: one down-cover swapped for another 2-face, or the next
+    # face's down-covers repeated.  Only the step above rank 2 can tell.
+    P = full_poset(hedron("paw"))
+    assert map_frame(P, P, 0, P.up[0]) == list(range(len(P)))
+    x = P.first_of_rank(3)
+    other = next(t for t in P.levels[2] if t not in P.down[x])
+    for below in ([other, *P.down[x][1:]], P.down[x + 1]):
+        copy = with_down(P, x, below)
+        assert copy.down[:x] == P.down[:x] and copy.f_vector() == P.f_vector()
+        assert map_frame(P, copy, 0, copy.up[0]) is None
+
+
+def test_map_frame_rejects_a_frame_that_misses_a_vertex():
+    triangles = two_triangles()
+    assert map_frame(triangles, triangles, 0, triangles.up[0]) is None
 
 
 def test_poset_isomorphism_rejects_posets_that_are_not_thin():

@@ -29,6 +29,27 @@ def run_json(capsys, *argv):
     return code, json.loads(out) if out else None, err
 
 
+# The faces a defective store lacks: its first facet or its greatest face.
+DROPPED = {
+    "first-facet": lambda P: P.faces(P.rank - 1)[0],
+    "greatest-face": lambda P: P.greatest_face,
+}
+
+
+def build_without(monkeypatch, dropped):
+    """Make ``polytope.build`` return the store without the face ``dropped``
+    names: the CLI has no defect switch, so a test injects the defect."""
+    from graphicahedron import polytope
+
+    real = polytope.build
+
+    def build(graph, max_perms=polytope.DEFAULT_MAX_PERMS):
+        store = real(graph, max_perms=max_perms)
+        return polytope.drop_face(store, DROPPED[dropped](store))
+
+    monkeypatch.setattr(polytope, "build", build)
+
+
 def test_build_hexagon(capsys):
     code, report, _ = run_json(capsys, "build", "--preset", "path:2")
     assert code == 0
@@ -97,11 +118,12 @@ def test_preset_size_takes_ascii_digits_only(capsys, preset):
         ("verify", "--preset", "paw", "--max-perms", " 720 "),
         ("verify", "--preset", "paw", "--max-perms", "\u0667\u0662\u0660"),
         ("analyze", "--preset", "paw", "--max-flags", "5_000"),
+        ("verify", "--preset", "paw", "--corrupt", "drop-face"),
     ],
     ids=[
         "no-graph-source", "value-like-an-option", "missing-value", "unknown-subcommand", "no-subcommand",
         "unknown-argument-with-a-line-break", "max-perms-plus", "max-perms-underscore", "max-perms-blanks",
-        "max-perms-arabic-indic", "max-flags-underscore",
+        "max-perms-arabic-indic", "max-flags-underscore", "no-defect-switch",
     ],
 )
 def test_usage_error_exits_1(capsys, argv):
@@ -175,7 +197,7 @@ def test_negative_caps_exit_1(capsys, argv):
     [
         (("--preset", "path:5", "--max-perms", "719"), "6! = 720 permutations exceeds the cap of 719"),
         (("--preset", "path:7", "--max-perms", "5040"), "8! = 40320 permutations exceeds the cap of 5040"),
-        (("--preset", "path:6", "--corrupt", "drop-face"), "7! = 5040 permutations exceeds the cap of 720"),
+        (("--preset", "path:6", "--timings"), "7! = 5040 permutations exceeds the cap of 720"),
         (("--edges", "1-2,3-4,5-6,6-7"), "7! = 5040 permutations exceeds the cap of 720"),
         (("--preset", "path:6"), "7! = 5040 permutations exceeds the cap of 720"),
         (("--edges", "1-2,1-3,1-4,2-3,2-4,3-4,5-6"), "the graphicahedron is only defined for connected graphs"),
@@ -201,8 +223,9 @@ def test_verify_at_p6_passes_at_the_defaults(capsys, preset):
     assert report["axioms"] == {"diamond": "pass", "strong_flag_connected": "pass", "simple": "pass"}
 
 
-def test_verify_at_p6_reports_a_dropped_face(capsys):
-    code, report, _ = run_json(capsys, "verify", "--preset", "path:5", "--corrupt", "drop-face")
+def test_verify_at_p6_reports_a_dropped_face(capsys, monkeypatch):
+    build_without(monkeypatch, "first-facet")
+    code, report, _ = run_json(capsys, "verify", "--preset", "path:5")
     assert code == 4
     assert report["axioms"]["diamond"] == "fail"
     assert report["axioms"]["witness"] == (
@@ -267,10 +290,9 @@ def test_verify_fork_passes(capsys):
     assert all(v == "pass" for v in report["axioms"].values())
 
 
-def test_verify_corrupted_poset_exits_4(capsys):
-    code, report, _ = run_json(
-        capsys, "verify", "--preset", "path:2", "--corrupt", "drop-face"
-    )
+def test_verify_corrupted_poset_exits_4(capsys, monkeypatch):
+    build_without(monkeypatch, "first-facet")
+    code, report, _ = run_json(capsys, "verify", "--preset", "path:2")
     assert code == 4
     assert report["axioms"]["diamond"] == "fail"
     assert "witness" in report["axioms"]
@@ -284,18 +306,23 @@ def test_verify_corrupted_poset_exits_4(capsys):
         ("fork", "1 faces between K{1,2}:a(1,2,3,4,5) and K{1,2,3,4}:a(1,2,3,4,5), expected 2"),
     ],
 )
-def test_verify_drop_face_witness_is_pinned(capsys, preset, witness):
-    code, report, _ = run_json(capsys, "verify", "--preset", preset, "--corrupt", "drop-face")
+def test_verify_drop_face_witness_is_pinned(capsys, monkeypatch, preset, witness):
+    build_without(monkeypatch, "first-facet")
+    code, report, _ = run_json(capsys, "verify", "--preset", preset)
     assert code == 4
     assert report["axioms"]["witness"] == witness
 
 
-def test_verify_dropped_adjacency_exits_4(capsys):
-    code, report, _ = run_json(
-        capsys, "verify", "--preset", "cycle:3", "--corrupt", "drop-adjacency"
-    )
+def test_verify_dropped_greatest_face_exits_4(capsys, monkeypatch):
+    build_without(monkeypatch, "greatest-face")
+    code, report, _ = run_json(capsys, "verify", "--preset", "cycle:3")
     assert code == 4
-    assert report["axioms"]["strong_flag_connected"] == "fail"
+    assert report["axioms"] == {
+        "diamond": "pass",
+        "strong_flag_connected": "fail",
+        "simple": "fail",
+        "witness": "K{}:a(1,2,3) lies on no flag",
+    }
 
 
 def test_analyze_star3(capsys):
@@ -522,34 +549,14 @@ PINNED_RUNS = [
     # integer ids: they pin the face ids in witnesses and sample_facet_id.
     ("verify --preset paw", 0,
      "2661288e5af3112894a203c88003928441635f2031ce0f74be478399a3850aef"),
-    ("verify --preset paw --corrupt drop-face", 4,
-     "250dd6dd3ed33df79eae342461078970f7bb7f30aa021cb6182291b57b09229c"),
-    ("verify --preset paw --corrupt drop-adjacency", 4,
-     "69bfd156d62ef2caa658e198ccf8321036d30be7eef01259fcf14a020f07b6da"),
     ("verify --preset fork", 0,
      "a91fbf29020e3414139b76f0019036c57f5088148029bd130835f4874404e9d5"),
-    ("verify --preset fork --corrupt drop-face", 4,
-     "b3603c76658e1f8e26178784698b06503650980c9ac2272ee52f87657d3704e7"),
-    ("verify --preset fork --corrupt drop-adjacency", 4,
-     "83fc5604a2a37447cdc522744e60b6b356f775c57498dd136db7c8aac77a8b5f"),
     ("verify --preset path:4", 0,
      "85a6a4e3d9405a1be95a90bb688ef139d4bf813183d8959348259d326d0a190a"),
-    ("verify --preset path:4 --corrupt drop-face", 4,
-     "5599c5480887c5b4e94c9421092909cd3a7d5f024db8d7621040c818899657ec"),
-    ("verify --preset path:4 --corrupt drop-adjacency", 4,
-     "659db1e11ff7de5c936f2a3a61917b61ccc14d5b21a79f303d01eed2e148464d"),
     ("verify --preset star:4", 0,
      "6fa61fd65a39ae5dbf5006d1ec537881e370a04bfa967becb760dccd8cd9b896"),
-    ("verify --preset star:4 --corrupt drop-face", 4,
-     "47338f3586e89a0b55e45d43d9176624f1e2ae734ed1319825ce3327e6730c01"),
-    ("verify --preset star:4 --corrupt drop-adjacency", 4,
-     "5770465f89eb34b540f1cfebd05e5dcb04eec2fdec3853f0325b563b663549c5"),
     ("verify --preset cycle:5", 0,
      "68941e1fa3b5ddc81c4ed5577601f77f37a71ffbee53a742f56ab4179f43852e"),
-    ("verify --preset cycle:5 --corrupt drop-face", 4,
-     "fbf77989f1699f431554c4a124be50bdb9d212553f1daa3bbdf1fc967b91669e"),
-    ("verify --preset cycle:5 --corrupt drop-adjacency", 4,
-     "8454e8875acdbdda4786a8d383bd135772ac3bfadb46b1e7fbee069cf5875533"),
     ("analyze --preset paw", 0,
      "87f09b7f12d9316b1a67b473215acea339979efb9a7c8c6a04d621b2de7cf4e1"),
     ("analyze --preset fork", 0,
@@ -576,6 +583,38 @@ def test_cli_stdout_is_pinned(capsys, argv, code, digest):
         assert err == ""
     else:
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# verify on stores with a face dropped.  The first-facet reports were
+# recorded when the CLI dropped that face itself.  The greatest-face
+# reports pass the diamond check and fail strong flag-connectedness with a
+# vertex on no flag.
+DEFECT_RUNS = [
+    ("paw", "first-facet", "250dd6dd3ed33df79eae342461078970f7bb7f30aa021cb6182291b57b09229c"),
+    ("paw", "greatest-face", "e964a677af6c4be5912aa6211d14764f91d32a8412aa7185ffd3b98ee206d7ad"),
+    ("fork", "first-facet", "b3603c76658e1f8e26178784698b06503650980c9ac2272ee52f87657d3704e7"),
+    ("fork", "greatest-face", "c14042ddeb8b1ca87cb08b277e532abf97517b60425a8620a8d4f1481f476fe8"),
+    ("path:4", "first-facet", "5599c5480887c5b4e94c9421092909cd3a7d5f024db8d7621040c818899657ec"),
+    ("path:4", "greatest-face", "5bac1f6c1f3629b038c57ce238b5a577b4198c6c015802b95d2f0c27c5e6f37d"),
+    ("star:4", "first-facet", "47338f3586e89a0b55e45d43d9176624f1e2ae734ed1319825ce3327e6730c01"),
+    ("star:4", "greatest-face", "c3d61d52573fda46c0904362d27b729e2388db37a5520141e2232819cf853202"),
+    ("cycle:5", "first-facet", "fbf77989f1699f431554c4a124be50bdb9d212553f1daa3bbdf1fc967b91669e"),
+    ("cycle:5", "greatest-face", "bda85a75b2c3de24b407b16cb6faa815198fef762e93df48ee990001259c5ff5"),
+]
+
+
+@pytest.mark.parametrize("preset, dropped, digest", DEFECT_RUNS)
+def test_defect_reports_are_pinned(capsys, monkeypatch, preset, dropped, digest):
+    build_without(monkeypatch, dropped)
+    code, out, err = run(capsys, "verify", "--preset", preset)
+    assert (code, err) == (4, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    if dropped == "greatest-face":
+        report = json.loads(out)
+        identity = ",".join(str(v) for v in range(1, report["graph"]["p"] + 1))
+        axioms = report["axioms"]
+        assert (axioms["diamond"], axioms["strong_flag_connected"]) == ("pass", "fail")
+        assert axioms["witness"] == f"K{{}}:a({identity}) lies on no flag"
 
 
 # Arbitrary text, edge lists on up to 6 vertices, which reach the
@@ -632,7 +671,8 @@ def test_any_graph_file_ends_in_an_exit_code_and_one_line(text, command):
 # A subcommand, a graph source option with a value, then up to three
 # options, each with or without a value, or stray tokens: every token on
 # its own, drawn from the subcommand and option names, values they take
-# and arbitrary text.  The trailing --max-perms 24 wins over any earlier
+# and arbitrary text.  ``--corrupt`` and ``drop-face`` stand for an option
+# the CLI no longer has.  The trailing --max-perms 24 wins over any earlier
 # value, so no run builds a graph on more than 4 vertices.
 SUBCOMMANDS = ["build", "verify", "analyze", "export"]
 OPTIONS = st.sampled_from([

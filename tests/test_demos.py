@@ -1,5 +1,5 @@
-"""Each narrative script in ``demos/`` runs to completion, and the census
-and permutahedron demos print exactly their recorded output."""
+"""Each narrative script in ``demos/`` runs to completion, and the axiom,
+census and permutahedron demos print exactly their recorded output."""
 
 import os
 import subprocess
@@ -24,7 +24,7 @@ def test_demo_exits_0(demo):
     run_demo(demo)
 
 
-@pytest.mark.parametrize("name", ["04_facet_census", "05_permutahedron"])
+@pytest.mark.parametrize("name", ["02_polytope_axioms", "04_facet_census", "05_permutahedron"])
 def test_demo_output_is_pinned(name):
     expected = (ROOT / "tests" / "demo_output" / f"{name}.txt").read_text()
     assert run_demo(ROOT / "demos" / f"{name}.py") == expected

@@ -8,6 +8,7 @@ from oracles import connected_graphs_with_edges, graphs_isomorphic
 
 from graphicahedron import (
     ParseError,
+    SimpleGraph,
     automorphisms,
     components,
     compose,
@@ -108,6 +109,23 @@ def test_preset_validation():
         preset_graph("paw", 3)
     with pytest.raises(ValueError):
         preset_graph("torus")
+
+
+@pytest.mark.parametrize(
+    "build_graph, message",
+    [
+        (lambda: make_graph(3, [(1, 1)]), "loop edge at vertex 2"),
+        (lambda: make_graph(2, [(0, 2)]), "edge (1, 3) out of range for p=2"),
+        (lambda: SimpleGraph(3, ((1, 0),)), "edge endpoints must be stored sorted"),
+        (lambda: make_graph(3, [(0, 1), (1, 0)]), "duplicate edge (1, 2)"),
+    ],
+    ids=["loop", "out-of-range", "unsorted", "duplicate"],
+)
+def test_simple_graph_rejects_what_the_parser_never_passes(build_graph, message):
+    # parse_graph refuses these inputs itself, so only direct construction reaches them
+    with pytest.raises(ValueError) as caught:
+        build_graph()
+    assert str(caught.value) == message
 
 
 def test_connected_four_edge_graphs_are_exactly_the_five_presets():

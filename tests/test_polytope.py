@@ -313,6 +313,18 @@ def test_construction_flag_graph_maps_onto_the_poset_flag_graph(spec):
     assert any(propagate(construction, tables, k) is not None for k in range(count))
 
 
+def without_vertices(P, *labels):
+    """The store without the vertices named by their face ids."""
+    for label in labels:
+        (vertex,) = [v for v in P.faces(0) if face_id(v) == label]
+        P = drop_face(P, vertex)
+    return P
+
+
+# Two opposite vertices of a 2-face: paw's hexagon K{2,4} and fork's square K{1,3}.
+OPPOSITE_VERTICES = {"paw": ("K{}:a(1,2,3,4)", "K{}:a(1,2,4,3)"), "fork": ("K{}:a(1,2,3,4,5)", "K{}:a(2,1,4,3,5)")}
+
+
 @pytest.mark.parametrize("name", ["paw", "fork"])
 def test_strong_flag_connectedness_builds_no_flag_graph(monkeypatch, name):
     # No module of the library defines a flag graph, and the verifier does
@@ -322,15 +334,19 @@ def test_strong_flag_connectedness_builds_no_flag_graph(monkeypatch, name):
         assert not any(hasattr(module, attr) for attr in ("flag_graph", "propagate")), info.name
     assert not hasattr(posets.RankedPoset, "_flag_tables")
     P = hedron(name)
-    expected = [sectionwise_strong_flag_connectedness(P, drop_color=c) for c in [None, *range(P.rank)]]
+    # the store, then without two opposite vertices of a 2-face, which fails
+    # a section, then without its greatest face, which leaves faces on no flag
+    stores = [P, without_vertices(P, *OPPOSITE_VERTICES[name]), drop_face(P, P.greatest_face)]
+    expected = [sectionwise_strong_flag_connectedness(store) for store in stores[:2]]
 
     def refuse(*args):
         raise AssertionError("a frame map was built")
 
     monkeypatch.setattr(posets, "map_frame", refuse)
-    got = [verify_strong_flag_connectedness(P, drop_color=c) for c in [None, *range(P.rank)]]
-    assert got == expected
+    got = [verify_strong_flag_connectedness(store) for store in stores]
+    assert got[:2] == expected
     assert got[0].passed and not any(report.passed for report in got[1:])
+    assert got[2].failure.endswith(" lies on no flag")
 
 
 def test_flag_graph_rejects_a_poset_that_is_not_thin():
@@ -367,30 +383,27 @@ def test_strong_flag_connectedness_passes():
 
 
 def test_strong_flag_connectedness_negative_control():
-    # deleting one adjacency color disconnects the flag graph
-    P = hedron("paw")
-    report = verify_strong_flag_connectedness(P, drop_color=2)
-    assert not report.passed
-    assert "reachable" in report.failure
+    # two opposite vertices of a hexagon leave its section in two pieces,
+    # though every single face drop but the greatest face's passes
+    report = same_report(without_vertices(hedron("paw"), *OPPOSITE_VERTICES["paw"]))
+    assert (report.passed, report.checked) == (False, 18)
+    assert report.failure == "section [least face, K{2,4}:a(1,2,3,4)] has a disconnected flag graph"
 
 
 # Presets whose flag graphs the section-by-section oracle walks in about a second.
 ORACLE_PRESETS = SMALL_PRESETS + [("cycle", 5)]
 
 
-def same_report(P, drop_color=None):
-    new = verify_strong_flag_connectedness(P, drop_color=drop_color)
-    old = sectionwise_strong_flag_connectedness(P, drop_color=drop_color)
+def same_report(P):
+    new = verify_strong_flag_connectedness(P)
+    old = sectionwise_strong_flag_connectedness(P)
     assert (new.passed, new.checked, new.failure) == (old.passed, old.checked, old.failure)
     return new
 
 
 @pytest.mark.parametrize("name, n", ORACLE_PRESETS)
 def test_strong_flag_connectedness_matches_the_sectionwise_oracle(name, n):
-    P = hedron(name, n)
-    assert same_report(P).passed
-    for color in range(P.rank):
-        assert not same_report(P, drop_color=color).passed
+    assert same_report(hedron(name, n)).passed
 
 
 @pytest.mark.parametrize("spec", ["path:2", "cycle:3", "star:3", "path:3", "paw"])
@@ -490,11 +503,7 @@ def test_coatoms_sharing_only_an_atom_leave_a_section_disconnected():
 
 def test_a_section_fails_while_the_full_flag_graph_stays_connected():
     # two vertices joined by color 2 leave the hexagon K{1,3} in two pieces
-    P = hedron("cycle", 3)
-    for label in ("K{}:a(1,2,3)", "K{}:a(1,3,2)"):
-        (vertex,) = [v for v in P.faces(0) if face_id(v) == label]
-        P = drop_face(P, vertex)
-    report = same_report(P)
+    report = same_report(without_vertices(hedron("cycle", 3), "K{}:a(1,2,3)", "K{}:a(1,3,2)"))
     assert (report.passed, report.checked) == (False, 3)
     assert report.failure == "section [least face, K{1,3}:a(1,2,3)] has a disconnected flag graph"
 
