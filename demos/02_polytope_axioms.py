@@ -27,9 +27,8 @@ print(f"diamond condition: {'pass' if diamond.passed else 'fail'} "
       f"({diamond.checked} incident pairs checked)")
 
 connected = verify_strong_flag_connectedness(P)
-# ``checked`` counts the full flag graph once before the sections
 print(f"strong flag-connectedness: {'pass' if connected.passed else 'fail'} "
-      f"({connected.checked - 1} sections of rank two or more checked)")
+      f"({connected.checked} sections of rank two or more checked)")
 
 simple = all(vertex_figure_is_simplex(P, v) for v in P.faces(0))
 print(f"all vertex figures are 3-simplices: {simple}")

@@ -14,8 +14,8 @@ for name in ("paw", "fork"):
     P = build(preset_graph(name))
     census = facet_census(P)
     print(f"{name}: {census.total} facets")
-    for face_type, count, sample in census.entries:
-        print(f"  {count:>3} x {face_type.label:<18} e.g. {sample}")
+    for label, count, sample in census.entries:
+        print(f"  {count:>3} x {label:<18} e.g. {sample}")
     print()
 
 print("toroid_63_11 is the polytope of the triangle (6 vertices, 9 edges,")

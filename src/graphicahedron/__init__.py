@@ -10,7 +10,6 @@ path graph recovers the classical permutahedron.
 
 from .cayley import CayleyGraph, build_cayley, component_of, export_dot
 from .classify import (
-    FaceType,
     FacetCensus,
     classify_2face,
     classify_by_construction,
@@ -23,6 +22,7 @@ from .errors import (
     DisconnectedGraphError,
     GraphicahedronError,
     InternalInconsistencyError,
+    NotThinError,
     ParseError,
 )
 from .graphs import (
@@ -63,7 +63,6 @@ from .polytope import (
 from .posets import RankedPoset, posets_isomorphic
 from .symmetry import (
     AutGroupSummary,
-    PolytopeAutomorphism,
     apply_graph_aut,
     apply_right,
     aut_summary,
@@ -81,15 +80,14 @@ __all__ = [
     "CayleyGraph",
     "DisconnectedGraphError",
     "Face",
-    "FaceType",
     "FacetCensus",
     "GraphAutomorphism",
     "Graphicahedron",
     "GraphicahedronError",
     "InternalInconsistencyError",
+    "NotThinError",
     "ParseError",
     "Perm",
-    "PolytopeAutomorphism",
     "RankedPoset",
     "SimpleGraph",
     "VertexPartition",

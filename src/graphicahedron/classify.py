@@ -1,19 +1,21 @@
 """Classification of 2-faces and facets, and the facet census.
 
-A facet's type is read off its edge subset by :func:`classify_by_construction`:
-each nontrivial component of the spanning subgraph contributes a factor (a
-path of length n gives the rank-n permutahedron, the triangle and the 3-star
-give the two hexagonal toroids), and a facet over several components is the
-product of its factors.  The census checks every facet against the poset:
-the interval below it must be isomorphic to :func:`labelled_poset` of its
-edge set, built from the components alone, with no permutation, coset or
-stored face.  :func:`permutahedron_oracle` is a second such model, of the
-permutahedron, on ordered set partitions.
+A facet's type is a label string read off its edge subset by
+:func:`classify_by_construction`: each nontrivial component of the spanning
+subgraph contributes a factor (a path of length n gives the rank-n
+permutahedron, the triangle and the 3-star give the two hexagonal toroids),
+and a facet over several components is the product of its factors.  The
+census checks every facet against the poset: the interval below it must be
+isomorphic to :func:`labelled_poset` of its edge set, built from the
+components alone, with no permutation, coset or stored face.
+:func:`permutahedron_oracle` is a second such model, of the permutahedron,
+on ordered set partitions.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -23,52 +25,9 @@ from .polytope import Face, Graphicahedron, face_count, face_id, interval_below
 from .posets import RankedPoset, posets_isomorphic
 
 
-@dataclass(frozen=True)
-class FaceType:
-    """A recognized combinatorial type, or a certificate for an unrecognized one."""
-
-    kind: str
-    size: int | None = None
-    parts: tuple["FaceType", ...] = ()
-    certificate: tuple = ()
-
-    @property
-    def label(self) -> str:
-        if self.kind in ("permutahedron", "cube"):
-            return f"{self.kind}({self.size})"
-        if self.kind == "product":
-            return "product(" + " x ".join(p.label for p in self.parts) + ")"
-        if self.kind == "unrecognized":
-            return f"unrecognized{self.certificate}"
-        return self.kind
-
-
-SEGMENT = FaceType("segment")
-SQUARE = FaceType("square")
-HEXAGON = FaceType("hexagon")
-TOROID_63_11 = FaceType("toroid_63_11")
-TOROID_63_22 = FaceType("toroid_63_22")
-HEXAGONAL_PRISM = FaceType("hexagonal_prism")
-
-
-def permutahedron_type(n: int) -> FaceType:
-    if n == 1:
-        return SEGMENT
-    if n == 2:
-        return HEXAGON
-    return FaceType("permutahedron", n)
-
-
-def cube_type(k: int) -> FaceType:
-    if k == 1:
-        return SEGMENT
-    if k == 2:
-        return SQUARE
-    return FaceType("cube", k)
-
-
-def classify_2face(polytope: Graphicahedron, face: Face) -> FaceType:
-    """Hexagon when the two edges share a vertex, square when they are disjoint.
+def classify_2face(polytope: Graphicahedron, face: Face) -> str:
+    """``"hexagon"`` when the two edges share a vertex, ``"square"`` when they
+    are disjoint.
 
     The verdict is cross-checked against the number of vertices under the
     face (6 versus 4), counted in its down-set in the store; a mismatch would
@@ -81,56 +40,46 @@ def classify_2face(polytope: Graphicahedron, face: Face) -> FaceType:
         raise ValueError(f"{face_id(face)} is not a face of this polytope")
     verdict = classify_by_construction(polytope.graph, face.edges)
     n_vertices = polytope.vertices_below(i)
-    if n_vertices != (6 if verdict == HEXAGON else 4):
+    if n_vertices != (6 if verdict == "hexagon" else 4):
         raise InternalInconsistencyError(
-            f"2-face {face_id(face)} classified {verdict.label} but has {n_vertices} vertices"
+            f"2-face {face_id(face)} classified {verdict} but has {n_vertices} vertices"
         )
     return verdict
 
 
-def _component_type(n_vertices: int, degrees: list[int]) -> FaceType:
-    n_edges = sum(degrees) // 2
-    if n_edges == n_vertices - 1 and max(degrees) <= 2:
-        return permutahedron_type(n_edges)
-    if n_vertices == 3 and n_edges == 3:
-        return TOROID_63_11
-    if n_vertices == 4 and n_edges == 3 and max(degrees) == 3:
-        return TOROID_63_22
-    return FaceType(
-        "unrecognized", certificate=(n_vertices, n_edges, tuple(sorted(degrees)))
-    )
+def classify_by_construction(graph: SimpleGraph, edge_subset: frozenset[int]) -> str:
+    """The type label of the face over an edge subset, read off the
+    spanning subgraph.
 
-
-def classify_by_construction(graph: SimpleGraph, edge_subset: frozenset[int]) -> FaceType:
-    """Type of the face over an edge subset, read off the spanning subgraph.
-
-    Each nontrivial component is typed by graph shape; several components
-    multiply, with a segment times a hexagon normalized to the hexagonal
-    prism and k segments to the k-cube.
+    Each nontrivial component names a factor: a path of n edges the rank-n
+    permutahedron (``segment`` and ``hexagon`` for n = 1, 2), the triangle
+    ``toroid_63_11``, the 3-star ``toroid_63_22``, any other component
+    ``unrecognized(vertices, edges, sorted degrees)``.  No factor gives
+    ``vertex`` and one gives itself; k segments give ``square`` or
+    ``cube(k)``, a segment and a hexagon ``hexagonal_prism``, and other
+    factors ``product(...)`` in label order.
     """
-    part = components(graph, edge_subset)
-    tags: list[FaceType] = []
-    for block in part.blocks:
-        if len(block) == 1:
-            continue
-        members = set(block)
-        degrees = {v: 0 for v in block}
-        for e in edge_subset:
-            i, j = graph.edges[e]
-            if i in members:
-                degrees[i] += 1
-                degrees[j] += 1
-        tags.append(_component_type(len(block), list(degrees.values())))
-
-    if not tags:
-        return FaceType("vertex")
-    if len(tags) == 1:
-        return tags[0]
-    if all(t == SEGMENT for t in tags):
-        return cube_type(len(tags))
-    if sorted(t.label for t in tags) == ["hexagon", "segment"]:
-        return HEXAGONAL_PRISM
-    return FaceType("product", parts=tuple(sorted(tags, key=lambda t: t.label)))
+    blocks = [block for block in components(graph, edge_subset).blocks if len(block) > 1]
+    degree = Counter(v for e in edge_subset for v in graph.edges[e])
+    factors = []
+    for block in blocks:
+        degrees = tuple(sorted(degree[v] for v in block))
+        n, m = len(block), sum(degrees) // 2
+        if m == n - 1 and degrees[-1] <= 2:
+            factors.append({1: "segment", 2: "hexagon"}.get(m, f"permutahedron({m})"))
+        else:
+            toroids = {(2, 2, 2): "toroid_63_11", (1, 1, 1, 3): "toroid_63_22"}
+            factors.append(toroids.get(degrees, f"unrecognized{(n, m, degrees)}"))
+    factors.sort()
+    if not factors:
+        return "vertex"
+    if len(factors) == 1:
+        return factors[0]
+    if set(factors) == {"segment"}:
+        return "square" if len(factors) == 2 else f"cube({len(factors)})"
+    if factors == ["hexagon", "segment"]:
+        return "hexagonal_prism"
+    return f"product({' x '.join(factors)})"
 
 
 def labelled_poset(graph: SimpleGraph, edges: Iterable[int]) -> RankedPoset:
@@ -173,13 +122,13 @@ def labelled_poset(graph: SimpleGraph, edges: Iterable[int]) -> RankedPoset:
 
 @dataclass(frozen=True)
 class FacetCensus:
-    """Multiset of facet types, with one sample facet per type."""
+    """Multiset of facet type labels, with one sample facet per type."""
 
-    entries: tuple[tuple[FaceType, int, str], ...]
+    entries: tuple[tuple[str, int, str], ...]
     total: int
 
     def as_dict(self) -> dict[str, int]:
-        return {t.label: count for t, count, _ in self.entries}
+        return {tag: count for tag, count, _ in self.entries}
 
 
 def facet_census(polytope: Graphicahedron) -> FacetCensus:
@@ -192,8 +141,8 @@ def facet_census(polytope: Graphicahedron) -> FacetCensus:
     q = polytope.rank
     if q < 1:
         raise ValueError("the facet census needs rank at least 1")
-    counts: dict[FaceType, int] = {}
-    samples: dict[FaceType, str] = {}
+    counts: dict[str, int] = {}
+    samples: dict[str, str] = {}
     for edges, reps in polytope.blocks:
         if len(edges) != q - 1:
             continue
@@ -202,14 +151,11 @@ def facet_census(polytope: Graphicahedron) -> FacetCensus:
         for facet in (Face(edges, rep) for rep in reps):
             if not posets_isomorphic(interval_below(polytope, facet), reference):
                 raise InternalInconsistencyError(
-                    f"facet {face_id(facet)}: interval is not isomorphic to the {tag.label} reference"
+                    f"facet {face_id(facet)}: interval is not isomorphic to the {tag} reference"
                 )
         counts[tag] = counts.get(tag, 0) + len(reps)
         samples.setdefault(tag, face_id(Face(edges, reps[0])))
-    entries = tuple(
-        (tag, counts[tag], samples[tag])
-        for tag in sorted(counts, key=lambda t: t.label)
-    )
+    entries = tuple((tag, counts[tag], samples[tag]) for tag in sorted(counts))
     census = FacetCensus(entries, sum(counts.values()))
     if census.total != face_count(polytope.graph, q - 1):
         raise InternalInconsistencyError(

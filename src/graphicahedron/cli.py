@@ -200,7 +200,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     report.update({
         "symmetry": dataclasses.asdict(summary),
         "facet_census": [
-            {"type": tag.label, "count": count, "sample_facet_id": sample} for tag, count, sample in census
+            {"type": tag, "count": count, "sample_facet_id": sample} for tag, count, sample in census
         ],
     })
     _print_report(report, args, timings)

@@ -23,3 +23,8 @@ class DisconnectedGraphError(GraphicahedronError):
 
 class InternalInconsistencyError(GraphicahedronError):
     """Two independent computations of the same quantity disagree."""
+
+
+class NotThinError(InternalInconsistencyError, ValueError):
+    """A poset fails the frame check: to the CLI, which built the poset, an
+    inconsistency; to a library caller, which passed it in, a ValueError."""

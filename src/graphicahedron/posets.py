@@ -17,7 +17,7 @@ from bisect import bisect_left
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import InternalInconsistencyError
+from .errors import InternalInconsistencyError, NotThinError
 
 
 class RankedPoset:
@@ -113,9 +113,9 @@ class RankedPoset:
         Frames at vertex 0 are tested one per left coset of the stabiliser
         found so far, as a failing frame rules out its coset; then each vertex
         outside the orbit found so far, until a frame there succeeds.  Raises
-        ValueError("poset is not thin") unless the frame check passes."""
+        :class:`NotThinError`, a ValueError, unless the frame check passes."""
         if not self._frames_apply:
-            raise ValueError("poset is not thin")
+            raise NotThinError("poset is not thin")
         if not self._skeleton_connected:
             raise InternalInconsistencyError("the 1-skeleton is not connected")
         position = {e: k for k, e in enumerate(self.up[0])}
@@ -180,7 +180,8 @@ def _frames_at(a: RankedPoset, b: RankedPoset, w: int) -> Iterator[tuple[int, ..
 def map_frame(a: RankedPoset, b: RankedPoset, w: int, edges: Sequence[int]) -> list[int] | None:
     """The isomorphism from ``a`` onto ``b`` (both passing the frame check,
     with equal f-vectors) sending a's vertex 0 to ``w`` and its edges, in id
-    order, to ``edges``, the edges at ``w``; None if there is none.
+    order, to ``edges``, the edges at ``w``; None if there is none, or if
+    ``edges`` is not an ordering of the edges at ``w``.
 
     Crossing an edge e from v to u, each 2-face above e meets u in e and an
     edge f, and v in e and an edge g; f goes to the edge at u's image below
@@ -189,6 +190,8 @@ def map_frame(a: RankedPoset, b: RankedPoset, w: int, edges: Sequence[int]) -> l
     which then keeps every down-cover list, is returned.
     """
     up_a, down_a, up_b, down_b = a.up, a.down, b.up, b.down
+    if sorted(edges) != up_b[w]:
+        return None
     image = [-1] * len(a)
     used = bytearray(len(b))
 
@@ -229,7 +232,7 @@ def posets_isomorphic(a: RankedPoset, b: RankedPoset) -> bool:
 
     Tries each frame of ``b`` that keeps the 2-face sizes at a's vertex 0
     as the image of that vertex's frame (:func:`map_frame`).  Raises
-    ValueError("poset is not thin") unless both pass the frame check; ``b``
+    :class:`NotThinError`, a ValueError, unless both pass the frame check; ``b``
     keeps its verdict and covers for the next test.  A disconnected 1-skeleton
     is not isomorphic to a connected one; two disconnected ones raise ValueError.
     """
@@ -238,7 +241,7 @@ def posets_isomorphic(a: RankedPoset, b: RankedPoset) -> bool:
     if a.rank <= 0:
         return True
     if not (a._frames_apply and b._frames_apply):
-        raise ValueError("poset is not thin")
+        raise NotThinError("poset is not thin")
     if a._skeleton_connected != b._skeleton_connected:
         return False
     if not a._skeleton_connected:

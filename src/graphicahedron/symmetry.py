@@ -41,18 +41,6 @@ def apply_graph_aut(polytope: Graphicahedron, kappa: GraphAutomorphism, face: Fa
     return Face(edges, canonical_rep(part, conjugate(face.rep, kappa.vertex_map)))
 
 
-@dataclass(frozen=True)
-class PolytopeAutomorphism:
-    """A polytope automorphism in normal form: a graph symmetry followed by
-    right multiplication."""
-
-    right: Perm
-    graph_part: GraphAutomorphism
-
-    def apply(self, polytope: Graphicahedron, face: Face) -> Face:
-        return apply_right(polytope, self.right, apply_graph_aut(polytope, self.graph_part, face))
-
-
 def constructed_group_order(graph: SimpleGraph) -> int:
     """Order of the automorphism group predicted by the construction.
 

@@ -478,28 +478,33 @@ def sectionwise_strong_flag_connectedness(polytope) -> VerifyReport:
     Sections of rank below two are connected for trivial reasons, so only
     pairs of incident faces at rank distance three or more are walked (with
     the implicit least face and the greatest face included as endpoints).
-    The upper ends of the sections above a face come from its up-set.
-    ``checked`` counts the full flag graph once before the sections, as the
-    verifier does; its walk is the section [least face, greatest face].
+    The upper ends of the sections above a face come from its up-set, and
+    those above the least face from the up-set of the vertices.  ``checked``
+    counts the sections walked, as the verifier does.
     """
     q = polytope.rank
     ranks = polytope.ranks
 
+    def up_set(starts):
+        above, stack = set(starts), list(starts)
+        while stack:
+            for g in polytope.up[stack.pop()]:
+                if g not in above:
+                    above.add(g)
+                    stack.append(g)
+        return above
+
     def sections():
-        for top in range(polytope.first_of_rank(2), len(ranks)):
-            yield None, top, None
+        for top in sorted(up_set(range(polytope.first_of_rank(1)))):
+            if ranks[top] >= 2:
+                yield None, top, None
         for low in range(polytope.first_of_rank(q - 2)):
-            above, stack = {low}, [low]
-            while stack:
-                for g in polytope.up[stack.pop()]:
-                    if g not in above:
-                        above.add(g)
-                        stack.append(g)
+            above = up_set([low])
             for top in sorted(above):
                 if ranks[top] >= ranks[low] + 3:
                     yield low, top, above
 
-    checked = 1
+    checked = 0
     mids_between: dict = {}
     for bottom, top, above in sections():
         checked += 1

@@ -24,17 +24,7 @@ from graphicahedron import (
     posets_isomorphic,
     preset_graph,
 )
-from graphicahedron.classify import (
-    HEXAGON,
-    HEXAGONAL_PRISM,
-    SEGMENT,
-    SQUARE,
-    TOROID_63_11,
-    TOROID_63_22,
-    cube_type,
-    ordered_set_partitions,
-    permutahedron_type,
-)
+from graphicahedron.classify import ordered_set_partitions
 from graphicahedron.errors import InternalInconsistencyError
 from graphicahedron.polytope import drop_face, full_poset, interval_below
 from graphicahedron.posets import RankedPoset, map_frame
@@ -51,13 +41,13 @@ def hedron(name, n=None):
 def test_hexagon_when_edges_share_a_vertex():
     P = hedron("path", 2)
     (face,) = P.faces(2)
-    assert classify_2face(P, face) == HEXAGON
+    assert classify_2face(P, face) == "hexagon"
 
 
 def test_square_when_edges_are_disjoint():
     P = hedron("path", 3)
     for face in P.faces(2):
-        expected = SQUARE if face.edges == frozenset([0, 2]) else HEXAGON
+        expected = "square" if face.edges == frozenset([0, 2]) else "hexagon"
         assert classify_2face(P, face) == expected
 
 
@@ -67,14 +57,14 @@ def test_2face_classification_matches_vertex_count():
         for face in P.faces(2):
             tag = classify_2face(P, face)
             n_vertices = sum(1 for v in P.faces(0) if P.is_incident(v, face))
-            assert n_vertices == (6 if tag == HEXAGON else 4)
+            assert n_vertices == (6 if tag == "hexagon" else 4)
 
 
 def test_path3_2face_census():
     P = hedron("path", 3)
     tags = [classify_2face(P, f) for f in P.faces(2)]
-    assert tags.count(HEXAGON) == 8
-    assert tags.count(SQUARE) == 6
+    assert tags.count("hexagon") == 8
+    assert tags.count("square") == 6
 
 
 # ---------------------------------------------------------------------------
@@ -84,57 +74,56 @@ def test_path3_2face_census():
 def test_paw_star_subset_is_toroid_22():
     paw = preset_graph("paw")
     # edges {1,2},{1,3},{1,4} form the 3-star spanning subgraph
-    assert classify_by_construction(paw, frozenset([0, 1, 3])) == TOROID_63_22
+    assert classify_by_construction(paw, frozenset([0, 1, 3])) == "toroid_63_22"
 
 
 def test_paw_triangle_subset_is_toroid_11():
     paw = preset_graph("paw")
-    assert classify_by_construction(paw, frozenset([0, 1, 2])) == TOROID_63_11
+    assert classify_by_construction(paw, frozenset([0, 1, 2])) == "toroid_63_11"
 
 
 def test_fork_prism_subset():
     fork = preset_graph("fork")
     # segment {1,2} plus the length-2 path 4-3-5
-    assert classify_by_construction(fork, frozenset([0, 2, 3])) == HEXAGONAL_PRISM
+    assert classify_by_construction(fork, frozenset([0, 2, 3])) == "hexagonal_prism"
 
 
 def test_two_disjoint_edges_are_a_square():
     p3 = preset_graph("path", 3)
-    assert classify_by_construction(p3, frozenset([0, 2])) == SQUARE
-    assert cube_type(2) == SQUARE
+    assert classify_by_construction(p3, frozenset([0, 2])) == "square"
 
 
 def test_three_disjoint_edges_are_a_cube():
     p5 = preset_graph("path", 5)
-    tag = classify_by_construction(p5, frozenset([0, 2, 4]))
-    assert tag.kind == "cube" and tag.size == 3
-    assert tag.label == "cube(3)"
+    assert classify_by_construction(p5, frozenset([0, 2, 4])) == "cube(3)"
+    p7 = preset_graph("path", 7)
+    assert classify_by_construction(p7, frozenset([0, 2, 4, 6])) == "cube(4)"
 
 
 def test_single_edge_and_empty_subsets():
     p3 = preset_graph("path", 3)
-    assert classify_by_construction(p3, frozenset([1])) == SEGMENT
-    assert classify_by_construction(p3, frozenset()).kind == "vertex"
+    assert classify_by_construction(p3, frozenset([1])) == "segment"
+    assert classify_by_construction(p3, frozenset()) == "vertex"
 
 
 def test_product_label_for_two_hexagons():
     p5 = preset_graph("path", 5)
-    tag = classify_by_construction(p5, frozenset([0, 1, 3, 4]))
-    assert tag.kind == "product"
-    assert tag.label == "product(hexagon x hexagon)"
+    assert classify_by_construction(p5, frozenset([0, 1, 3, 4])) == "product(hexagon x hexagon)"
 
 
 def test_unrecognized_component_carries_certificate():
+    # vertices, edges and sorted degrees of the component
     c4 = preset_graph("cycle", 4)
-    tag = classify_by_construction(c4, frozenset(range(4)))
-    assert tag.kind == "unrecognized"
-    assert tag.certificate == (4, 4, (2, 2, 2, 2))
+    assert classify_by_construction(c4, frozenset(range(4))) == "unrecognized(4, 4, (2, 2, 2, 2))"
+    star4 = preset_graph("star", 4)
+    assert classify_by_construction(star4, frozenset(range(4))) == "unrecognized(5, 4, (1, 1, 1, 1, 4))"
 
 
 def test_permutahedron_type_naming():
-    assert permutahedron_type(1) == SEGMENT
-    assert permutahedron_type(2) == HEXAGON
-    assert permutahedron_type(3).label == "permutahedron(3)"
+    # a path of n edges is the rank-n permutahedron, named for n = 1, 2
+    p5 = preset_graph("path", 5)
+    names = [classify_by_construction(p5, frozenset(range(n))) for n in range(1, 6)]
+    assert names == ["segment", "hexagon", "permutahedron(3)", "permutahedron(4)", "permutahedron(5)"]
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +188,7 @@ TYPE_ORACLES = {
 def test_each_type_name_matches_its_oracle(label):
     (name, n), edges, oracle = TYPE_ORACLES[label]
     graph = preset_graph(name, n)
-    assert classify_by_construction(graph, frozenset(edges)).label == label
+    assert classify_by_construction(graph, frozenset(edges)) == label
     assert posets_isomorphic(labelled_poset(graph, edges), oracle())
 
 
@@ -347,27 +336,65 @@ def test_census_rejects_a_dropped_vertex(name, n):
         facet_census(drop_face(P, P.faces(0)[0]))
 
 
-# The 12 connected graphs with 5 edges, as 1-based edge lists.
-Q5_GRAPHS = [
-    [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)],
-    [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3)],
-    [(1, 2), (1, 3), (1, 4), (2, 3), (2, 5)],
-    [(1, 2), (1, 3), (1, 4), (2, 3), (4, 5)],
-    [(1, 2), (1, 3), (1, 4), (2, 5), (3, 5)],
-    [(1, 2), (1, 3), (2, 4), (3, 5), (4, 5)],
-    [(1, 2), (1, 3), (1, 4), (1, 5), (1, 6)],
-    [(1, 2), (1, 3), (1, 4), (1, 5), (2, 6)],
-    [(1, 2), (1, 3), (1, 4), (2, 5), (2, 6)],
-    [(1, 2), (1, 3), (1, 4), (2, 5), (3, 6)],
-    [(1, 2), (1, 3), (1, 4), (2, 5), (5, 6)],
-    [(1, 2), (1, 3), (2, 4), (3, 5), (4, 6)],
-]
+# The 12 connected graphs with 5 edges, by their 1-based edge lists, and
+# their facet censuses, recorded before facet types were plain label strings.
+Q5_CENSUSES = {
+    "1-2,1-3,1-4,2-3,2-4": {"unrecognized(4, 4, (1, 2, 2, 3))": 4, "unrecognized(4, 4, (2, 2, 2, 2))": 1},
+    "1-2,1-3,1-4,1-5,2-3": {
+        "unrecognized(4, 4, (1, 2, 2, 3))": 10,
+        "unrecognized(5, 4, (1, 1, 1, 1, 4))": 1,
+        "unrecognized(5, 4, (1, 1, 1, 2, 3))": 2,
+    },
+    "1-2,1-3,1-4,2-3,2-5": {
+        "permutahedron(4)": 1,
+        "unrecognized(4, 4, (1, 2, 2, 3))": 10,
+        "unrecognized(5, 4, (1, 1, 1, 2, 3))": 2,
+    },
+    "1-2,1-3,1-4,2-3,4-5": {
+        "permutahedron(4)": 2,
+        "product(segment x toroid_63_11)": 10,
+        "unrecognized(4, 4, (1, 2, 2, 3))": 5,
+        "unrecognized(5, 4, (1, 1, 1, 2, 3))": 1,
+    },
+    "1-2,1-3,1-4,2-5,3-5": {
+        "permutahedron(4)": 2,
+        "unrecognized(4, 4, (2, 2, 2, 2))": 5,
+        "unrecognized(5, 4, (1, 1, 1, 2, 3))": 2,
+    },
+    "1-2,1-3,2-4,3-5,4-5": {"permutahedron(4)": 5},
+    "1-2,1-3,1-4,1-5,1-6": {"unrecognized(5, 4, (1, 1, 1, 1, 4))": 30},
+    "1-2,1-3,1-4,1-5,2-6": {
+        "product(segment x toroid_63_22)": 15,
+        "unrecognized(5, 4, (1, 1, 1, 1, 4))": 6,
+        "unrecognized(5, 4, (1, 1, 1, 2, 3))": 18,
+    },
+    "1-2,1-3,1-4,2-5,2-6": {"product(hexagon x hexagon)": 20, "unrecognized(5, 4, (1, 1, 1, 2, 3))": 24},
+    "1-2,1-3,1-4,2-5,3-6": {
+        "permutahedron(4)": 6,
+        "product(permutahedron(3) x segment)": 30,
+        "unrecognized(5, 4, (1, 1, 1, 2, 3))": 12,
+    },
+    "1-2,1-3,1-4,2-5,5-6": {
+        "permutahedron(4)": 12,
+        "product(hexagon x hexagon)": 20,
+        "product(segment x toroid_63_22)": 15,
+        "unrecognized(5, 4, (1, 1, 1, 2, 3))": 6,
+    },
+    "1-2,1-3,2-4,3-5,4-6": {
+        "permutahedron(4)": 12,
+        "product(hexagon x hexagon)": 20,
+        "product(permutahedron(3) x segment)": 30,
+    },
+}
 
 
-@pytest.mark.parametrize("edges", Q5_GRAPHS, ids=lambda edges: ",".join(f"{i}-{j}" for i, j in edges))
-def test_census_checks_every_facet_of_the_q5_graphs(edges):
-    graph = make_graph(max(map(max, edges)), [(i - 1, j - 1) for i, j in edges])
-    assert facet_census(build(graph)).total == face_count(graph, 4)
+@pytest.mark.parametrize("spec", Q5_CENSUSES)
+def test_census_checks_every_facet_of_the_q5_graphs(spec):
+    edges = [tuple(int(v) - 1 for v in pair.split("-")) for pair in spec.split(",")]
+    graph = make_graph(max(map(max, edges)) + 1, edges)
+    census = facet_census(build(graph))
+    assert census.total == face_count(graph, 4)
+    assert census.as_dict() == Q5_CENSUSES[spec]
 
 
 def test_census_euler_characteristic_per_tag():
@@ -376,7 +403,7 @@ def test_census_euler_characteristic_per_tag():
         for facet in P.faces(3):
             v, e, f2, _ = interval_below(P, facet).f_vector()
             tag = classify_by_construction(P.graph, facet.edges)
-            expected = 0 if tag.kind.startswith("toroid") else 2
+            expected = 0 if tag.startswith("toroid") else 2
             assert v - e + f2 == expected
 
 
@@ -476,6 +503,15 @@ def test_map_frame_maps_every_higher_face_by_its_covers():
         copy = with_down(P, x, below)
         assert copy.down[:x] == P.down[:x] and copy.f_vector() == P.f_vector()
         assert map_frame(P, copy, 0, copy.up[0]) is None
+
+
+def test_map_frame_rejects_a_frame_that_is_not_an_ordering_of_the_edges():
+    # a repeated edge, three of the four edges, or an edge away from vertex 0
+    P = full_poset(hedron("paw"))
+    e, *rest = P.up[0]
+    away = next(x for x in P.levels[1] if x not in P.up[0])
+    for frame in ([e] * 4, [e, *rest[:2]], [away, *rest]):
+        assert map_frame(P, P, 0, frame) is None
 
 
 def test_map_frame_rejects_a_frame_that_misses_a_vertex():

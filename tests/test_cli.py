@@ -290,6 +290,13 @@ def test_verify_fork_passes(capsys):
     assert all(v == "pass" for v in report["axioms"].values())
 
 
+@pytest.mark.parametrize("dropped", sorted(DROPPED))
+def test_analyze_of_a_store_that_fails_the_frame_check_exits_5(capsys, monkeypatch, dropped):
+    build_without(monkeypatch, dropped)
+    code, out, err = run(capsys, "analyze", "--preset", "paw")
+    assert (code, out, err) == (5, "", "error: poset is not thin\n")
+
+
 def test_verify_corrupted_poset_exits_4(capsys, monkeypatch):
     build_without(monkeypatch, "first-facet")
     code, report, _ = run_json(capsys, "verify", "--preset", "path:2")

@@ -29,11 +29,7 @@ from graphicahedron import (
 from graphicahedron import posets, symmetry
 from graphicahedron.errors import CapacityError
 from graphicahedron.polytope import drop_face
-from graphicahedron.symmetry import (
-    PolytopeAutomorphism,
-    regular_by_graph_shape,
-    semidirect_applies,
-)
+from graphicahedron.symmetry import regular_by_graph_shape, semidirect_applies
 
 
 def hedron(name, n=None):
@@ -323,15 +319,6 @@ def test_constructed_subgroups_intersect_trivially():
         for kappa in automorphisms(g):
             if not kappa.is_identity:
                 assert kappa.edge_map != tuple(range(g.q))
-
-
-def test_polytope_automorphism_normal_form():
-    P = hedron("paw")
-    kappa = next(a for a in automorphisms(P.graph) if not a.is_identity)
-    phi = PolytopeAutomorphism((1, 0, 2, 3), kappa)
-    f = P.face([0, 1], identity(4))
-    expected = apply_right(P, (1, 0, 2, 3), apply_graph_aut(P, kappa, f))
-    assert phi.apply(P, f) == expected
 
 
 def test_aut_summary_invariant():
