@@ -8,10 +8,9 @@ the path confirms the identification rank by rank.
 """
 
 from graphicahedron import build, permutahedron_oracle, posets_isomorphic, preset_graph
-from graphicahedron.polytope import full_poset
 
 for n in (1, 2, 3):
-    P = full_poset(build(preset_graph("path", n)))
+    P = build(preset_graph("path", n))
     oracle = permutahedron_oracle(n)
     iso = posets_isomorphic(P, oracle)
     print(f"rank {n}: graphicahedron f-vector {P.f_vector()}, "

@@ -21,7 +21,7 @@ from typing import Iterable
 
 from .errors import CapacityError, InternalInconsistencyError
 from .graphs import SimpleGraph, components
-from .polytope import Face, Graphicahedron, face_count, face_id, interval_below
+from .polytope import Face, Graphicahedron, face_count, face_id
 from .posets import RankedPoset, posets_isomorphic
 
 
@@ -143,18 +143,19 @@ def facet_census(polytope: Graphicahedron) -> FacetCensus:
         raise ValueError("the facet census needs rank at least 1")
     counts: dict[str, int] = {}
     samples: dict[str, str] = {}
-    for edges, reps in polytope.blocks:
+    for (edges, reps), start in zip(polytope.blocks, polytope.starts):
         if len(edges) != q - 1:
             continue
         tag = classify_by_construction(polytope.graph, edges)
         reference = labelled_poset(polytope.graph, edges)
-        for facet in (Face(edges, rep) for rep in reps):
-            if not posets_isomorphic(interval_below(polytope, facet), reference):
+        for i in range(start, start + len(reps)):
+            if not posets_isomorphic(polytope.interval_below(i), reference):
                 raise InternalInconsistencyError(
-                    f"facet {face_id(facet)}: interval is not isomorphic to the {tag} reference"
+                    f"facet {face_id(polytope.face_at(i))}: interval is not isomorphic to the {tag} reference"
                 )
         counts[tag] = counts.get(tag, 0) + len(reps)
-        samples.setdefault(tag, face_id(Face(edges, reps[0])))
+        if tag not in samples:
+            samples[tag] = face_id(polytope.face_at(start))
     entries = tuple((tag, counts[tag], samples[tag]) for tag in sorted(counts))
     census = FacetCensus(entries, sum(counts.values()))
     if census.total != face_count(polytope.graph, q - 1):

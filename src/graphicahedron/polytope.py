@@ -20,9 +20,9 @@ cover lists of every id are built on first use, so intervals and vertex
 figures are walks along covers rather than scans of whole ranks.  A face
 missing from the store is simply a missing cover.
 
-The store is a :class:`posets.RankedPoset`, so the interval below a face
-is its down-set renumbered.  An intact polytope has exactly p!q! flags
-(maximal chains), but none is built: the verifiers here walk covers.
+The store is a :class:`posets.RankedPoset`, with its intervals and its
+simplicity verdict.  An intact polytope has exactly p!q! flags (maximal
+chains), but none is built: the verifiers here walk covers.
 
 The verifiers in this module re-check the defining polytope axioms from the
 stored poset alone, their negative controls being stores with faces dropped
@@ -30,7 +30,8 @@ stored poset alone, their negative controls being stores with faces dropped
 any two incident faces two ranks apart) and strong flag-connectedness (each
 section of rank two or more has a connected flag graph, a property of the
 sections alone by McMullen and Schulte, *Abstract Regular Polytopes* 2B),
-walked up the covers from each bottom face in time that grows with faces.
+checked at each top above the least face and by a walk up the covers above
+each proper face, in time that grows with faces.
 """
 
 from __future__ import annotations
@@ -324,28 +325,14 @@ def verify_diamond(polytope: Graphicahedron) -> VerifyReport:
     return VerifyReport(True, checked)
 
 
-def _chain_counts(polytope: Graphicahedron) -> tuple[list[int], list[int]]:
-    """For every id, the number of cover chains down to a vertex and the
-    number up to a face of rank q.  Ids ascend with rank, so one sweep each
-    way settles every face after the faces it sums over."""
-    ranks, q = polytope.ranks, polytope.rank
-    down_chains = [0] * len(ranks)
-    for i, below in enumerate(polytope.down):
-        down_chains[i] = sum(down_chains[j] for j in below) if ranks[i] else 1
-    up_chains = [0] * len(ranks)
-    for i in reversed(range(len(ranks))):
-        up_chains[i] = 1 if ranks[i] == q else sum(up_chains[j] for j in polytope.up[i])
-    return down_chains, up_chains
-
-
-def _linked(masks: list[int]) -> bool:
-    """Whether the bit sets form a single class under overlap."""
+def _linked(masks: list) -> bool:
+    """Whether the bit sets, or sets, form a single class under overlap."""
     joined, rest = masks[0], masks[1:]
     while rest:
         left = []
         for m in rest:
             if m & joined:
-                joined |= m
+                joined = joined | m
             else:
                 left.append(m)
         if len(left) == len(rest):
@@ -354,8 +341,8 @@ def _linked(masks: list[int]) -> bool:
     return True
 
 
-def _walk_sections(atoms: Iterable[int], up: list[list[int]]) -> tuple[int, int | None]:
-    """The sections above one bottom face, whose covers are ``atoms``.
+def _walk_sections(bottom: int, up: list[list[int]]) -> tuple[int, int | None]:
+    """The sections above one face, ``bottom``.
 
     Walks the up-set rank by rank in id order.  Each face carries a bit set
     of the faces it covers inside the up-set, one bit per position in their
@@ -364,7 +351,7 @@ def _walk_sections(atoms: Iterable[int], up: list[list[int]]) -> tuple[int, int 
     Returns the number of such faces up to and including the first
     disconnected one, and that face (or None).
     """
-    level = sorted(atoms)
+    level = up[bottom]
     masks = dict.fromkeys(level, 1)  # every atom covers the bottom alone
     depth, tops = 1, 0
     while level:
@@ -402,33 +389,43 @@ def verify_strong_flag_connectedness(polytope: Graphicahedron) -> VerifyReport:
     face F below rank q-2 with its up-set, both in id order.  Once every
     smaller section [F, C] has passed, the flags of [F, G] form one class
     per coatom C, and two classes meet exactly when their coatoms share a
-    face of the section one rank down (:func:`_walk_sections`).  ``checked``
+    face of the section one rank down (:func:`_linked`).  Above the least
+    face, a section holds the faces reached upward from the vertices; above
+    a proper face, its up-set, walked by :func:`_walk_sections`.  ``checked``
     counts the sections walked, up to the first disconnected one, the
-    witness.  Then a face with no cover chain down to a vertex or up to the
-    greatest face lies on no flag, and fails.
+    witness.  Then a face not reached from a vertex, or not below a face of
+    rank q, lies on no flag, and fails.
 
     A disconnected full flag graph shows as a failing section, at the
     latest [least face, greatest face].  The report agrees with a search
     of the whole flag graph on every one- or two-face removal the tests
     try, and differs from it on some removals of three or more faces.
     """
-    up = polytope.up
+    up, down, ranks = polytope.up, polytope.down, polytope.ranks
 
-    def failure(bottom: int, top: int) -> str:
-        bottom_id = face_id(polytope.face_at(bottom)) if bottom != -1 else "least face"
-        return f"section [{bottom_id}, {face_id(polytope.face_at(top))}] has a disconnected flag graph"
+    def failure(bottom: str, top: int) -> str:
+        return f"section [{bottom}, {face_id(polytope.face_at(top))}] has a disconnected flag graph"
 
+    reached = bytearray(len(ranks))  # the faces reached upward from the vertices
+    inside = reached.__getitem__
+    for i, below in enumerate(down):
+        reached[i] = not ranks[i] or any(map(inside, below))
     checked = 0
-    for bottom in range(-1, polytope.first_of_rank(polytope.rank - 2)):
-        # the least face (-1) is covered by the vertices
-        atoms = up[bottom] if bottom != -1 else range(polytope.first_of_rank(1))
-        tops, top = _walk_sections(atoms, up)
+    for top in range(polytope.first_of_rank(2), len(ranks)):
+        if reached[top]:
+            checked += 1
+            if not _linked([set(filter(inside, down[c])) for c in filter(inside, down[top])]):
+                return VerifyReport(False, checked, failure("least face", top))
+    for bottom in range(polytope.first_of_rank(polytope.rank - 2)):
+        tops, top = _walk_sections(bottom, up)
         checked += tops
         if top is not None:
-            return VerifyReport(False, checked, failure(bottom, top))
-    down_chains, up_chains = _chain_counts(polytope)
-    for i in range(len(polytope)):
-        if not (down_chains[i] and up_chains[i]):
+            return VerifyReport(False, checked, failure(face_id(polytope.face_at(bottom)), top))
+    below_top = bytearray(len(ranks))  # the down-closure of the faces of rank q
+    for i in reversed(range(len(ranks))):
+        below_top[i] = ranks[i] == polytope.rank or any(map(below_top.__getitem__, up[i]))
+    for i in range(len(ranks)):
+        if not (reached[i] and below_top[i]):
             return VerifyReport(False, checked, f"{face_id(polytope.face_at(i))} lies on no flag")
     return VerifyReport(True, checked)
 
@@ -511,28 +508,6 @@ def one_skeleton_equals_cayley(polytope: Graphicahedron, cayley: CayleyGraph) ->
         return False
     ones = Skeleton(graph, (b for b in polytope.blocks if len(b[0]) <= 1))
     return ones.vertex_reps == cayley.perms and ones.vertex_edges() == tuple(sorted(cayley.edges()))
-
-
-def interval_below(polytope: Graphicahedron, top: Face) -> RankedPoset:
-    """The interval from the least face up to ``top``, as a standalone
-    poset: the down-set of ``top`` along covers, its face ids renumbered in
-    order, with the covers inside it."""
-    top_id = polytope.id_of(top)
-    if top_id is None:
-        raise ValueError(f"{face_id(top)} is not a face of this polytope")
-    inside = sorted(polytope.down_set(top_id))
-    new_id = {i: k for k, i in enumerate(inside)}
-    interval = RankedPoset(
-        [polytope.ranks[i] for i in inside], [[new_id[j] for j in polytope.down[i]] for i in inside]
-    )
-    # each vertex's up-set is Boolean if the store passes the frame check, and so is its part below top
-    if polytope._frames_apply:
-        interval._frames_apply = True
-    return interval
-
-
-def full_poset(polytope: Graphicahedron) -> RankedPoset:
-    return interval_below(polytope, polytope.greatest_face)
 
 
 def tree_order_equals_coset_inclusion(graph: SimpleGraph) -> tuple[bool, tuple[Face, Face] | None]:

@@ -1,12 +1,13 @@
 """Graded posets on integer ids, and their isomorphisms by vertex frames.
 
 :class:`RankedPoset` is the one graded-poset form of the face store, its
-intervals and the models built independently of it.  In a *simple* poset
-the faces through a vertex are the subsets of its edges, so an
-isomorphism is fixed by where it sends one vertex and its edges in order,
-a *frame*.  :func:`map_frame` is the one propagation that extends a frame;
-:func:`posets_isomorphic` and the automorphism count
-(:attr:`RankedPoset.vertex_orbit_and_stabiliser`) both run on it.
+intervals (:meth:`RankedPoset.interval_below`) and the models built
+independently of it.  In a *simple* poset the faces through a vertex are
+the subsets of its edges, so an isomorphism is fixed by where it sends one
+vertex and its edges in order, a *frame*.  :func:`map_frame` is the one
+propagation that extends a frame; :func:`posets_isomorphic` and the
+automorphism count (:attr:`RankedPoset.vertex_orbit_and_stabiliser`) both
+run on it.
 """
 
 from __future__ import annotations
@@ -91,13 +92,29 @@ class RankedPoset:
         return len(up[v]) == q
 
     @cached_property
+    def is_simple(self) -> bool:
+        """Whether every vertex is simple (:meth:`is_simple_at`)."""
+        return all(map(self.is_simple_at, range(self.first_of_rank(1))))
+
+    @cached_property
     def _frames_apply(self) -> bool:
         """Whether frames fix isomorphisms (and the poset is thin): there is a
         vertex, all are simple, edges cover two and higher ids cover some."""
         ranks, down, first_edge = self.ranks, self.down, self.first_of_rank(1)
-        return len(self) > 0 and ranks[0] == 0 and all(map(self.is_simple_at, range(first_edge))) and all(
+        return len(self) > 0 and ranks[0] == 0 and self.is_simple and all(
             len(down[i]) == 2 if ranks[i] == 1 else down[i] for i in range(first_edge, len(self))
         )
+
+    def interval_below(self, top: int) -> RankedPoset:
+        """The interval from the least element up to the id ``top``: its
+        down-set as a poset of its own, ids renumbered in order."""
+        ranks, down, inside = self.ranks, self.down, sorted(self.down_set(top))
+        new_id = {i: k for k, i in enumerate(inside)}
+        interval = RankedPoset([ranks[i] for i in inside], [[new_id[j] for j in down[i]] for i in inside])
+        # each vertex's up-set is Boolean if this poset passes the frame check, and so is its part below top
+        if self._frames_apply:
+            interval._frames_apply = True
+        return interval
 
     @cached_property
     def _skeleton_connected(self) -> bool:

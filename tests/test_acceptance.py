@@ -43,7 +43,7 @@ from graphicahedron import (
     verify_strong_flag_connectedness,
     vertex_figure_is_simplex,
 )
-from graphicahedron.polytope import drop_face, face_id, full_poset, interval_below
+from graphicahedron.polytope import drop_face, face_id
 
 CRITERION_1_GRAPHS = [
     ("P_1", preset_graph("path", 1)),
@@ -193,8 +193,8 @@ def test_criterion_07_toroids():
     paw = polytope_of("paw")
     triangle_facet = next(f for f in paw.faces(3) if f.edges == frozenset([0, 1, 2]))
     star_facet = next(f for f in paw.faces(3) if f.edges == frozenset([0, 1, 3]))
-    assert posets_isomorphic(interval_below(paw, triangle_facet), full_poset(c3))
-    assert posets_isomorphic(interval_below(paw, star_facet), full_poset(star))
+    assert posets_isomorphic(paw.interval_below(paw.id_of(triangle_facet)), c3)
+    assert posets_isomorphic(paw.interval_below(paw.id_of(star_facet)), star)
 
 
 @criterion(8, "facet censuses of the paw and the fork")
@@ -223,7 +223,7 @@ def test_criterion_08_facet_censuses():
 def test_criterion_09_permutahedron_isomorphism():
     for n in (1, 2, 3):
         P = polytope_of(f"P_{n}")
-        assert posets_isomorphic(full_poset(P), permutahedron_oracle(n)), n
+        assert posets_isomorphic(P, permutahedron_oracle(n)), n
 
     p3 = polytope_of("P_3")
     oracle = permutahedron_oracle(3)

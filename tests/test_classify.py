@@ -26,7 +26,7 @@ from graphicahedron import (
 )
 from graphicahedron.classify import ordered_set_partitions
 from graphicahedron.errors import InternalInconsistencyError
-from graphicahedron.polytope import drop_face, full_poset, interval_below
+from graphicahedron.polytope import drop_face
 from graphicahedron.posets import RankedPoset, map_frame
 
 
@@ -135,7 +135,7 @@ def test_paw_triangle_facet_intrinsic():
     facets = [f for f in P.faces(3) if f.edges == frozenset([0, 1, 2])]
     assert len(facets) == 4
     for facet in facets:
-        interval = interval_below(P, facet)
+        interval = P.interval_below(P.id_of(facet))
         assert posets_isomorphic(interval, hexagonal_toroid(1, 1))
         assert interval.f_vector()[:3] == (6, 9, 3)
         v, e, f2, _ = interval.f_vector()
@@ -145,7 +145,7 @@ def test_paw_triangle_facet_intrinsic():
 def test_paw_star_facet_intrinsic():
     P = hedron("paw")
     (facet,) = [f for f in P.faces(3) if f.edges == frozenset([0, 1, 3])]
-    interval = interval_below(P, facet)
+    interval = P.interval_below(P.id_of(facet))
     assert posets_isomorphic(interval, hexagonal_toroid(2, 2))
     assert interval.f_vector() == (24, 36, 12, 1)
     v, e, f2, _ = interval.f_vector()
@@ -156,7 +156,7 @@ def test_fork_path_facet_intrinsic():
     P = hedron("fork")
     facets = [f for f in P.faces(3) if f.edges == frozenset([0, 1, 2])]
     for facet in facets[:2]:
-        interval = interval_below(P, facet)
+        interval = P.interval_below(P.id_of(facet))
         assert posets_isomorphic(interval, permutahedron_oracle(3))
         assert interval.f_vector() == (24, 36, 14, 1)
 
@@ -204,7 +204,7 @@ def test_toroid_oracles_do_not_cross():
 @pytest.mark.parametrize("q", [1, 2, 3, 4])
 def test_labelled_poset_of_all_edges_is_the_graphicahedron(q):
     for graph in connected_graphs_with_edges(q):
-        assert posets_isomorphic(full_poset(build(graph)), labelled_poset(graph, range(graph.q)))
+        assert posets_isomorphic(build(graph), labelled_poset(graph, range(graph.q)))
 
 
 def test_labelled_poset_rejects_a_repeated_edge():
@@ -401,7 +401,7 @@ def test_census_euler_characteristic_per_tag():
     for name in ["paw", "fork"]:
         P = hedron(name)
         for facet in P.faces(3):
-            v, e, f2, _ = interval_below(P, facet).f_vector()
+            v, e, f2, _ = P.interval_below(P.id_of(facet)).f_vector()
             tag = classify_by_construction(P.graph, facet.edges)
             expected = 0 if tag.startswith("toroid") else 2
             assert v - e + f2 == expected
@@ -445,12 +445,12 @@ def test_oracle_2face_sizes():
 
 def test_path_graphicahedron_is_the_permutahedron():
     for n in (1, 2, 3):
-        P = full_poset(hedron("path", n))
+        P = hedron("path", n)
         assert posets_isomorphic(P, permutahedron_oracle(n))
 
 
 def test_poset_isomorphism_distinguishes():
-    assert not posets_isomorphic(full_poset(hedron("cycle", 3)), permutahedron_oracle(3))
+    assert not posets_isomorphic(hedron("cycle", 3), permutahedron_oracle(3))
     assert not posets_isomorphic(permutahedron_oracle(2), permutahedron_oracle(3))
 
 
@@ -462,8 +462,8 @@ def two_triangles():
 
 @pytest.mark.parametrize("swap", [False, True], ids=["a-b", "b-a"])
 def test_poset_isomorphism_distinguishes_equal_f_vectors(swap):
-    segment = full_poset(hedron("path", 1))
-    hexagon = full_poset(hedron("path", 2))
+    segment = hedron("path", 1)
+    hexagon = hedron("path", 2)
     pairs = [
         (hexagon, two_triangles()),
         (product_poset(segment, hexagon), product_poset(segment, two_triangles())),
@@ -495,7 +495,7 @@ def test_map_frame_maps_every_higher_face_by_its_covers():
     # A copy of paw's poset with its 2-skeleton kept and the first rank-3
     # face changed: one down-cover swapped for another 2-face, or the next
     # face's down-covers repeated.  Only the step above rank 2 can tell.
-    P = full_poset(hedron("paw"))
+    P = hedron("paw")
     assert map_frame(P, P, 0, P.up[0]) == list(range(len(P)))
     x = P.first_of_rank(3)
     other = next(t for t in P.levels[2] if t not in P.down[x])
@@ -507,7 +507,7 @@ def test_map_frame_maps_every_higher_face_by_its_covers():
 
 def test_map_frame_rejects_a_frame_that_is_not_an_ordering_of_the_edges():
     # a repeated edge, three of the four edges, or an edge away from vertex 0
-    P = full_poset(hedron("paw"))
+    P = hedron("paw")
     e, *rest = P.up[0]
     away = next(x for x in P.levels[1] if x not in P.up[0])
     for frame in ([e] * 4, [e, *rest[:2]], [away, *rest]):

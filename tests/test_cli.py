@@ -85,6 +85,28 @@ def test_duplicate_edge_exits_1(capsys):
     assert "duplicate" in err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("p-1", "bad edge 'p-1', expected i-j with positive labels"),
+        ("1-2#junk", "bad edge '1-2#junk', expected i-j with positive labels"),
+        ("1-2,2-3#,3-4", "bad edge '2-3#', expected i-j with positive labels"),
+        ("x-3", "bad edge 'x-3', expected i-j with positive labels"),
+        ("1-2, 2-3", "bad edge ' 2-3', expected i-j with positive labels"),
+        ("1-2,,2-3", "bad edge '', expected i-j with positive labels"),
+        ("1-2-3", "bad edge '1-2-3', expected i-j with positive labels"),
+        ("0-1", "bad edge '0-1', expected i-j with positive labels"),
+        ("1-+2", "bad edge '1-+2', expected i-j with positive labels"),
+        ("1-\u0662", "bad edge '1-\u0662', expected i-j with positive labels"),
+        ("1-2,3-3", "loop edge '3-3'"),
+        ("1-2,2-1", "duplicate edge '2-1'"),
+    ],
+)
+def test_inline_edges_take_only_i_j_pairs(capsys, text, message):
+    code, out, err = run(capsys, "build", "--edges", text)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_missing_file_exits_1(capsys):
     code, _, err = run(capsys, "build", "--file", "/nonexistent/graph.txt")
     assert code == 1

@@ -26,6 +26,7 @@ from graphicahedron import (
     build_cayley,
     constructed_group_order,
     face_count,
+    facet_census,
     flag_count,
     full_aut_order_via_flags,
     identity,
@@ -51,8 +52,6 @@ from graphicahedron.polytope import (
     drop_face,
     face_id,
     face_sort_key,
-    full_poset,
-    interval_below,
 )
 from graphicahedron.posets import RankedPoset
 
@@ -428,27 +427,34 @@ def test_a_store_without_its_greatest_face_says_so():
     corrupted = drop_face(hedron("cycle", 3), hedron("cycle", 3).greatest_face)
     with pytest.raises(ValueError, match="^no greatest face: 0 faces of rank 3 are stored$"):
         corrupted.greatest_face
-    with pytest.raises(ValueError, match="^no greatest face"):
-        full_poset(corrupted)
 
 
 @pytest.mark.parametrize("name", ["paw", "fork"])
 def test_the_store_and_its_walks_make_no_face_objects(monkeypatch, name):
     g = preset_graph(name)
-    facet = build(g).faces(g.q - 1)[0]
-    expected = interval_below(build(g), facet).f_vector()
+    intact = build(g)
+    facet = intact.faces(g.q - 1)[0]
+    expected = intact.interval_below(intact.id_of(facet)).f_vector()
+    made = []
+    init = Face.__init__
 
-    def no_face(*args, **kwargs):
-        raise AssertionError("a Face was constructed")
+    def recorded(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(face_id(self))
 
-    monkeypatch.setattr(Face, "__init__", no_face)
+    monkeypatch.setattr(Face, "__init__", recorded)
     P = build(g)
     build_skeleton(g, g.q - 1)
     P.up  # builds the cover lists before the walks use them
     assert verify_diamond(P).passed
     assert verify_strong_flag_connectedness(P).passed
+    assert P.is_simple
     assert full_aut_order_via_flags(P) == constructed_group_order(g)
-    assert interval_below(P, facet).f_vector() == expected
+    assert P.interval_below(P.id_of(facet)).f_vector() == expected
+    assert made == []
+    # the census names one sample facet per type, and makes no other face
+    census = facet_census(P)
+    assert sorted(made) == sorted(sample for _, _, sample in census.entries)
 
 
 def two_face_drops(spec, sample=None, seed=0):
@@ -467,10 +473,10 @@ def test_strong_flag_connectedness_under_two_face_drops(spec, sample):
         assert verify_strong_flag_connectedness(corrupted).passed == expected
 
 
-@pytest.mark.parametrize("spec", ["cycle:3", "path:3", "star:3"])
+@pytest.mark.parametrize("spec", ["cycle:3", "path:3", "star:3", "paw", "cycle:4"])
 def test_strong_flag_connectedness_under_seeded_multi_face_drops(spec):
     name, _, n = spec.partition(":")
-    P = hedron(name, int(n))
+    P = hedron(name, int(n) if n else None)
     faces = list(P.all_faces())
     rng = random.Random(0)
     for _ in range(200):
@@ -680,13 +686,13 @@ def test_cycle_breaks_coset_inclusion_equivalence():
 
 def fork_facet_interval():
     P = hedron("fork")
-    return interval_below(P, P.faces(3)[-1])
+    return P.interval_below(len(P) - 2)
 
 
 NUMBERED_POSETS = {
     "fork store": lambda: hedron("fork"),
     "fork facet interval": fork_facet_interval,
-    "prism": lambda: product_poset(full_poset(hedron("path", 1)), full_poset(hedron("path", 2))),
+    "prism": lambda: product_poset(hedron("path", 1), hedron("path", 2)),
     "permutahedron oracle": lambda: permutahedron_oracle(3),
     "labelled prism": lambda: labelled_poset(preset_graph("fork"), [0, 2, 3]),
 }
@@ -713,11 +719,11 @@ def test_prism_facets_are_products_of_component_polytopes():
     prism_K = frozenset([0, 2, 3])  # segment {1,2} plus path 4-3-5
     facets = [f for f in P.faces(3) if f.edges == prism_K]
     assert len(facets) == 10
-    segment = full_poset(build(preset_graph("path", 1)))
-    hexagon = full_poset(build(preset_graph("path", 2)))
+    segment = build(preset_graph("path", 1))
+    hexagon = build(preset_graph("path", 2))
     expected = product_poset(segment, hexagon)
     for facet in facets[:2]:
-        assert posets_isomorphic(interval_below(P, facet), expected)
+        assert posets_isomorphic(P.interval_below(P.id_of(facet)), expected)
 
 
 def test_face_id_format():
