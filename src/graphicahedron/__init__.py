@@ -8,7 +8,7 @@ of the symmetric group with one transposition generator per graph edge; a
 path graph recovers the classical permutahedron.
 """
 
-from .cayley import CayleyGraph, build_cayley, component_of, export_dot
+from .cayley import CayleyGraph, build_cayley, export_dot
 from .classify import (
     FacetCensus,
     classify_2face,
@@ -100,7 +100,6 @@ __all__ = [
     "canonical_rep",
     "classify_2face",
     "classify_by_construction",
-    "component_of",
     "components",
     "compose",
     "conjugate",

@@ -69,29 +69,6 @@ def build_cayley(graph: SimpleGraph, max_perms: int = DEFAULT_MAX_PERMS) -> Cayl
     return CayleyGraph(graph)
 
 
-def component_of(graph: SimpleGraph, edge_subset: Iterable[int], a: Perm) -> tuple[Perm, ...]:
-    """Connected component of ``a`` in the Cayley graph restricted to the given colors.
-
-    This is exactly the right coset of the subgroup generated by the chosen
-    edge transpositions, returned sorted.
-    """
-    if len(a) != graph.p:
-        raise ValueError(f"size mismatch: permutation on {len(a)} points, graph has {graph.p}")
-    taus = [transposition_of_edge(graph.p, graph.edges[e]) for e in edge_subset]
-    seen = {a}
-    frontier = [a]
-    while frontier:
-        nxt = []
-        for b in frontier:
-            for tau in taus:
-                c = compose(tau, b)
-                if c not in seen:
-                    seen.add(c)
-                    nxt.append(c)
-        frontier = nxt
-    return tuple(sorted(seen))
-
-
 def dot_graph(name: str, perms: Sequence[Perm], edges: Iterable[tuple[int, int, int]]) -> str:
     """Render colored edges between permutations in DOT format.
 

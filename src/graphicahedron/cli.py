@@ -6,7 +6,8 @@ skeleton as DOT/JSON).  Exit codes: 0 ok, 1 parse error, 2 disconnected
 graph, 3 capacity exceeded, 4 axiom failure, 5 internal inconsistency.
 
 A bad, missing or unknown option or subcommand ends like a bad graph, in
-one ``error:`` line and exit 1; ``--max-*`` values take ASCII decimal digits.
+one ``error:`` line and exit 1; ``--max-perms`` takes ASCII decimal digits.
+``verify`` and ``analyze`` exit 3 before building any face if p!·2^q > 512·``--max-perms``.
 """
 
 from __future__ import annotations
@@ -164,8 +165,7 @@ def cmd_build(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     timings: dict[str, float] = {}
     graph = _graph_from_args(args)
-    # build checks the permutation cap and connectivity before any face;
-    # the verifiers walk covers, so no flag count bounds them
+    polytope.check_walkable(graph, args.max_perms)
     hedron = polytope.build(graph, max_perms=args.max_perms)
 
     with _stage(timings, "diamond"):
@@ -192,13 +192,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     timings: dict[str, float] = {}
     graph = _graph_from_args(args)
-    # the automorphism count refuses more than --max-flags flags; do so before any face is built
-    polytope.check_buildable(graph, max_perms=args.max_perms)
-    polytope.check_flag_capacity(graph, args.max_flags)
+    polytope.check_walkable(graph, args.max_perms)
     hedron = polytope.build(graph, max_perms=args.max_perms)
 
     with _stage(timings, "symmetry"):
-        summary = symmetry.aut_summary(hedron, max_flags=args.max_flags)
+        summary = symmetry.aut_summary(hedron)
     with _stage(timings, "census"):
         census = classify.facet_census(hedron).entries if graph.q >= 1 else ()
 
@@ -248,7 +246,7 @@ def cmd_export(args: argparse.Namespace) -> int:
 
 
 def _cap(text: str) -> int:
-    """A ``--max-*`` value: a non-negative integer in ASCII decimal digits."""
+    """A ``--max-perms`` value: a non-negative integer in ASCII decimal digits."""
     try:
         value = parse_int(text)
     except ValueError as exc:
@@ -292,8 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     _subcommand(sub, "build", cmd_build, "face counts and flag count")
     _subcommand(sub, "verify", cmd_verify, "check the abstract-polytope axioms", VERIFY_MAX_PERMS)
-    p_analyze = _subcommand(sub, "analyze", cmd_analyze, "symmetry group and facet census", VERIFY_MAX_PERMS)
-    p_analyze.add_argument("--max-flags", type=_cap, default=symmetry.DEFAULT_MAX_FLAGS)
+    _subcommand(sub, "analyze", cmd_analyze, "symmetry group and facet census", VERIFY_MAX_PERMS)
     p_export = _subcommand(sub, "export", cmd_export, "Cayley graph or skeleton as DOT/JSON", timings=False)
     p_export.add_argument("--what", required=True, help="cayley or skeleton:K")
     p_export.add_argument("--format", choices=["dot", "json"], default="dot")

@@ -31,7 +31,8 @@ any two incident faces two ranks apart) and strong flag-connectedness (each
 section of rank two or more has a connected flag graph, a property of the
 sections alone by McMullen and Schulte, *Abstract Regular Polytopes* 2B),
 checked at each top above the least face and by a walk up the covers above
-each proper face, in time that grows with faces.
+each proper face, in time that grows with the p!·2^q faces of the vertex
+figures, which :func:`check_walkable` bounds before any face is built.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ from .perms import (
 from .posets import RankedPoset
 
 DEFAULT_MAX_PERMS = 5040  # 7!
+FIGURE_FACES_PER_PERM = 512  # vertex-figure faces per allowed permutation; at 720: p <= 5, or p = 6, q <= 9
 
 # An edge subset K with the sorted canonical representatives of its faces.
 Block = tuple[frozenset[int], tuple[Perm, ...]]
@@ -137,14 +139,6 @@ class Graphicahedron(RankedPoset):
             self._partitions[edges] = part
         return part
 
-    def face(self, edges: Iterable[int], a: Perm) -> Face:
-        """The face with the given edge set containing the permutation ``a``."""
-        key = frozenset(edges)
-        return Face(key, canonical_rep(self.partition_of(key), a))
-
-    def vertex(self, a: Perm) -> Face:
-        return Face(frozenset(), a)
-
     def is_incident(self, below: Face, above: Face) -> bool:
         """The partial order: edge sets nest and the small coset lies in the large one."""
         return below.edges <= above.edges and same_coset(
@@ -212,6 +206,15 @@ def check_buildable(graph: SimpleGraph, max_perms: int = DEFAULT_MAX_PERMS) -> N
         raise DisconnectedGraphError(
             "the graphicahedron is only defined for connected graphs"
         )
+
+
+def check_walkable(graph: SimpleGraph, max_perms: int) -> None:
+    """:func:`check_buildable`, then :class:`CapacityError` when the vertex figures'
+    p!·2^q faces, which verify and analyze walk, exceed ``FIGURE_FACES_PER_PERM * max_perms``."""
+    check_buildable(graph, max_perms)
+    if math.factorial(graph.p) << graph.q > FIGURE_FACES_PER_PERM * max_perms:
+        faces = f"{graph.p}! * 2^{graph.q} vertex-figure faces"
+        raise CapacityError(f"{faces} exceed the cap of {FIGURE_FACES_PER_PERM} * {max_perms}")
 
 
 def faces_of_rank(graph: SimpleGraph, rank: int) -> list[Block]:

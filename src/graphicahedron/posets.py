@@ -184,14 +184,20 @@ def _other_edge(down: Sequence[Sequence[int]], t: int, x: int, e: int) -> int:
 
 
 def _frames_at(a: RankedPoset, b: RankedPoset, w: int) -> Iterator[tuple[int, ...]]:
-    """The orderings of the edges at b's vertex ``w`` in which every pair
-    spans a 2-face of as many edges as the matching pair at a's vertex 0."""
-    want = [len(a.down[_two_face(a, e, f)]) for e, f in itertools.combinations(a.up[0], 2)]
-    gon = {(e, f): len(b.down[_two_face(b, e, f)]) for e, f in itertools.permutations(b.up[w], 2)}
-    return (
-        order for order in itertools.permutations(b.up[w])
-        if [gon[pair] for pair in itertools.combinations(order, 2)] == want
-    )
+    """The orderings of the edges at b's vertex ``w`` whose pairs span 2-faces as large as the
+    matching pairs at a's vertex 0, in ``itertools.permutations`` order, grown edge by edge."""
+    at_a, edges = a.up[0], b.up[w]
+    want = [[len(a.down[_two_face(a, e, f)]) for e in at_a[:k]] for k, f in enumerate(at_a)]
+    gon = [[0 if e == f else len(b.down[_two_face(b, e, f)]) for f in edges] for e in edges]
+
+    def grow(order: tuple[int, ...], rest: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        if not rest:
+            yield tuple(edges[j] for j in order)
+        for x, j in enumerate(rest):
+            if [gon[i][j] for i in order] == want[len(order)]:
+                yield from grow((*order, j), rest[:x] + rest[x + 1:])
+
+    return grow((), tuple(range(len(edges))))
 
 
 def map_frame(a: RankedPoset, b: RankedPoset, w: int, edges: Sequence[int]) -> list[int] | None:

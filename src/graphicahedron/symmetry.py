@@ -9,7 +9,8 @@ whenever the graph has more than one edge.
 
 Independently of that construction, the full automorphism group is counted
 on the stored face poset by vertex frames (:mod:`posets`): the size of a
-vertex's orbit times its stabiliser.
+vertex's orbit times its stabiliser, with no cap of its own (the CLI bounds
+the work with :func:`polytope.check_walkable` before building the poset).
 """
 
 from __future__ import annotations
@@ -66,8 +67,7 @@ def full_aut_order_via_flags(polytope: Graphicahedron, max_flags: int = DEFAULT_
     (:attr:`RankedPoset.vertex_orbit_and_stabiliser`).  A face missing from
     the store shows: ValueError unless every vertex figure is a simplex."""
     check_flag_capacity(polytope.graph, max_flags)
-    orbit, stabiliser = polytope.vertex_orbit_and_stabiliser
-    return orbit * stabiliser
+    return math.prod(polytope.vertex_orbit_and_stabiliser)
 
 
 def regular_by_graph_shape(graph: SimpleGraph) -> bool:
@@ -81,14 +81,9 @@ def is_regular(polytope: Graphicahedron) -> bool:
 
     A polytope is regular exactly when its automorphism group is as large
     as its flag set.  The verdict must agree with the closed-form criterion
-    on the underlying graph; disagreement means a bug, not a warning.  The
-    count runs under :data:`DEFAULT_MAX_FLAGS`.
+    on the underlying graph; disagreement means a bug, not a warning.
     """
-    return _regular_by_order(polytope, full_aut_order_via_flags(polytope))
-
-
-def _regular_by_order(polytope: Graphicahedron, aut_order: int) -> bool:
-    by_count = aut_order == flag_count(polytope)
+    by_count = math.prod(polytope.vertex_orbit_and_stabiliser) == flag_count(polytope)
     by_shape = regular_by_graph_shape(polytope.graph)
     if by_count != by_shape:
         raise InternalInconsistencyError(
@@ -114,16 +109,16 @@ class AutGroupSummary:
     semidirect_applies: bool
 
 
-def aut_summary(polytope: Graphicahedron, max_flags: int = DEFAULT_MAX_FLAGS) -> AutGroupSummary:
+def aut_summary(polytope: Graphicahedron) -> AutGroupSummary:
     graph = polytope.graph
-    flag_aut_order = full_aut_order_via_flags(polytope, max_flags=max_flags)
+    flag_aut_order = math.prod(polytope.vertex_orbit_and_stabiliser)
     graph_aut_order = len(automorphisms(graph))
     return AutGroupSummary(
         constructed_order=_constructed_order(graph, graph_aut_order),
         flag_aut_order=flag_aut_order,
         sp_order=math.factorial(graph.p),
         graph_aut_order=graph_aut_order,
-        regular=_regular_by_order(polytope, flag_aut_order),
+        regular=is_regular(polytope),
         vertex_transitive=is_vertex_transitive(polytope),
         semidirect_applies=semidirect_applies(graph),
     )

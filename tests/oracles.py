@@ -10,13 +10,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from graphicahedron import (
+    Face,
     Perm,
     RankedPoset,
     SimpleGraph,
     VertexPartition,
+    canonical_rep,
     compose,
     make_graph,
     transposition_of_edge,
@@ -38,6 +40,39 @@ def young_subgroup(part: VertexPartition) -> list[tuple[int, ...]]:
 def brute_coset(part: VertexPartition, a: tuple[int, ...]) -> set[tuple[int, ...]]:
     """The right coset H·a, materialized member by member."""
     return {compose(t, a) for t in young_subgroup(part)}
+
+
+def component_of(graph: SimpleGraph, edge_subset: Iterable[int], a: Perm) -> tuple[Perm, ...]:
+    """Connected component of ``a`` in the Cayley graph restricted to the given colors.
+
+    This is exactly the right coset of the subgroup generated by the chosen
+    edge transpositions, returned sorted.
+    """
+    if len(a) != graph.p:
+        raise ValueError(f"size mismatch: permutation on {len(a)} points, graph has {graph.p}")
+    taus = [transposition_of_edge(graph.p, graph.edges[e]) for e in edge_subset]
+    seen = {a}
+    frontier = [a]
+    while frontier:
+        nxt = []
+        for b in frontier:
+            for tau in taus:
+                c = compose(tau, b)
+                if c not in seen:
+                    seen.add(c)
+                    nxt.append(c)
+        frontier = nxt
+    return tuple(sorted(seen))
+
+
+def face(polytope, edges: Iterable[int], a: Perm) -> Face:
+    """The face of ``polytope`` with the given edge set containing the permutation ``a``."""
+    key = frozenset(edges)
+    return Face(key, canonical_rep(polytope.partition_of(key), a))
+
+
+def vertex(a: Perm) -> Face:
+    return Face(frozenset(), a)
 
 
 def all_set_partitions(p: int) -> list[VertexPartition]:
@@ -274,6 +309,22 @@ def flag_posets_isomorphic(a: RankedPoset, b: RankedPoset) -> bool:
     _, tables_b = flag_graph(b)
     n = len(tables_a[0])
     return n == len(tables_b[0]) and any(propagate(tables_a, tables_b, k) is not None for k in range(n))
+
+
+def frames_by_filter(a: RankedPoset, b: RankedPoset, w: int) -> Iterator[tuple[int, ...]]:
+    """The orderings of the edges at b's vertex ``w`` in which every pair
+    spans a 2-face of as many edges as the matching pair at a's vertex 0,
+    by filtering all of ``itertools.permutations`` of those edges."""
+
+    def two_face(poset: RankedPoset, e: int, f: int) -> int:
+        return next(t for t in poset.up[e] if f in poset.down[t])
+
+    want = [len(a.down[two_face(a, e, f)]) for e, f in itertools.combinations(a.up[0], 2)]
+    gon = {(e, f): len(b.down[two_face(b, e, f)]) for e, f in itertools.permutations(b.up[w], 2)}
+    return (
+        order for order in itertools.permutations(b.up[w])
+        if [gon[pair] for pair in itertools.combinations(order, 2)] == want
+    )
 
 
 def pairwise_covers(polytope) -> tuple[dict, dict]:

@@ -3,11 +3,10 @@ import math
 import re
 
 import pytest
-from oracles import brute_coset
+from oracles import brute_coset, component_of
 
 from graphicahedron import (
     build_cayley,
-    component_of,
     components,
     compose,
     export_dot,

@@ -141,11 +141,12 @@ def test_preset_size_takes_ascii_digits_only(capsys, preset):
         ("verify", "--preset", "paw", "--max-perms", "\u0667\u0662\u0660"),
         ("analyze", "--preset", "paw", "--max-flags", "5_000"),
         ("verify", "--preset", "paw", "--corrupt", "drop-face"),
+        ("analyze", "--preset", "paw", "--max-flags", "5000"),
     ],
     ids=[
         "no-graph-source", "value-like-an-option", "missing-value", "unknown-subcommand", "no-subcommand",
         "unknown-argument-with-a-line-break", "max-perms-plus", "max-perms-underscore", "max-perms-blanks",
-        "max-perms-arabic-indic", "max-flags-underscore", "no-defect-switch",
+        "max-perms-arabic-indic", "max-flags-underscore", "no-defect-switch", "no-flag-cap",
     ],
 )
 def test_usage_error_exits_1(capsys, argv):
@@ -203,7 +204,7 @@ def test_huge_graph_exits_3_before_any_factorial(capsys, argv):
     [
         ("build", "--preset", "paw", "--max-perms", "-1"),
         ("verify", "--preset", "paw", "--max-perms", "-720"),
-        ("analyze", "--preset", "paw", "--max-flags", "-1"),
+        ("analyze", "--preset", "paw", "--max-perms", "-1"),
         ("export", "--preset", "paw", "--what", "cayley", "--max-perms", "-5"),
     ],
 )
@@ -212,6 +213,22 @@ def test_negative_caps_exit_1(capsys, argv):
     assert code == 1
     assert out == ""
     assert "non-negative" in err
+
+
+# verify and analyze walk p!·2^q vertex-figure faces, at most 512 times
+# --max-perms: at the default 720, K5 and 9 edges on 6 vertices are admitted,
+# and 10 edges on 6 vertices or K6 are refused.
+K5, K6 = (",".join(f"{i}-{j}" for i, j in itertools.combinations(range(1, n + 1), 2)) for n in (5, 6))
+Q9 = "1-2,1-3,1-4,2-3,2-5,3-6,4-5,4-6,5-6"
+Q10 = "1-2,1-3,1-4,1-5,2-3,2-6,3-6,4-5,4-6,5-6"
+
+
+@pytest.mark.parametrize("edges", [K5, Q9], ids=["K5", "q9"])
+def test_the_walk_bound_admits_k5_and_9_edges_on_6_vertices(edges):
+    from graphicahedron import polytope
+    from graphicahedron.cli import VERIFY_MAX_PERMS, _parse_inline_edges
+
+    polytope.check_walkable(_parse_inline_edges(edges), VERIFY_MAX_PERMS)
 
 
 @pytest.mark.parametrize(
@@ -223,6 +240,8 @@ def test_negative_caps_exit_1(capsys, argv):
         (("--edges", "1-2,3-4,5-6,6-7"), "7! = 5040 permutations exceeds the cap of 720"),
         (("--preset", "path:6"), "7! = 5040 permutations exceeds the cap of 720"),
         (("--edges", "1-2,1-3,1-4,2-3,2-4,3-4,5-6"), "the graphicahedron is only defined for connected graphs"),
+        (("--edges", K6), "6! * 2^15 vertex-figure faces exceed the cap of 512 * 720"),
+        (("--edges", Q10), "6! * 2^10 vertex-figure faces exceed the cap of 512 * 720"),
     ],
 )
 def test_verify_refuses_before_building_any_face(capsys, monkeypatch, argv, message):
@@ -258,9 +277,9 @@ def test_verify_at_p6_reports_a_dropped_face(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (("--preset", "path:5"), "86400 flags exceed the cap of 5000"),
-        (("--preset", "cycle:5"), "14400 flags exceed the cap of 5000"),
-        (("--preset", "cycle:4", "--max-flags", "100"), "576 flags exceed the cap of 100"),
+        (("--edges", K6), "6! * 2^15 vertex-figure faces exceed the cap of 512 * 720"),
+        (("--edges", Q10), "6! * 2^10 vertex-figure faces exceed the cap of 512 * 720"),
+        (("--edges", K6, "--max-perms", "5040"), "6! * 2^15 vertex-figure faces exceed the cap of 512 * 5040"),
         (("--preset", "path:6"), "7! = 5040 permutations exceeds the cap of 720"),
         (("--edges", "1-2,3-4,5-6,6-7"), "7! = 5040 permutations exceeds the cap of 720"),
         (("--edges", "1-2,1-3,1-4,2-3,2-4,3-4,5-6"), "the graphicahedron is only defined for connected graphs"),
@@ -279,12 +298,23 @@ def test_analyze_refuses_before_building_any_face(capsys, monkeypatch, argv, mes
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("preset, order", [("path:5", 1440), ("star:5", 86400), ("cycle:6", 8640)])
+def test_analyze_at_p6_passes_at_the_defaults(capsys, preset, order):
+    code, report, err = run_json(capsys, "analyze", "--preset", preset)
+    assert (code, err) == (0, "")
+    assert report["symmetry"]["flag_aut_order"] == report["symmetry"]["constructed_order"] == order
+
+
 def test_flag_count_past_the_int_digit_limit_is_named_not_printed(capsys):
-    # the complete graph on 60 vertices has 60! <= 10**82 permutations and 1770! flag orders
-    edges = ",".join(f"{i}-{j}" for i in range(1, 61) for j in range(i + 1, 61))
-    code, out, err = run(capsys, "analyze", "--edges", edges, "--max-perms", str(10**82))
-    assert code == 3
-    assert err == "error: 60! * 1770! flags exceed the cap of 5000\n"
+    # the complete graph on 60 vertices has 60! <= 10**82 permutations and
+    # 60!·2^1770 vertex-figure faces, a number past int-to-str's digit limit
+    edges = ",".join(f"{i}-{j}" for i, j in itertools.combinations(range(1, 61), 2))
+    for command in ("verify", "analyze"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, "--edges", edges, "--max-perms", str(10**82))
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert err == f"error: 60! * 2^1770 vertex-figure faces exceed the cap of 512 * {10**82}\n"
 
 
 def test_max_perms_override(capsys):
@@ -700,9 +730,9 @@ def test_any_graph_file_ends_in_an_exit_code_and_one_line(text, command):
 # A subcommand, a graph source option with a value, then up to three
 # options, each with or without a value, or stray tokens: every token on
 # its own, drawn from the subcommand and option names, values they take
-# and arbitrary text.  ``--corrupt`` and ``drop-face`` stand for an option
-# the CLI no longer has.  The trailing --max-perms 24 wins over any earlier
-# value, so no run builds a graph on more than 4 vertices.
+# and arbitrary text.  ``--corrupt`` with ``drop-face``, and ``--max-flags``,
+# stand for options the CLI no longer has.  The trailing --max-perms 24 wins
+# over any earlier value, so no run builds a graph on more than 4 vertices.
 SUBCOMMANDS = ["build", "verify", "analyze", "export"]
 OPTIONS = st.sampled_from([
     "--file", "--edges", "--preset", "--max-perms", "--max-flags", "--timings", "--what", "--format",

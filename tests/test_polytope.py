@@ -10,6 +10,7 @@ from oracles import (
     adjacent_flag,
     brute_coset,
     construction_flag_tables,
+    face,
     faces_on_no_flag,
     flag_graph,
     flags,
@@ -17,6 +18,7 @@ from oracles import (
     product_poset,
     propagate,
     sectionwise_strong_flag_connectedness,
+    vertex,
 )
 
 from graphicahedron import (
@@ -105,7 +107,7 @@ def test_faces_are_self_canonical_and_deduplicated():
     for name, n in [("cycle", 3), ("paw", None), ("star", 3)]:
         P = hedron(name, n)
         for f in P.all_faces():
-            assert P.face(f.edges, f.rep) == f
+            assert face(P, f.edges, f.rep) == f
             assert f.rank == len(f.edges)
         for r in range(P.rank + 1):
             faces = P.faces(r)
@@ -197,8 +199,8 @@ def test_incidence_reflexive_and_examples():
     for f in P.all_faces():
         assert P.is_incident(f, f)
     alpha = (1, 2, 0)
-    v = P.vertex(alpha)
-    e = P.face([0], alpha)
+    v = vertex(alpha)
+    e = face(P, [0], alpha)
     assert P.is_incident(v, e)
 
 
@@ -207,10 +209,10 @@ def test_incidence_example_decided_by_coset_listing():
     P = hedron("cycle", 3)
     g = P.graph
     a13 = transposition_of_edge(3, (0, 2))
-    edge_face = P.face([0], a13)
+    edge_face = face(P, [0], a13)
     coset = brute_coset(P.partition_of(frozenset([0])), a13)
-    assert (identity(3) in coset) == P.is_incident(P.vertex(identity(3)), edge_face)
-    assert not P.is_incident(P.vertex(identity(3)), edge_face)
+    assert (identity(3) in coset) == P.is_incident(vertex(identity(3)), edge_face)
+    assert not P.is_incident(vertex(identity(3)), edge_face)
     # the two vertices genuinely below that edge are its coset members
     below = [v for v in P.faces(0) if P.is_incident(v, edge_face)]
     assert {v.rep for v in below} == coset
