@@ -30,8 +30,8 @@ stored poset alone, their negative controls being stores with faces dropped
 any two incident faces two ranks apart) and strong flag-connectedness (each
 section of rank two or more has a connected flag graph, a property of the
 sections alone by McMullen and Schulte, *Abstract Regular Polytopes* 2B),
-checked at each top above the least face and by a walk up the covers above
-each proper face, in time that grows with the p!·2^q faces of the vertex
+checked by one walk up the covers from each bottom, the least face like
+every proper face, in time that grows with the p!·2^q faces of the vertex
 figures, which :func:`check_walkable` bounds before any face is built.
 """
 
@@ -328,55 +328,51 @@ def verify_diamond(polytope: Graphicahedron) -> VerifyReport:
     return VerifyReport(True, checked)
 
 
-def _linked(masks: list) -> bool:
-    """Whether the bit sets, or sets, form a single class under overlap."""
-    joined, rest = masks[0], masks[1:]
-    while rest:
+def _linked(coatoms: list[int], below: dict[int, list[int]]) -> bool:
+    """Whether a face's ``coatoms`` form a single class, two coatoms
+    meeting when the id lists they cover, ``below``, share an id.  Each
+    pass joins the coatoms that meet the class so far."""
+    joined, rest = set(below[coatoms[0]]), coatoms
+    while True:
         left = []
-        for m in rest:
-            if m & joined:
-                joined = joined | m
-            else:
-                left.append(m)
-        if len(left) == len(rest):
-            return False
+        for c in rest:
+            if joined.isdisjoint(below[c]):
+                left.append(c)
+        if not left or len(left) == len(rest):
+            return not left
+        joined.update(*(below[c] for c in rest if c not in left))
         rest = left
-    return True
 
 
-def _walk_sections(bottom: int, up: list[list[int]]) -> tuple[int, int | None]:
-    """The sections above one face, ``bottom``.
+def _walk_sections(atoms: Iterable[int], up: list[list[int]]) -> tuple[int, int | None]:
+    """The sections above one bottom, given ``atoms``, the faces that
+    cover it: the vertices for the least face, ``up[F]`` for a face F.
 
-    Walks the up-set rank by rank in id order.  Each face carries a bit set
-    of the faces it covers inside the up-set, one bit per position in their
-    rank; a face G three or more ranks above the bottom closes a section,
-    connected when the bit sets of G's coatoms overlap into one class.
-    Returns the number of such faces up to and including the first
-    disconnected one, and that face (or None).
+    Walks up from the atoms rank by rank in id order, keeping for the faces
+    of the last two ranks the ids each covers one rank down; a face G three
+    or more ranks above the bottom closes a section, connected when G's
+    coatoms link through those lists (:func:`_linked`).  Returns the number
+    of such faces up to and including the first disconnected one, and that
+    face (or None).
     """
-    level = up[bottom]
-    masks = dict.fromkeys(level, 1)  # every atom covers the bottom alone
-    depth, tops = 1, 0
+    level, below, depth, tops = atoms, {}, 1, 0
     while level:
-        # the faces one rank up, each with [its bits, its coatoms' bit sets...]
         covers: dict[int, list[int]] = {}
-        for k, x in enumerate(level):
-            bit, mask = 1 << k, masks[x]
+        for x in level:
             for y in up[x]:
-                entry = covers.get(y)
-                if entry is None:
-                    covers[y] = [bit, mask]
+                coatoms = covers.get(y)
+                if coatoms is None:
+                    covers[y] = [x]
                 else:
-                    entry[0] |= bit
-                    entry.append(mask)
+                    coatoms.append(x)
         level = sorted(covers)
         depth += 1
         if depth >= 3:
             for g in level:
                 tops += 1
-                if not _linked(covers[g][1:]):
+                if not _linked(covers[g], below):
                     return tops, g
-        masks = {g: entry[0] for g, entry in covers.items()}
+        below = covers
     return tops, None
 
 
@@ -388,16 +384,15 @@ def verify_strong_flag_connectedness(polytope: Graphicahedron) -> VerifyReport:
     show this equivalent to strong connectedness, a property of sections
     alone); sections of rank below two always are.  So no flag is built:
     the sections [F, G] with G three or more ranks above F are checked in
-    order, the least face with every face of rank two or more, then each
-    face F below rank q-2 with its up-set, both in id order.  Once every
-    smaller section [F, C] has passed, the flags of [F, G] form one class
-    per coatom C, and two classes meet exactly when their coatoms share a
-    face of the section one rank down (:func:`_linked`).  Above the least
-    face, a section holds the faces reached upward from the vertices; above
-    a proper face, its up-set, walked by :func:`_walk_sections`.  ``checked``
-    counts the sections walked, up to the first disconnected one, the
-    witness.  Then a face not reached from a vertex, or not below a face of
-    rank q, lies on no flag, and fails.
+    order, F the least face and then each face below rank q-2 in id order,
+    G in id order, by one walk up the covers from the faces covering F
+    (:func:`_walk_sections`).  Once every smaller section [F, C] has
+    passed, the flags of [F, G] form one class per coatom C, and two
+    classes meet exactly when their coatoms share a face of the section one
+    rank down (:func:`_linked`).  ``checked`` counts the sections walked,
+    up to the first disconnected one, the witness.  Then a face not reached
+    upward from a vertex, or not below a face of rank q, lies on no flag,
+    and fails.
 
     A disconnected full flag graph shows as a failing section, at the
     latest [least face, greatest face].  The report agrees with a search
@@ -409,22 +404,18 @@ def verify_strong_flag_connectedness(polytope: Graphicahedron) -> VerifyReport:
     def failure(bottom: str, top: int) -> str:
         return f"section [{bottom}, {face_id(polytope.face_at(top))}] has a disconnected flag graph"
 
-    reached = bytearray(len(ranks))  # the faces reached upward from the vertices
-    inside = reached.__getitem__
-    for i, below in enumerate(down):
-        reached[i] = not ranks[i] or any(map(inside, below))
-    checked = 0
-    for top in range(polytope.first_of_rank(2), len(ranks)):
-        if reached[top]:
-            checked += 1
-            if not _linked([set(filter(inside, down[c])) for c in filter(inside, down[top])]):
-                return VerifyReport(False, checked, failure("least face", top))
+    checked, top = _walk_sections(range(polytope.first_of_rank(1)), up)
+    if top is not None:
+        return VerifyReport(False, checked, failure("least face", top))
     for bottom in range(polytope.first_of_rank(polytope.rank - 2)):
-        tops, top = _walk_sections(bottom, up)
+        tops, top = _walk_sections(up[bottom], up)
         checked += tops
         if top is not None:
             return VerifyReport(False, checked, failure(face_id(polytope.face_at(bottom)), top))
+    reached = bytearray(len(ranks))  # the up-closure of the vertices
     below_top = bytearray(len(ranks))  # the down-closure of the faces of rank q
+    for i in range(len(ranks)):
+        reached[i] = not ranks[i] or any(map(reached.__getitem__, down[i]))
     for i in reversed(range(len(ranks))):
         below_top[i] = ranks[i] == polytope.rank or any(map(below_top.__getitem__, up[i]))
     for i in range(len(ranks)):

@@ -416,6 +416,22 @@ def test_strong_flag_connectedness_matches_the_oracle_under_every_face_drop(spec
             same_report(drop_face(P, face))
 
 
+def test_strong_flag_connectedness_matches_the_oracle_at_rank_5_with_faces_dropped():
+    # every 150th single-face drop of cycle:5, then seeded drops of 3 to 12
+    # faces, which fail in sections above the least face and above a vertex
+    P = hedron("cycle", 5)
+    faces = [face for face in P.all_faces() if face.rank < P.rank]
+    stores = [drop_face(P, face) for face in faces[::150]]
+    rng = random.Random(0)
+    for _ in range(3):
+        corrupted = P
+        for face in rng.sample(faces, rng.randint(3, 12)):
+            corrupted = drop_face(corrupted, face)
+        stores.append(corrupted)
+    reports = [same_report(store) for store in stores]
+    assert [report.passed for report in reports] == [True] * 5 + [False] * 3
+
+
 def test_dropping_the_greatest_face_leaves_every_face_on_no_flag():
     P = hedron("cycle", 3)
     corrupted = drop_face(P, P.greatest_face)
@@ -560,7 +576,9 @@ def test_direct_covers_match_pairwise_scan(spec):
 # recorded from the pairwise-incidence implementation; path:5 and star:5
 # from the flag-graph route that came before the walk of covers.  The
 # second count is the sections walked: one less than those routes
-# recorded, which also counted the full flag graph.
+# recorded, which also counted the full flag graph.  cycle:6, whose
+# sections reach seven ranks deep, from the walk that checked the least
+# face apart from the proper faces.
 PINNED_CHECKED = {
     "fork": (1820, 1006),
     "path:4": (1830, 1021),
@@ -568,6 +586,7 @@ PINNED_CHECKED = {
     "cycle:5": (4125, 4001),
     "path:5": (25020, 24243),
     "star:5": (23700, 23251),
+    "cycle:6": (52026, 81193),
 }
 
 
