@@ -6,7 +6,10 @@ the left by the transposition of some graph edge; that edge's index is the
 color of the Cayley edge, so each color class is a perfect matching.
 
 A graphicahedron store numbers its vertices the same way, so
-:func:`dot_graph` writes both this graph and a skeleton's 1-skeleton.
+:func:`dot_graph` writes both this graph and a skeleton's 1-skeleton.  The
+writers are streams: :meth:`CayleyGraph.edges` yields the sorted edge list
+vertex by vertex and :func:`dot_graph` yields the DOT text line by line, so
+a caller holds no more of either than it keeps.
 """
 
 from __future__ import annotations
@@ -14,9 +17,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Sequence
 
 from .graphs import SimpleGraph
-from .perms import Perm, all_perms, check_perm_capacity, compose, transposition_of_edge
-
-DEFAULT_MAX_PERMS = 40320  # 8!
+from .perms import DEFAULT_MAX_PERMS, Perm, all_perms, check_perm_capacity, compose, transposition_of_edge
 
 # Edge colors for DOT output, reused cyclically past the palette size.
 PALETTE = (
@@ -55,11 +56,12 @@ class CayleyGraph:
         return self.n_vertices * self.n_colors // 2
 
     def edges(self) -> Iterator[tuple[int, int, int]]:
-        """Undirected colored edges as (smaller vertex, larger vertex, color)."""
-        for color, nbr in enumerate(self.neighbor):
-            for u, v in enumerate(nbr):
-                if u < v:
-                    yield (u, v, color)
+        """Undirected colored edges as (smaller vertex, larger vertex, color),
+        in sorted order: for each vertex, its larger neighbors in order (no
+        two colors lead to the same neighbor)."""
+        for u, row in enumerate(zip(*self.neighbor)):
+            for v, color in sorted((v, color) for color, v in enumerate(row) if v > u):
+                yield (u, v, color)
 
 
 def build_cayley(graph: SimpleGraph, max_perms: int = DEFAULT_MAX_PERMS) -> CayleyGraph:
@@ -69,23 +71,24 @@ def build_cayley(graph: SimpleGraph, max_perms: int = DEFAULT_MAX_PERMS) -> Cayl
     return CayleyGraph(graph)
 
 
-def dot_graph(name: str, perms: Sequence[Perm], edges: Iterable[tuple[int, int, int]]) -> str:
-    """Render colored edges between permutations in DOT format.
+def dot_graph(name: str, perms: Sequence[Perm], edges: Iterable[tuple[int, int, int]]) -> Iterator[str]:
+    """Colored edges between permutations in DOT format, one line (with its
+    newline) at a time.
 
     Node ``v<i>`` is ``perms[i]``, labeled with its 1-based image sequence;
     each (u, v, color) edge carries the palette color of its generator.
     """
-    lines = [f"graph {name} {{", "  node [shape=circle];"]
+    yield f"graph {name} {{\n"
+    yield "  node [shape=circle];\n"
     for i, a in enumerate(perms):
         label = ",".join(str(v + 1) for v in a)
-        lines.append(f'  v{i} [label="{label}"];')
+        yield f'  v{i} [label="{label}"];\n'
     for u, v, color in edges:
         hexcolor = PALETTE[color % len(PALETTE)]
-        lines.append(f'  v{u} -- v{v} [color="{hexcolor}", generator={color + 1}];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        yield f'  v{u} -- v{v} [color="{hexcolor}", generator={color + 1}];\n'
+    yield "}\n"
 
 
 def export_dot(cayley: CayleyGraph) -> str:
     """The Cayley graph in DOT format: nodes named ``v<lex rank>``, edges sorted."""
-    return dot_graph("cayley", cayley.perms, sorted(cayley.edges()))
+    return "".join(dot_graph("cayley", cayley.perms, cayley.edges()))

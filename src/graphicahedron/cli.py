@@ -8,6 +8,11 @@ graph, 3 capacity exceeded, 4 axiom failure, 5 internal inconsistency.
 A bad, missing or unknown option or subcommand ends like a bad graph, in
 one ``error:`` line and exit 1; ``--max-perms`` takes ASCII decimal digits.
 ``verify`` and ``analyze`` exit 3 before building any face if p!·2^q > 512·``--max-perms``.
+
+The writers stream: ``build`` counts the faces block by block and keeps no
+store, and ``export`` writes its DOT lines or JSON list items a few
+thousand at a time, so no command holds its whole output.  A reader that
+closes stdout early, as ``| head`` does, ends the run quietly.
 """
 
 from __future__ import annotations
@@ -15,13 +20,16 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import itertools
 import json
+import math
+import os
 import sys
 import time
-from typing import Callable, Iterator, NoReturn, Sequence
+from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
 from . import classify, polytope, symmetry
-from .cayley import build_cayley, dot_graph, export_dot
+from .cayley import build_cayley, dot_graph
 from .errors import (
     CapacityError,
     DisconnectedGraphError,
@@ -50,6 +58,10 @@ ERROR_EXITS = {
 }
 
 VERIFY_MAX_PERMS = 720  # p <= 6
+
+# Pieces (DOT lines, JSON list items) joined into one stdout write: enough
+# that the writes cost little, few enough that no output is held whole.
+_CHUNK_PIECES = 4096
 
 
 def _parse_inline_edges(text: str) -> SimpleGraph:
@@ -103,39 +115,50 @@ def _graph_echo(graph: SimpleGraph) -> dict:
     }
 
 
-def _report_head(graph: SimpleGraph, hedron) -> dict:
+def _report_head(graph: SimpleGraph, f_vector: Iterable[int]) -> dict:
     # f_vector covers proper ranks 0..q-1 plus the greatest face at rank q;
     # the least face at rank -1 is implicit and never stored
     return {
         "graph": _graph_echo(graph),
         "rank": graph.q,
         "improper_ranks": [-1, graph.q],
-        "f_vector": list(hedron.f_vector()),
-        "flag_count": polytope.flag_count(hedron),
+        "f_vector": list(f_vector),
+        "flag_count": math.factorial(graph.p) * math.factorial(graph.q),
     }
 
 
-def _json_list(values: list, pad: str) -> str:
-    """A list as ``json.dumps(..., indent=2)`` writes it at indent ``pad``;
-    the items are ints, strings or non-empty flat lists of ints."""
-    if not values:
-        return "[]"
-    inner = pad + "  "
-    if isinstance(values[0], list):
-        deeper = inner + "  "
-        head, sep, tail = f"[\n{deeper}", f",\n{deeper}", f"\n{inner}]"
-        items = [head + sep.join(map(str, row)) + tail for row in values]
-    else:
-        items = map(json.dumps if isinstance(values[0], str) else str, values)
-    return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
+def _write_chunks(pieces: Iterable[str]) -> None:
+    """Write ``pieces`` to stdout, one join of ``_CHUNK_PIECES`` of them per
+    write: the output is never held whole, and never written piece by piece."""
+    pieces = iter(pieces)
+    while chunk := list(itertools.islice(pieces, _CHUNK_PIECES)):
+        sys.stdout.write("".join(chunk))
 
 
-def _write_json_lists(payload: dict[str, list]) -> None:
-    """``json.dumps(payload, indent=2)`` plus a newline, for a dict of
-    :func:`_json_list` lists, without the pure-Python encoder that
-    ``indent`` selects."""
-    body = ",\n".join(f"  {json.dumps(key)}: {_json_list(values, '  ')}" for key, values in payload.items())
-    sys.stdout.write("{\n" + body + "\n}\n")
+def _json_pieces(payload: dict[str, Iterable]) -> Iterator[str]:
+    """The text of ``json.dumps(payload, indent=2)`` plus a newline, one list
+    item at a time, for a non-empty dict of iterables whose items are ints,
+    strings or non-empty flat lists of ints; the pure-Python encoder that
+    ``indent`` selects is not used."""
+    lead = "{\n"
+    for key, values in payload.items():
+        yield f"{lead}  {json.dumps(key)}: "
+        sep = "[\n    "
+        for value in values:
+            if isinstance(value, list):
+                yield sep + "[\n      " + ",\n      ".join(map(str, value)) + "\n    ]"
+            else:
+                yield sep + (json.dumps(value) if isinstance(value, str) else str(value))
+            sep = ",\n    "
+        yield "[]" if sep == "[\n    " else "\n  ]"
+        lead = ",\n"
+    yield "\n}\n"
+
+
+def _write_json_lists(payload: dict[str, Iterable]) -> None:
+    """Write ``json.dumps(payload, indent=2)`` plus a newline in chunks
+    (:func:`_json_pieces`)."""
+    _write_chunks(_json_pieces(payload))
 
 
 @contextlib.contextmanager
@@ -156,8 +179,12 @@ def cmd_build(args: argparse.Namespace) -> int:
     timings: dict[str, float] = {}
     graph = _graph_from_args(args)
     with _stage(timings, "build"):
-        hedron = polytope.build(graph, max_perms=args.max_perms)
-    report = _report_head(graph, hedron)
+        # every face is enumerated, one block at a time, and counted; no store is kept
+        polytope.check_buildable(graph, args.max_perms)
+        f_vector = [
+            sum(len(reps) for _, reps in polytope.faces_of_rank(graph, rank)) for rank in range(graph.q + 1)
+        ]
+    report = _report_head(graph, f_vector)
     _print_report(report, args, timings)
     return EXIT_OK
 
@@ -183,7 +210,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     witnesses = [r.failure for r in (diamond, connected) if r.failure]
     if witnesses:
         axioms["witness"] = witnesses[0]
-    report = _report_head(graph, hedron)
+    report = _report_head(graph, hedron.f_vector())
     report["axioms"] = axioms
     _print_report(report, args, timings)
     return EXIT_OK if diamond.passed and connected.passed and simple else EXIT_AXIOM
@@ -200,7 +227,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     with _stage(timings, "census"):
         census = classify.facet_census(hedron).entries if graph.q >= 1 else ()
 
-    report = _report_head(graph, hedron)
+    report = _report_head(graph, hedron.f_vector())
     report.update({
         "symmetry": dataclasses.asdict(summary),
         "facet_census": [
@@ -217,11 +244,11 @@ def cmd_export(args: argparse.Namespace) -> int:
     if args.what == "cayley":
         cayley = build_cayley(graph, max_perms=args.max_perms)
         if args.format == "dot":
-            sys.stdout.write(export_dot(cayley))
+            _write_chunks(dot_graph("cayley", cayley.perms, cayley.edges()))
         else:
             _write_json_lists({
-                "nodes": [",".join(str(v + 1) for v in a) for a in cayley.perms],
-                "edges": [[u, v, c + 1] for u, v, c in sorted(cayley.edges())],
+                "nodes": (",".join(str(v + 1) for v in a) for a in cayley.perms),
+                "edges": ([u, v, c + 1] for u, v, c in cayley.edges()),
             })
         return EXIT_OK
     if what == "skeleton":
@@ -235,11 +262,11 @@ def cmd_export(args: argparse.Namespace) -> int:
             raise ParseError(str(exc)) from None
         edges = skel.vertex_edges()
         if args.format == "dot":
-            sys.stdout.write(dot_graph("skeleton", skel.vertex_reps, edges))
+            _write_chunks(dot_graph("skeleton", skel.vertex_reps, edges))
         else:
             _write_json_lists({
-                "faces_per_rank": list(skel.f_vector()[:k + 1]),
-                "edges": [[u, v, c + 1] for u, v, c in edges],
+                "faces_per_rank": skel.f_vector()[:k + 1],
+                "edges": ([u, v, c + 1] for u, v, c in edges),
             })
         return EXIT_OK
     raise ParseError(f"unknown export target {args.what!r}")
@@ -309,7 +336,13 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    code = EXIT_OK
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader closed stdout, as `| head` does: stop writing, quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

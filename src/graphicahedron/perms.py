@@ -118,6 +118,9 @@ class VertexPartition:
         return len(self.block_of)
 
 
+DEFAULT_MAX_PERMS = 5040  # 7!: the library's default cap on the p! vertices
+
+
 def check_perm_capacity(p: int, cap: int) -> None:
     """Raise :class:`CapacityError` when ``p!`` exceeds ``cap``.
 

@@ -37,6 +37,7 @@ figures, which :func:`check_walkable` bounds before any face is built.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from bisect import bisect_left, bisect_right
@@ -48,6 +49,7 @@ from .cayley import CayleyGraph
 from .errors import CapacityError, DisconnectedGraphError
 from .graphs import SimpleGraph, components, is_connected
 from .perms import (
+    DEFAULT_MAX_PERMS,
     Perm,
     VertexPartition,
     canonical_rep,
@@ -61,7 +63,6 @@ from .perms import (
 )
 from .posets import RankedPoset
 
-DEFAULT_MAX_PERMS = 5040  # 7!
 FIGURE_FACES_PER_PERM = 512  # vertex-figure faces per allowed permutation; at 720: p <= 5, or p = 6, q <= 9
 
 # An edge subset K with the sorted canonical representatives of its faces.
@@ -217,8 +218,10 @@ def check_walkable(graph: SimpleGraph, max_perms: int) -> None:
         raise CapacityError(f"{faces} exceed the cap of {FIGURE_FACES_PER_PERM} * {max_perms}")
 
 
-def faces_of_rank(graph: SimpleGraph, rank: int) -> list[Block]:
-    """The blocks of one rank, in ``face_sort_key`` order.
+def faces_of_rank(graph: SimpleGraph, rank: int) -> Iterator[Block]:
+    """The blocks of one rank, in ``face_sort_key`` order, each made when
+    the iterator reaches it, so a caller that counts faces holds one block
+    at a time.
 
     For each edge subset K the faces with first component K are exactly the
     cosets of its Young subgroup, so they come straight from the component
@@ -226,10 +229,10 @@ def faces_of_rank(graph: SimpleGraph, rank: int) -> list[Block]:
     pairs.  The subsets come from ``itertools.combinations`` in lexicographic
     order and :func:`coset_reps` is sorted, so no re-sort is needed.
     """
-    return [
+    return (
         (frozenset(combo), coset_reps(components(graph, combo)))
         for combo in itertools.combinations(range(graph.q), rank)
-    ]
+    )
 
 
 def build(graph: SimpleGraph, max_perms: int = DEFAULT_MAX_PERMS) -> Graphicahedron:
@@ -442,31 +445,34 @@ class Skeleton(Graphicahedron):
     """The store of the proper faces of rank at most k, with the induced
     incidence; its vertex ids number the vertices of its 1-skeleton."""
 
-    def vertex_edges(self) -> tuple[tuple[int, int, int], ...]:
+    def vertex_edges(self) -> Iterator[tuple[int, int, int]]:
         """The 1-skeleton as sorted (vertex id, vertex id, color) triples,
-        one per rank-1 face.
+        one per rank-1 face, yielded lazily.
 
         The rank-1 face ({e}, c) is the coset {c, t_e c} of the edge's
         transposition t_e, and its canonical rep c is the lesser of the two,
         so its two vertex ids, looked up among the rank-0 block's reps, come
         in order.  In a store holding all p! vertices a vertex id is the
         lexicographic rank of its permutation, which is its
-        :class:`CayleyGraph` index.  Raises ValueError naming a rank-1 face
-        whose vertex is not stored.
+        :class:`CayleyGraph` index.  A vertex id is a position among the
+        sorted vertex reps and each block's reps are sorted, so every
+        rank-1 block yields its triples sorted by first id, and
+        ``heapq.merge`` of the blocks is the sorted list.  Raises ValueError,
+        when iteration reaches it, naming a rank-1 face whose vertex is not
+        stored.
         """
         taus = [transposition_of_edge(self.graph.p, edge) for edge in self.graph.edges]
         vertex_id = {a: i for i, a in enumerate(self.vertex_reps)}
-        out = []
-        for edges, reps in self.blocks:
-            if len(edges) != 1:
-                continue
+
+        def block_edges(edges: frozenset[int], reps: tuple[Perm, ...]) -> Iterator[tuple[int, int, int]]:
             (e,) = edges
             for c in reps:
                 u, v = vertex_id.get(c), vertex_id.get(compose(taus[e], c))
                 if u is None or v is None:
                     raise ValueError(f"{face_id(Face(edges, c))} has a vertex that is not stored")
-                out.append((u, v, e))
-        return tuple(sorted(out))
+                yield (u, v, e)
+
+        return heapq.merge(*(block_edges(edges, reps) for edges, reps in self.blocks if len(edges) == 1))
 
 
 def _check_skeleton_rank(graph: SimpleGraph, k: int) -> None:
@@ -496,12 +502,12 @@ def one_skeleton_equals_cayley(polytope: Graphicahedron, cayley: CayleyGraph) ->
     """Whether the 1-skeleton is the Cayley graph, vertex ids and colors
     included: p and q match, the stored vertex reps are ``cayley.perms`` in
     order, and :meth:`Skeleton.vertex_edges` of the ranks up to 1 is the
-    sorted Cayley edge list."""
+    Cayley edge list, both sorted."""
     graph = polytope.graph
     if graph.p != cayley.p or graph.q != cayley.n_colors:
         return False
     ones = Skeleton(graph, (b for b in polytope.blocks if len(b[0]) <= 1))
-    return ones.vertex_reps == cayley.perms and ones.vertex_edges() == tuple(sorted(cayley.edges()))
+    return ones.vertex_reps == cayley.perms and tuple(ones.vertex_edges()) == tuple(cayley.edges())
 
 
 def tree_order_equals_coset_inclusion(graph: SimpleGraph) -> tuple[bool, tuple[Face, Face] | None]:

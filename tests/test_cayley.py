@@ -6,6 +6,7 @@ import pytest
 from oracles import brute_coset, component_of
 
 from graphicahedron import (
+    build,
     build_cayley,
     components,
     compose,
@@ -16,6 +17,7 @@ from graphicahedron import (
     preset_graph,
 )
 from graphicahedron.errors import CapacityError
+from graphicahedron.perms import DEFAULT_MAX_PERMS
 
 
 def reachable(cayley, start=0):
@@ -76,6 +78,19 @@ def test_color_classes_are_perfect_matchings():
 def test_capacity():
     with pytest.raises(CapacityError):
         build_cayley(preset_graph("path", 4), max_perms=100)
+
+
+def test_default_cap_is_the_stores():
+    # one library default: the Cayley graph stops where build does, at p = 7
+    assert build_cayley.__defaults__ == build.__defaults__ == (DEFAULT_MAX_PERMS,) == (5040,)
+    with pytest.raises(CapacityError):
+        build_cayley(preset_graph("path", 7))
+
+
+@pytest.mark.parametrize("name, n", [("path", 3), ("cycle", 4), ("paw", None)])
+def test_edges_come_sorted(name, n):
+    edges = list(build_cayley(preset_graph(name, n)).edges())
+    assert edges == sorted(edges) and len(edges) == len(set(edges))
 
 
 def test_component_of_trivial_cases():

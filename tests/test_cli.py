@@ -455,7 +455,7 @@ def test_library_errors_exit_with_their_codes(capsys, monkeypatch, error, code):
     def boom(*args, **kwargs):
         raise getattr(errors, error)("no good")
 
-    monkeypatch.setattr(cli.polytope, "build", boom)
+    monkeypatch.setattr(cli.polytope, "faces_of_rank", boom)
     assert run(capsys, "build", "--preset", "paw") == (code, "", "error: no good\n")
 
 
@@ -544,13 +544,67 @@ def test_bad_input_exits_1_with_one_line(tmp_path, capsys, source, what):
         {"faces_per_rank": [6], "edges": []},
         {"faces_per_rank": [24, 36], "edges": [[0, 1, 1], [0, 5, 3], [22, 23, 2]]},
         {"nodes": ["1,2", "2,1"], "edges": [[0, 1, 1]]},
+        # rows across a write-chunk boundary, an empty list first, strings
+        # the encoder escapes
+        {"faces_per_rank": [9000], "edges": [[i, i + 1, i % 3 + 1] for i in range(9000)]},
+        {"edges": [], "faces_per_rank": [1, 2]},
+        {"nodes": [f'{i},"\\\u00e9' for i in range(5000)]},
     ],
 )
 def test_json_writer_matches_the_indenting_encoder(capsys, payload):
     from graphicahedron.cli import _write_json_lists
 
-    _write_json_lists(payload)
+    _write_json_lists({key: (row for row in values) for key, values in payload.items()})
     assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+
+
+def test_build_keeps_no_store(capsys, monkeypatch):
+    # build counts the faces block by block: making a store would hold them all
+    from graphicahedron import polytope
+
+    _, expected, _ = run(capsys, "build", "--preset", "cycle:4")
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("build made a Graphicahedron")
+
+    monkeypatch.setattr(polytope.Graphicahedron, "__init__", forbidden)
+    assert run(capsys, "build", "--preset", "cycle:4") == (0, expected, "")
+
+
+def test_export_writes_in_chunks(monkeypatch):
+    from graphicahedron import cli
+
+    class Recording(io.StringIO):
+        def __init__(self):
+            super().__init__()
+            self.sizes = []
+
+        def write(self, text):
+            self.sizes.append(len(text))
+            return super().write(text)
+
+    out = Recording()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["export", "--preset", "cycle:7", "--what", "cayley", "--max-perms", "5040"]) == 0
+    text = out.getvalue()
+    assert hashlib.sha256(text.encode()).hexdigest() == LONG_RUNS[0][2]
+    assert max(out.sizes) <= len(text) / 4
+    assert len(out.sizes) <= text.count("\n") / cli._CHUNK_PIECES + 1
+
+
+def test_a_closed_stdout_ends_quietly():
+    # the reader takes one line and closes the pipe; the run goes on writing
+    src = str(Path(graphicahedron.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["export", "--preset", "cycle:7", "--what", "cayley", "--max-perms", "5040"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "graphicahedron.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    ) as child:
+        assert child.stdout.readline() == b"graph cayley {\n"
+        child.stdout.close()
+        err = child.stderr.read()
+        assert (child.wait(), err) == (0, b"")
 
 
 # stdout sha256 and exit code of each run, recorded before faces were
@@ -633,7 +687,23 @@ PINNED_RUNS = [
 ]
 
 
-@pytest.mark.parametrize("argv, code, digest", PINNED_RUNS)
+# Outputs longer than one write chunk, recorded while each export was one
+# write and build kept its store.
+LONG_RUNS = [
+    ("export --preset cycle:7 --what cayley --format dot --max-perms 5040", 0,
+     "06852c577a8496301f77fd70044ae3b4ff7f2b9e7fabeace90d94f6509f3bbf8"),
+    ("export --preset star:6 --what skeleton:1 --format json --max-perms 5040", 0,
+     "5f64c99db0588276d668cfb6cb3e0258122b35ddf11c7af8cfa40f7f6b1d219e"),
+    ("export --preset cycle:6 --what cayley --format json", 0,
+     "1945e6154ceb2f1d4d5a9261ba0754ad18f5a751132ab726e6f693b9507ba851"),
+    ("export --preset path:6 --what skeleton:2 --format dot --max-perms 5040", 0,
+     "9b6f83afd48b1db9e46c43d400ba9c57f882c31ea6b908be57a6a925e604237a"),
+    ("build --preset path:6 --max-perms 5040", 0,
+     "9d5259fb874c0016d2b09930454741d1dbf29dac325ff6e39315f9c11c593dbb"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", PINNED_RUNS + LONG_RUNS)
 def test_cli_stdout_is_pinned(capsys, argv, code, digest):
     got, out, err = run(capsys, *argv.split())
     assert got == code
