@@ -6,7 +6,8 @@ the Cayley graph of S_3 generated by (1 2) and (2 3) -- a 6-cycle with
 alternating edge colors.
 """
 
-from graphicahedron import build, build_cayley, export_dot, flag_count, preset_graph
+from graphicahedron import build, build_cayley, flag_count, preset_graph
+from graphicahedron.cayley import dot_graph
 
 path2 = preset_graph("path", 2)
 P = build(path2)
@@ -22,4 +23,5 @@ for v in P.faces(0):
     print(f"  ({images})  lies under {len(incident)} edges")
 
 print("\nCayley color graph in DOT format:")
-print(export_dot(build_cayley(path2)))
+cayley = build_cayley(path2)
+print("".join(dot_graph("cayley", cayley.perms, cayley.edges())))

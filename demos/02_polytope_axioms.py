@@ -14,7 +14,6 @@ from graphicahedron import (
     preset_graph,
     verify_diamond,
     verify_strong_flag_connectedness,
-    vertex_figure_is_simplex,
 )
 from graphicahedron.polytope import drop_face
 
@@ -30,8 +29,7 @@ connected = verify_strong_flag_connectedness(P)
 print(f"strong flag-connectedness: {'pass' if connected.passed else 'fail'} "
       f"({connected.checked} sections of rank two or more checked)")
 
-simple = all(vertex_figure_is_simplex(P, v) for v in P.faces(0))
-print(f"all vertex figures are 3-simplices: {simple}")
+print(f"all vertex figures are 3-simplices: {P.is_simple}")
 
 # A negative control: delete one face and the diamond count breaks.
 corrupted = drop_face(P, P.faces(2)[0])

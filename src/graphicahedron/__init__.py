@@ -8,10 +8,9 @@ of the symmetric group with one transposition generator per graph edge; a
 path graph recovers the classical permutahedron.
 """
 
-from .cayley import CayleyGraph, build_cayley, export_dot
+from .cayley import CayleyGraph, build_cayley
 from .classify import (
     FacetCensus,
-    classify_2face,
     classify_by_construction,
     facet_census,
     labelled_poset,
@@ -55,7 +54,6 @@ from .polytope import (
     flag_count,
     one_skeleton_equals_cayley,
     skeleton,
-    tree_order_equals_coset_inclusion,
     verify_diamond,
     verify_strong_flag_connectedness,
     vertex_figure_is_simplex,
@@ -98,14 +96,12 @@ __all__ = [
     "build",
     "build_cayley",
     "canonical_rep",
-    "classify_2face",
     "classify_by_construction",
     "components",
     "compose",
     "conjugate",
     "constructed_group_order",
     "coset_size",
-    "export_dot",
     "face_count",
     "facet_census",
     "flag_count",
@@ -125,7 +121,6 @@ __all__ = [
     "same_coset",
     "skeleton",
     "transposition_of_edge",
-    "tree_order_equals_coset_inclusion",
     "verify_diamond",
     "verify_strong_flag_connectedness",
     "vertex_figure_is_simplex",

@@ -9,15 +9,17 @@ A graphicahedron store numbers its vertices the same way, so
 :func:`dot_graph` writes both this graph and a skeleton's 1-skeleton.  The
 writers are streams: :meth:`CayleyGraph.edges` yields the sorted edge list
 vertex by vertex and :func:`dot_graph` yields the DOT text line by line, so
-a caller holds no more of either than it keeps.
+a caller holds no more of either than it keeps; one that wants the whole
+text joins ``dot_graph("cayley", c.perms, c.edges())``.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, Iterator, Sequence
 
 from .graphs import SimpleGraph
-from .perms import DEFAULT_MAX_PERMS, Perm, all_perms, check_perm_capacity, compose, transposition_of_edge
+from .perms import DEFAULT_MAX_PERMS, Perm, check_perm_capacity, compose, transposition_of_edge
 
 # Edge colors for DOT output, reused cyclically past the palette size.
 PALETTE = (
@@ -38,7 +40,7 @@ class CayleyGraph:
     def __init__(self, graph: SimpleGraph):
         self.graph = graph
         self.p = graph.p
-        self.perms = tuple(all_perms(graph.p))
+        self.perms = tuple(itertools.permutations(range(graph.p)))
         self.index = {a: i for i, a in enumerate(self.perms)}
         taus = [transposition_of_edge(graph.p, e) for e in graph.edges]
         # neighbor[color][vertex] -> vertex
@@ -88,7 +90,3 @@ def dot_graph(name: str, perms: Sequence[Perm], edges: Iterable[tuple[int, int, 
         yield f'  v{u} -- v{v} [color="{hexcolor}", generator={color + 1}];\n'
     yield "}\n"
 
-
-def export_dot(cayley: CayleyGraph) -> str:
-    """The Cayley graph in DOT format: nodes named ``v<lex rank>``, edges sorted."""
-    return "".join(dot_graph("cayley", cayley.perms, cayley.edges()))

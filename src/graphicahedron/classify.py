@@ -1,4 +1,4 @@
-"""Classification of 2-faces and facets, and the facet census.
+"""Type labels of faces by construction, and the facet census.
 
 A facet's type is a label string read off its edge subset by
 :func:`classify_by_construction`: each nontrivial component of the spanning
@@ -21,30 +21,8 @@ from typing import Iterable
 
 from .errors import CapacityError, InternalInconsistencyError
 from .graphs import SimpleGraph, components
-from .polytope import Face, Graphicahedron, face_count, face_id
+from .polytope import Graphicahedron, face_count, face_id
 from .posets import RankedPoset, posets_isomorphic
-
-
-def classify_2face(polytope: Graphicahedron, face: Face) -> str:
-    """``"hexagon"`` when the two edges share a vertex, ``"square"`` when they
-    are disjoint.
-
-    The verdict is cross-checked against the number of vertices under the
-    face (6 versus 4), counted in its down-set in the store; a mismatch would
-    mean the poset is corrupt.  Raises ValueError for a face not stored.
-    """
-    if face.rank != 2:
-        raise ValueError("classify_2face expects a rank-2 face")
-    i = polytope.id_of(face)
-    if i is None:
-        raise ValueError(f"{face_id(face)} is not a face of this polytope")
-    verdict = classify_by_construction(polytope.graph, face.edges)
-    n_vertices = polytope.vertices_below(i)
-    if n_vertices != (6 if verdict == "hexagon" else 4):
-        raise InternalInconsistencyError(
-            f"2-face {face_id(face)} classified {verdict} but has {n_vertices} vertices"
-        )
-    return verdict
 
 
 def classify_by_construction(graph: SimpleGraph, edge_subset: frozenset[int]) -> str:

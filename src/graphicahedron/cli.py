@@ -155,12 +155,6 @@ def _json_pieces(payload: dict[str, Iterable]) -> Iterator[str]:
     yield "\n}\n"
 
 
-def _write_json_lists(payload: dict[str, Iterable]) -> None:
-    """Write ``json.dumps(payload, indent=2)`` plus a newline in chunks
-    (:func:`_json_pieces`)."""
-    _write_chunks(_json_pieces(payload))
-
-
 @contextlib.contextmanager
 def _stage(timings: dict[str, float], name: str) -> Iterator[None]:
     """Record the wall time of the enclosed block as ``timings[name]``."""
@@ -246,10 +240,10 @@ def cmd_export(args: argparse.Namespace) -> int:
         if args.format == "dot":
             _write_chunks(dot_graph("cayley", cayley.perms, cayley.edges()))
         else:
-            _write_json_lists({
+            _write_chunks(_json_pieces({
                 "nodes": (",".join(str(v + 1) for v in a) for a in cayley.perms),
                 "edges": ([u, v, c + 1] for u, v, c in cayley.edges()),
-            })
+            }))
         return EXIT_OK
     if what == "skeleton":
         try:
@@ -264,10 +258,10 @@ def cmd_export(args: argparse.Namespace) -> int:
         if args.format == "dot":
             _write_chunks(dot_graph("skeleton", skel.vertex_reps, edges))
         else:
-            _write_json_lists({
+            _write_chunks(_json_pieces({
                 "faces_per_rank": skel.f_vector()[:k + 1],
                 "edges": ([u, v, c + 1] for u, v, c in edges),
-            })
+            }))
         return EXIT_OK
     raise ParseError(f"unknown export target {args.what!r}")
 

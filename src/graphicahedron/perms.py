@@ -23,7 +23,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import CapacityError
 
@@ -63,8 +63,9 @@ def conjugate(a: Perm, k: Perm) -> Perm:
     return tuple(out)
 
 
-def transposition(p: int, i: int, j: int) -> Perm:
-    """The transposition swapping points ``i`` and ``j`` in S_p."""
+def transposition_of_edge(p: int, edge: tuple[int, int]) -> Perm:
+    """The transposition attached to a graph edge ``{i, j}`` (0-based endpoints)."""
+    i, j = edge
     if not (0 <= i < p and 0 <= j < p):
         raise ValueError(f"points {i}, {j} out of range for p={p}")
     if i == j:
@@ -72,17 +73,6 @@ def transposition(p: int, i: int, j: int) -> Perm:
     word = list(range(p))
     word[i], word[j] = j, i
     return tuple(word)
-
-
-def transposition_of_edge(p: int, edge: tuple[int, int]) -> Perm:
-    """The transposition attached to a graph edge ``{i, j}`` (0-based endpoints)."""
-    i, j = edge
-    return transposition(p, i, j)
-
-
-def all_perms(p: int) -> Iterator[Perm]:
-    """All permutations of ``p`` points in lexicographic order."""
-    return itertools.permutations(range(p))
 
 
 @dataclass(frozen=True)
@@ -167,22 +157,6 @@ def same_coset(part: VertexPartition, a: Perm, b: Perm) -> bool:
         raise ValueError(f"size mismatch: {len(a)} vs {len(b)}")
     block_of = part.block_of
     return all(block_of[a[y]] == block_of[b[y]] for y in range(len(a)))
-
-
-def refines(fine: VertexPartition, coarse: VertexPartition) -> bool:
-    """Whether every block of ``fine`` is contained in a block of ``coarse``."""
-    return all(
-        len({coarse.block_of[v] for v in block}) == 1 for block in fine.blocks
-    )
-
-
-def coset_le(part_a: VertexPartition, a: Perm, part_b: VertexPartition, b: Perm) -> bool:
-    """Containment of right cosets: the coset of (part_a, a) inside that of (part_b, b).
-
-    Containment holds exactly when the Young subgroups nest (partition
-    refinement) and ``a`` lies in the larger coset.
-    """
-    return refines(part_a, part_b) and same_coset(part_b, a, b)
 
 
 def coset_reps(part: VertexPartition) -> tuple[Perm, ...]:

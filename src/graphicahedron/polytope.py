@@ -55,7 +55,6 @@ from .perms import (
     canonical_rep,
     check_perm_capacity,
     compose,
-    coset_le,
     coset_reps,
     coset_size,
     same_coset,
@@ -430,7 +429,9 @@ def verify_strong_flag_connectedness(polytope: Graphicahedron) -> VerifyReport:
 def vertex_figure_is_simplex(polytope: Graphicahedron, v: Face) -> bool:
     """Whether the faces above a vertex form the Boolean lattice on its q
     edges (:meth:`RankedPoset.is_simple_at`), the check that the frame
-    route of the automorphism count makes at every vertex."""
+    route of the automorphism count makes at every vertex.  The program
+    reads :attr:`RankedPoset.is_simple`; this stays only for
+    ``perfbench/job.py``, which traces it by name, until ROADMAP item 1."""
     if v.rank != 0:
         raise ValueError("vertex figures are computed at rank-0 faces")
     start = polytope.id_of(v)
@@ -509,22 +510,3 @@ def one_skeleton_equals_cayley(polytope: Graphicahedron, cayley: CayleyGraph) ->
     ones = Skeleton(graph, (b for b in polytope.blocks if len(b[0]) <= 1))
     return ones.vertex_reps == cayley.perms and tuple(ones.vertex_edges()) == tuple(cayley.edges())
 
-
-def tree_order_equals_coset_inclusion(graph: SimpleGraph) -> tuple[bool, tuple[Face, Face] | None]:
-    """Whether coset containment already implies the face order.
-
-    Face order always implies coset containment.  The converse holds for
-    trees, whose Young subgroups nest only when the edge sets do; cycles
-    break it because different edge sets can generate the same subgroup.
-    Returns the first counterexample pair otherwise.  Builds under
-    :data:`DEFAULT_MAX_PERMS`.
-    """
-    polytope = build(graph)
-    parts = {f.edges: polytope.partition_of(f.edges) for f in polytope.all_faces()}
-    faces = list(polytope.all_faces())
-    for f in faces:
-        for g in faces:
-            cosets_nest = coset_le(parts[f.edges], f.rep, parts[g.edges], g.rep)
-            if cosets_nest != polytope.is_incident(f, g):
-                return False, (f, g)
-    return True, None

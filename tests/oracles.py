@@ -3,6 +3,11 @@
 Everything here recomputes expected values from first principles (full
 enumeration, no shared code paths with the library's fast routes), so a
 test that compares against these is a genuine cross-check.
+
+The last section holds checks that only the tests run: coset containment
+against the stored face order (:func:`tree_order_equals_coset_inclusion`,
+with :func:`refines` and :func:`coset_le`) and the 2-face type
+cross-checked against its vertex count (:func:`classify_2face`).
 """
 
 from __future__ import annotations
@@ -14,16 +19,20 @@ from typing import Iterable, Iterator, Sequence
 
 from graphicahedron import (
     Face,
+    Graphicahedron,
     Perm,
     RankedPoset,
     SimpleGraph,
     VertexPartition,
+    build,
     canonical_rep,
+    classify_by_construction,
     compose,
     make_graph,
+    same_coset,
     transposition_of_edge,
 )
-from graphicahedron.perms import all_perms
+from graphicahedron.errors import InternalInconsistencyError
 from graphicahedron.polytope import VerifyReport, face_id
 
 
@@ -397,7 +406,7 @@ def flags(polytope) -> Iterator[Flag]:
     """All p!q! flags of the construction, lexicographically by base
     permutation then by edge ordering."""
     q = polytope.graph.q
-    for base in all_perms(polytope.graph.p):
+    for base in itertools.permutations(range(polytope.graph.p)):
         for order in itertools.permutations(range(q)):
             yield Flag(order, base)
 
@@ -426,7 +435,7 @@ def construction_flag_tables(polytope) -> tuple[int, list[list[int]]]:
     flag j-adjacent to flag ``i``.  Never reads the stored faces."""
     graph = polytope.graph
     p, q = graph.p, graph.q
-    perms = tuple(all_perms(p))
+    perms = tuple(itertools.permutations(range(p)))
     perm_index = {a: i for i, a in enumerate(perms)}
     orders = tuple(itertools.permutations(range(q)))
     order_index = {o: i for i, o in enumerate(orders)}
@@ -581,3 +590,65 @@ def faces_on_no_flag(polytope) -> list:
     for f in reversed(faces):
         reaches_top[f] = f.rank == polytope.rank or any(reaches_top[g] for g in up[f])
     return [f for f in faces if not (reaches_vertex[f] and reaches_top[f])]
+
+
+# ---------------------------------------------------------------------------
+# Checks that only the tests run
+
+
+def refines(fine: VertexPartition, coarse: VertexPartition) -> bool:
+    """Whether every block of ``fine`` is contained in a block of ``coarse``."""
+    return all(
+        len({coarse.block_of[v] for v in block}) == 1 for block in fine.blocks
+    )
+
+
+def coset_le(part_a: VertexPartition, a: Perm, part_b: VertexPartition, b: Perm) -> bool:
+    """Containment of right cosets: the coset of (part_a, a) inside that of (part_b, b).
+
+    Containment holds exactly when the Young subgroups nest (partition
+    refinement) and ``a`` lies in the larger coset.
+    """
+    return refines(part_a, part_b) and same_coset(part_b, a, b)
+
+
+def tree_order_equals_coset_inclusion(graph: SimpleGraph) -> tuple[bool, tuple[Face, Face] | None]:
+    """Whether coset containment already implies the face order.
+
+    Face order always implies coset containment.  The converse holds for
+    trees, whose Young subgroups nest only when the edge sets do; cycles
+    break it because different edge sets can generate the same subgroup.
+    Returns the first counterexample pair otherwise.  Builds under the
+    default permutation cap.
+    """
+    polytope = build(graph)
+    parts = {f.edges: polytope.partition_of(f.edges) for f in polytope.all_faces()}
+    faces = list(polytope.all_faces())
+    for f in faces:
+        for g in faces:
+            cosets_nest = coset_le(parts[f.edges], f.rep, parts[g.edges], g.rep)
+            if cosets_nest != polytope.is_incident(f, g):
+                return False, (f, g)
+    return True, None
+
+
+def classify_2face(polytope: Graphicahedron, face: Face) -> str:
+    """``"hexagon"`` when the two edges share a vertex, ``"square"`` when they
+    are disjoint.
+
+    The verdict is cross-checked against the number of vertices under the
+    face (6 versus 4), counted in its down-set in the store; a mismatch would
+    mean the poset is corrupt.  Raises ValueError for a face not stored.
+    """
+    if face.rank != 2:
+        raise ValueError("classify_2face expects a rank-2 face")
+    i = polytope.id_of(face)
+    if i is None:
+        raise ValueError(f"{face_id(face)} is not a face of this polytope")
+    verdict = classify_by_construction(polytope.graph, face.edges)
+    n_vertices = polytope.vertices_below(i)
+    if n_vertices != (6 if verdict == "hexagon" else 4):
+        raise InternalInconsistencyError(
+            f"2-face {face_id(face)} classified {verdict} but has {n_vertices} vertices"
+        )
+    return verdict

@@ -12,11 +12,13 @@ from oracles import (
     adjacent_flag,
     all_set_partitions,
     brute_coset,
+    classify_2face,
     connected_graphs_with_edges,
     flag_graph,
     flags,
     graphs_isomorphic,
     sectionwise_strong_flag_connectedness,
+    tree_order_equals_coset_inclusion,
 )
 
 from graphicahedron import (
@@ -26,7 +28,6 @@ from graphicahedron import (
     build,
     build_cayley,
     canonical_rep,
-    classify_2face,
     conjugate,
     face_count,
     facet_census,
@@ -38,7 +39,6 @@ from graphicahedron import (
     posets_isomorphic,
     preset_graph,
     same_coset,
-    tree_order_equals_coset_inclusion,
     verify_diamond,
     verify_strong_flag_connectedness,
     vertex_figure_is_simplex,

@@ -10,14 +10,18 @@ from graphicahedron import (
     build_cayley,
     components,
     compose,
-    export_dot,
     identity,
     is_connected,
     make_graph,
     preset_graph,
 )
+from graphicahedron.cayley import dot_graph
 from graphicahedron.errors import CapacityError
 from graphicahedron.perms import DEFAULT_MAX_PERMS
+
+
+def cayley_dot(cayley):
+    return "".join(dot_graph("cayley", cayley.perms, cayley.edges()))
 
 
 def reachable(cayley, start=0):
@@ -156,17 +160,17 @@ def test_vertex_transitive_under_right_multiplication():
 
 def test_export_dot_counts():
     c = build_cayley(preset_graph("path", 2))
-    dot = export_dot(c)
+    dot = cayley_dot(c)
     assert len(re.findall(r"^\s*v\d+ \[label=", dot, re.M)) == 6
     edge_lines = re.findall(r"^\s*v\d+ -- v\d+ \[color=\"(#\w+)\"", dot, re.M)
     assert len(edge_lines) == 6
     assert len(set(edge_lines)) == 2
 
-    single = export_dot(build_cayley(preset_graph("path", 1)))
+    single = cayley_dot(build_cayley(preset_graph("path", 1)))
     assert len(re.findall(r"\[label=", single)) == 2
     assert len(re.findall(r" -- ", single)) == 1
 
-    c3 = export_dot(build_cayley(preset_graph("cycle", 3)))
+    c3 = cayley_dot(build_cayley(preset_graph("cycle", 3)))
     colors = re.findall(r"color=\"(#\w+)\"", c3)
     assert len(colors) == 9
     assert len(set(colors)) == 3
@@ -174,10 +178,10 @@ def test_export_dot_counts():
 
 def test_export_dot_deterministic():
     g = preset_graph("cycle", 3)
-    assert export_dot(build_cayley(g)) == export_dot(build_cayley(g))
+    assert cayley_dot(build_cayley(g)) == cayley_dot(build_cayley(g))
 
 
 def test_node_labels_are_one_based():
-    dot = export_dot(build_cayley(preset_graph("path", 1)))
+    dot = cayley_dot(build_cayley(preset_graph("path", 1)))
     assert 'v0 [label="1,2"]' in dot
     assert 'v1 [label="2,1"]' in dot

@@ -5,6 +5,7 @@ from functools import reduce
 
 import pytest
 from oracles import (
+    classify_2face,
     connected_graphs_with_edges,
     flag_posets_isomorphic,
     hexagonal_toroid,
@@ -14,7 +15,6 @@ from oracles import (
 
 from graphicahedron import (
     build,
-    classify_2face,
     classify_by_construction,
     face_count,
     facet_census,

@@ -552,9 +552,9 @@ def test_bad_input_exits_1_with_one_line(tmp_path, capsys, source, what):
     ],
 )
 def test_json_writer_matches_the_indenting_encoder(capsys, payload):
-    from graphicahedron.cli import _write_json_lists
+    from graphicahedron.cli import _json_pieces, _write_chunks
 
-    _write_json_lists({key: (row for row in values) for key, values in payload.items()})
+    _write_chunks(_json_pieces({key: (row for row in values) for key, values in payload.items()}))
     assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
 
 

@@ -4,7 +4,7 @@ import math
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import connected_graphs_with_edges, graphs_isomorphic
+from oracles import connected_graphs_with_edges, graphs_isomorphic, refines
 
 from graphicahedron import (
     ParseError,
@@ -19,7 +19,6 @@ from graphicahedron import (
 )
 from graphicahedron.errors import CapacityError
 from graphicahedron.graphs import induced_edge_map, is_star, is_triangle
-from graphicahedron.perms import refines
 
 
 def test_parse_path():

@@ -2,7 +2,7 @@ import itertools
 import math
 
 import pytest
-from oracles import all_set_partitions, brute_coset, coset_reps_by_recursion, young_subgroup
+from oracles import all_set_partitions, brute_coset, coset_le, coset_reps_by_recursion, refines, young_subgroup
 
 from graphicahedron import (
     VertexPartition,
@@ -18,7 +18,7 @@ from graphicahedron import (
     transposition_of_edge,
 )
 from graphicahedron.errors import CapacityError
-from graphicahedron.perms import check_perm_capacity, coset_le, coset_reps, refines
+from graphicahedron.perms import check_perm_capacity, coset_reps
 
 
 def tau(p, i, j):

@@ -18,6 +18,7 @@ from oracles import (
     product_poset,
     propagate,
     sectionwise_strong_flag_connectedness,
+    tree_order_equals_coset_inclusion,
     vertex,
 )
 
@@ -40,7 +41,6 @@ from graphicahedron import (
     preset_graph,
     skeleton,
     transposition_of_edge,
-    tree_order_equals_coset_inclusion,
     verify_diamond,
     verify_strong_flag_connectedness,
     vertex_figure_is_simplex,
