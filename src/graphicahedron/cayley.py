@@ -1,9 +1,10 @@
 """The Cayley color graph of a graph: S_p generated by one transposition per edge.
 
-Vertices are all p! permutations, indexed by lexicographic rank for O(1)
-lookup.  Two permutations are adjacent when one is the other multiplied on
-the left by the transposition of some graph edge; that edge's index is the
-color of the Cayley edge, so each color class is a perfect matching.
+Vertices are all p! permutations, indexed by lexicographic rank.  Two
+permutations are adjacent when one is the other multiplied on the left by
+the transposition of some graph edge; that edge's index is the color of the
+Cayley edge, so each color class is a perfect matching.  The neighbor tables
+are computed on ranks, and no product is formed.
 
 A graphicahedron store numbers its vertices the same way, so
 :func:`dot_graph` writes both this graph and a skeleton's 1-skeleton.  The
@@ -15,11 +16,11 @@ text joins ``dot_graph("cayley", c.perms, c.edges())``.
 
 from __future__ import annotations
 
-import itertools
+import math
 from typing import Iterable, Iterator, Sequence
 
 from .graphs import SimpleGraph
-from .perms import DEFAULT_MAX_PERMS, Perm, check_perm_capacity, compose, transposition_of_edge
+from .perms import DEFAULT_MAX_PERMS, Perm, check_perm_capacity, perms_by_lex_rank, transposition_of_edge
 
 # Edge colors for DOT output, reused cyclically past the palette size.
 PALETTE = (
@@ -35,16 +36,19 @@ PALETTE = (
 
 
 class CayleyGraph:
-    """Built Cayley color graph on all p! permutations; immutable after construction."""
+    """Built Cayley color graph on ``perms``, the shared lex table; immutable
+    after construction.  ``neighbor[color][i]`` is the rank of that color's
+    transposition times ``perms[i]``."""
 
     def __init__(self, graph: SimpleGraph):
         self.graph = graph
         self.p = graph.p
-        self.perms = tuple(itertools.permutations(range(graph.p)))
-        self.index = {a: i for i, a in enumerate(self.perms)}
-        taus = [transposition_of_edge(graph.p, e) for e in graph.edges]
-        # neighbor[color][vertex] -> vertex
-        self.neighbor = tuple(tuple(self.index[compose(tau, a)] for a in self.perms) for tau in taus)
+        self.perms = perms_by_lex_rank(graph.p)
+        vertices = list(range(len(self.perms)))  # one int per vertex, shared by every table
+        memo: dict[Perm, Sequence[int]] = {}
+        self.neighbor = tuple(
+            tuple(_by_first_value(vertices, transposition_of_edge(graph.p, e), memo)) for e in graph.edges
+        )
 
     @property
     def n_vertices(self) -> int:
@@ -71,6 +75,25 @@ def build_cayley(graph: SimpleGraph, max_perms: int = DEFAULT_MAX_PERMS) -> Cayl
     after checking ``p!`` against ``max_perms``."""
     check_perm_capacity(graph.p, max_perms)
     return CayleyGraph(graph)
+
+
+def _by_first_value(table: Sequence[int], t: Perm, memo: dict[Perm, Sequence[int]]) -> list[int]:
+    """``table`` at the lex rank of t·a for every a in lex order.  S_n in
+    lex order is n runs of (n-1)! permutations, one per first value.  Left
+    multiplication by t maps the run with first value v onto the run with
+    first value t(v), inside which it acts as t restricted to the other
+    points, renumbered: the same recursion one point down, kept in ``memo``.
+    """
+    run = len(table) // len(t)
+    out: list[int] = []
+    for v, tv in enumerate(t):
+        rest = tuple(y - (y > tv) for y in t[:v] + t[v + 1:])
+        if rest not in memo:
+            ranks = range(math.factorial(len(rest)))
+            memo[rest] = ranks if rest == tuple(range(len(rest))) else _by_first_value(ranks, rest, memo)
+        rows = table[tv * run:(tv + 1) * run]
+        out.extend(map(rows.__getitem__, memo[rest]))
+    return out
 
 
 def dot_graph(name: str, perms: Sequence[Perm], edges: Iterable[tuple[int, int, int]]) -> Iterator[str]:

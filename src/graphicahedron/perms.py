@@ -10,20 +10,17 @@ preserve every block setwise form a Young subgroup (a direct product of
 symmetric groups, one per block).  A right coset ``H·a`` of such a subgroup
 is never materialized here: it is identified by its lexicographically least
 member, which ``canonical_rep`` computes in O(p), so coset equality is plain
-tuple equality.  ``coset_reps`` lists all representatives of a partition in
-lexicographic order: they are computed once per block-size shape, on the
-standard partition into consecutive blocks, and relabelled to the actual
-blocks.
+tuple equality.  ``coset_reps`` computes a partition's representatives as
+lex ranks and returns the shared table ``perms_by_lex_rank`` at them.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import CapacityError
 
@@ -159,67 +156,51 @@ def same_coset(part: VertexPartition, a: Perm, b: Perm) -> bool:
     return all(block_of[a[y]] == block_of[b[y]] for y in range(len(a)))
 
 
+@lru_cache(maxsize=4)
+def perms_by_lex_rank(p: int) -> tuple[Perm, ...]:
+    """All ``p!`` permutations, the one of lexicographic rank r at index r:
+    one tuple per p, whose elements serve as every coset representative."""
+    return tuple(itertools.permutations(range(p)))
+
+
 def coset_reps(part: VertexPartition) -> tuple[Perm, ...]:
     """Canonical representatives of all right cosets of the Young subgroup,
     in lexicographic order.  There are ``p! / coset_size(part)`` of them.
 
-    The representatives depend on ``part`` only through its shape, the block
-    sizes, up to relabelling the points.  They are computed once per shape on
-    the standard partition into consecutive blocks of ascending size, then
-    relabelled: the k-th member of each standard block goes to the k-th
-    member of the actual block of the same size.  That map keeps the order
-    inside every block, so the relabelled representatives are canonical; only
-    their mutual order changes, which a tuple sort restores.
+    A permutation is canonical exactly when each block's members appear in
+    it in increasing order: its first value v is the least member of its
+    block, and the rest, values renumbered, is canonical for the partition
+    without v.  This recursion runs on lex ranks, and the representatives
+    are ``perms_by_lex_rank(p)`` at those ranks: no permutation is built.
     """
-    blocks = sorted(part.blocks, key=len)
-    shape = tuple(len(b) for b in blocks)
-    relabel = tuple(itertools.chain.from_iterable(blocks))
-    if relabel == tuple(range(len(relabel))):
-        return _shape_reps(shape)
-    return tuple(sorted(relabel_by(relabel) for relabel_by in _shape_relabellers(shape)))
+    table = perms_by_lex_rank(part.p)
+    if len(part.blocks) == part.p:
+        return table
+    if len(part.blocks) == 1:
+        return table[:1]
+    return _by_first_value(table, part.block_of)
 
 
-@lru_cache(maxsize=64)
-def _shape_reps(shape: tuple[int, ...]) -> tuple[Perm, ...]:
-    """Coset representatives, in lexicographic order, for the partition of the
-    points into consecutive blocks of the given ascending sizes.
-
-    A representative lists each block's members in increasing order, so it is
-    fixed by the positions each block occupies.  Those of the blocks of two or
-    more points are chosen block by block, largest first.  The m singleton
-    blocks, which hold the points ``0..m-1``, then fill the free positions in
-    every order, through one ``itemgetter`` per placement.
-    """
-    p = sum(shape)
-    m = shape.count(1)
-    if m == p:
-        return tuple(itertools.permutations(range(p)))
-    starts = [sum(shape[:b]) for b in range(len(shape))]
-    singles = tuple(itertools.permutations(range(m)))
-    reps: list[Perm] = []
-    rep = [0] * p
-
-    def place(b: int, free: tuple[int, ...]) -> None:
-        if b < m:
-            # each representative reads (singleton arrangement + placed values)
-            # in position order: position y takes entry slot[y] of that tuple
-            placed = [y for y in range(p) if y not in free]
-            slot = {y: i for i, y in enumerate(free + tuple(placed))}
-            arrange = operator.itemgetter(*(slot[y] for y in range(p)))
-            fixed = tuple(rep[y] for y in placed)
-            reps.extend(map(arrange, map(operator.add, singles, itertools.repeat(fixed))))
-            return
-        for chosen in itertools.combinations(free, shape[b]):
-            for k, y in enumerate(chosen):
-                rep[y] = starts[b] + k
-            place(b - 1, tuple(y for y in free if y not in chosen))
-
-    place(len(shape) - 1, tuple(range(p)))
-    return tuple(sorted(reps))
+def _by_first_value(table: Sequence, block_of: tuple[int, ...]) -> tuple:
+    """``table`` at the canonical lex ranks of the partition ``block_of``
+    (blocks numbered by least member): for each least member v in turn, the
+    run of ``table`` with first value v, at the ranks for the rest."""
+    run = len(table) // len(block_of)
+    reps, top = [], -1
+    for v, b in enumerate(block_of):
+        if b > top:  # v is the least member of block b
+            top = b
+            ids: dict[int, int] = {}  # the rest's blocks, renumbered by least member
+            rest = tuple(ids.setdefault(c, len(ids)) for c in block_of[:v] + block_of[v + 1:])
+            rows = table[v * run:(v + 1) * run]
+            reps.extend(map(rows.__getitem__, _canonical_ranks(rest)))
+    return tuple(reps)
 
 
-@lru_cache(maxsize=64)
-def _shape_relabellers(shape: tuple[int, ...]) -> tuple[operator.itemgetter, ...]:
-    """One ``itemgetter`` per standard representative ``r0`` of the shape:
-    applied to a relabelling ``sigma`` it returns ``sigma∘r0`` in one C call."""
-    return tuple(operator.itemgetter(*r0) for r0 in _shape_reps(shape))
+@lru_cache(maxsize=256)
+def _canonical_ranks(block_of: tuple[int, ...]) -> Sequence[int]:
+    """The canonical lex ranks of the partition ``block_of``: :func:`coset_reps`
+    below its first level.  Edge subsets meet the same few smaller partitions
+    again and again; at most 256 are kept, of at most (p-1)!/2 ranks each."""
+    ranks = range(math.factorial(len(block_of)))
+    return ranks if len(set(block_of)) == len(block_of) else _by_first_value(ranks, block_of)

@@ -54,11 +54,9 @@ from .perms import (
     VertexPartition,
     canonical_rep,
     check_perm_capacity,
-    compose,
     coset_reps,
     coset_size,
     same_coset,
-    transposition_of_edge,
 )
 from .posets import RankedPoset
 
@@ -222,11 +220,9 @@ def faces_of_rank(graph: SimpleGraph, rank: int) -> Iterator[Block]:
     the iterator reaches it, so a caller that counts faces holds one block
     at a time.
 
-    For each edge subset K the faces with first component K are exactly the
-    cosets of its Young subgroup, so they come straight from the component
-    partition's coset representatives rather than from deduplicating all p!
-    pairs.  The subsets come from ``itertools.combinations`` in lexicographic
-    order and :func:`coset_reps` is sorted, so no re-sort is needed.
+    The faces with first component K are the cosets of K's Young subgroup,
+    so a block is K with :func:`coset_reps` of its components: sorted, and
+    elements of the shared lex table.  Subsets come in lexicographic order.
     """
     return (
         (frozenset(combo), coset_reps(components(graph, combo)))
@@ -451,24 +447,24 @@ class Skeleton(Graphicahedron):
         one per rank-1 face, yielded lazily.
 
         The rank-1 face ({e}, c) is the coset {c, t_e c} of the edge's
-        transposition t_e, and its canonical rep c is the lesser of the two,
-        so its two vertex ids, looked up among the rank-0 block's reps, come
-        in order.  In a store holding all p! vertices a vertex id is the
-        lexicographic rank of its permutation, which is its
-        :class:`CayleyGraph` index.  A vertex id is a position among the
-        sorted vertex reps and each block's reps are sorted, so every
-        rank-1 block yields its triples sorted by first id, and
-        ``heapq.merge`` of the blocks is the sorted list.  Raises ValueError,
-        when iteration reaches it, naming a rank-1 face whose vertex is not
-        stored.
+        transposition t_e, with c the lesser, so its vertex ids come in
+        order.  They are found by lex rank: c's, its neighbor's in the
+        color-e table of :class:`CayleyGraph`, and each rank's store id, the
+        rank itself when all p! vertices are stored.  Ids follow the sorted
+        vertex reps, so each rank-1 block yields triples sorted by first id,
+        and ``heapq.merge`` of them is sorted.  Raises ValueError, when
+        iteration reaches it, naming a rank-1 face whose vertex is not stored.
         """
-        taus = [transposition_of_edge(self.graph.p, edge) for edge in self.graph.edges]
-        vertex_id = {a: i for i, a in enumerate(self.vertex_reps)}
+        cayley = CayleyGraph(self.graph)
+        rank = {a: r for r, a in enumerate(cayley.perms)}
+        store_id = {rank[a]: i for i, a in enumerate(self.vertex_reps)}
 
         def block_edges(edges: frozenset[int], reps: tuple[Perm, ...]) -> Iterator[tuple[int, int, int]]:
             (e,) = edges
+            neighbor = cayley.neighbor[e]
             for c in reps:
-                u, v = vertex_id.get(c), vertex_id.get(compose(taus[e], c))
+                r = rank[c]
+                u, v = store_id.get(r), store_id.get(neighbor[r])
                 if u is None or v is None:
                     raise ValueError(f"{face_id(Face(edges, c))} has a vertex that is not stored")
                 yield (u, v, e)

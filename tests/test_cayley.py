@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import re
 
 import pytest
@@ -14,6 +15,7 @@ from graphicahedron import (
     is_connected,
     make_graph,
     preset_graph,
+    transposition_of_edge,
 )
 from graphicahedron.cayley import dot_graph
 from graphicahedron.errors import CapacityError
@@ -97,6 +99,38 @@ def test_edges_come_sorted(name, n):
     assert edges == sorted(edges) and len(edges) == len(set(edges))
 
 
+def _presets_up_to_p6():
+    for name, least, most in [("path", 1, 5), ("star", 1, 5), ("cycle", 3, 6)]:
+        for n in range(least, most + 1):
+            yield f"{name}:{n}", preset_graph(name, n)
+    for name in ("paw", "fork"):
+        yield name, preset_graph(name)
+    for seed in (1, 2):
+        # relabelled and shuffled, so colors meet non-adjacent transpositions
+        rng = random.Random(seed)
+        sigma = list(range(6))
+        rng.shuffle(sigma)
+        edges = [(sigma[i], sigma[j]) for i, j in preset_graph("cycle", 6).edges + ((0, 3),)]
+        rng.shuffle(edges)
+        yield f"shuffled-{seed}", make_graph(6, edges)
+
+
+GRAPHS_UP_TO_P6 = dict(_presets_up_to_p6())
+
+
+@pytest.mark.parametrize("name", GRAPHS_UP_TO_P6)
+def test_neighbor_tables_are_the_left_products(name):
+    g = GRAPHS_UP_TO_P6[name]
+    perms = list(itertools.permutations(range(g.p)))
+    index = {a: i for i, a in enumerate(perms)}
+    c = build_cayley(g)
+    assert list(c.perms) == perms
+    assert c.n_colors == g.q
+    for color, edge in enumerate(g.edges):
+        tau = transposition_of_edge(g.p, edge)
+        assert list(c.neighbor[color]) == [index[compose(tau, a)] for a in perms]
+
+
 def test_component_of_trivial_cases():
     g = preset_graph("path", 2)
     a = (1, 2, 0)
@@ -149,8 +183,9 @@ def test_vertex_transitive_under_right_multiplication():
         g = preset_graph(name, n)
         c = build_cayley(g)
         edges = set(c.edges())
+        index = {a: i for i, a in enumerate(c.perms)}
         for gmul in itertools.permutations(range(g.p)):
-            relabel = {v: c.index[compose(c.perms[v], gmul)] for v in range(c.n_vertices)}
+            relabel = {v: index[compose(c.perms[v], gmul)] for v in range(c.n_vertices)}
             mapped = {
                 (min(relabel[u], relabel[v]), max(relabel[u], relabel[v]), color)
                 for u, v, color in edges

@@ -175,8 +175,8 @@ def test_coset_count_times_size_is_group_order():
 
 
 def test_coset_reps_are_the_sorted_recursive_enumeration():
-    # every set partition of up to 6 points (Bell(6) = 203 of them at p = 6)
-    for p in range(7):
+    # every set partition of up to 7 points (Bell(7) = 877 of them at p = 7)
+    for p in range(8):
         for part in all_set_partitions(p):
             reps = coset_reps(part)
             assert list(reps) == sorted(coset_reps_by_recursion(part))

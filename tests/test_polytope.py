@@ -138,6 +138,16 @@ def test_build_emits_faces_in_sort_key_order(spec, shuffled):
         assert faces == tuple(sorted(faces, key=face_sort_key))
 
 
+def test_face_reps_are_the_vertex_tuples():
+    # every representative is taken from the one lex-ordered table of
+    # permutations, the vertices' own, and no face makes a tuple of its own
+    P = build(preset_graph("path", 4))
+    assert len(P.vertex_reps) == 120
+    for _, reps in P.blocks:
+        for rep in reps:
+            assert rep is P.vertex_reps[P.id_of(Face(frozenset(), rep))]
+
+
 def test_build_skeleton_matches_the_skeleton_of_build():
     for g in (preset_graph("paw"), preset_graph("fork"), relabelled(preset_graph("cycle", 4), 1)):
         P = build(g)
@@ -674,6 +684,22 @@ def test_one_skeleton_rejects_a_dropped_face(name, n, rank):
     g = preset_graph(name, n)
     P = build(g)
     assert not one_skeleton_equals_cayley(drop_face(P, P.faces(rank)[5]), build_cayley(g))
+
+
+def test_vertex_edges_of_a_store_without_a_vertex_and_its_edges():
+    # the store ids past the missing vertex are one less than their lex ranks
+    g = preset_graph("cycle", 4)
+    P = build(g)
+    gone = Face(frozenset(), P.vertex_reps[5])
+    skel = Skeleton(g, (
+        (edges, tuple(r for r in reps if not P.is_incident(gone, Face(edges, r))))
+        for edges, reps in P.blocks if len(edges) <= 1
+    ))
+    expected = sorted(
+        (u - (u > 5), v - (v > 5), color) for u, v, color in build_cayley(g).edges() if 5 not in (u, v)
+    )
+    assert len(skel.vertex_reps) == 23
+    assert list(skel.vertex_edges()) == expected
 
 
 def test_vertex_edges_rejects_a_skeleton_missing_an_endpoint():
