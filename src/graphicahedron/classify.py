@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import CapacityError, InternalInconsistencyError
-from .graphs import SimpleGraph, components
+from .graphs import SimpleGraph, canonical_form, components
 from .polytope import Graphicahedron, face_count, face_id
 from .posets import RankedPoset, posets_isomorphic
 
@@ -31,11 +31,12 @@ def classify_by_construction(graph: SimpleGraph, edge_subset: frozenset[int]) ->
 
     Each nontrivial component names a factor: a path of n edges the rank-n
     permutahedron (``segment`` and ``hexagon`` for n = 1, 2), the triangle
-    ``toroid_63_11``, the 3-star ``toroid_63_22``, any other component
-    ``unrecognized(vertices, edges, sorted degrees)``.  No factor gives
-    ``vertex`` and one gives itself; k segments give ``square`` or
-    ``cube(k)``, a segment and a hexagon ``hexagonal_prism``, and other
-    factors ``product(...)`` in label order.
+    ``toroid_63_11``, the 3-star ``toroid_63_22``, and any other component
+    ``graph(...)`` of its :func:`graphs.canonical_form`, written 1-based as
+    ``--edges`` takes it, so two components share a name exactly when they
+    are isomorphic.  No factor gives ``vertex`` and one gives itself; k
+    segments give ``square`` or ``cube(k)``, a segment and a hexagon
+    ``hexagonal_prism``, and other factors ``product(...)`` in label order.
     """
     blocks = [block for block in components(graph, edge_subset).blocks if len(block) > 1]
     degree = Counter(v for e in edge_subset for v in graph.edges[e])
@@ -47,7 +48,9 @@ def classify_by_construction(graph: SimpleGraph, edge_subset: frozenset[int]) ->
             factors.append({1: "segment", 2: "hexagon"}.get(m, f"permutahedron({m})"))
         else:
             toroids = {(2, 2, 2): "toroid_63_11", (1, 1, 1, 3): "toroid_63_22"}
-            factors.append(toroids.get(degrees, f"unrecognized{(n, m, degrees)}"))
+            factors.append(toroids.get(degrees) or _graph_label(
+                canonical_form(graph.edges[e] for e in edge_subset if graph.edges[e][0] in block)
+            ))
     factors.sort()
     if not factors:
         return "vertex"
@@ -58,6 +61,10 @@ def classify_by_construction(graph: SimpleGraph, edge_subset: frozenset[int]) ->
     if factors == ["hexagon", "segment"]:
         return "hexagonal_prism"
     return f"product({' x '.join(factors)})"
+
+
+def _graph_label(edges: Iterable[tuple[int, int]]) -> str:
+    return f"graph({','.join(f'{i + 1}-{j + 1}' for i, j in edges)})"
 
 
 def labelled_poset(graph: SimpleGraph, edges: Iterable[int]) -> RankedPoset:

@@ -10,9 +10,10 @@ one ``error:`` line and exit 1; ``--max-perms`` takes ASCII decimal digits.
 ``verify`` and ``analyze`` exit 3 before building any face if p!·2^q > 512·``--max-perms``.
 
 The writers stream: ``build`` counts the faces block by block and keeps no
-store, and ``export`` writes its DOT lines or JSON list items a few
-thousand at a time, so no command holds its whole output.  A reader that
-closes stdout early, as ``| head`` does, ends the run quietly.
+store, and ``export`` takes its edges one window of vertices at a time and
+writes its DOT lines or JSON list items a thousand at a time, so no command
+holds its whole output.  A reader that closes stdout early, as ``| head``
+does, ends the run quietly.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import time
 from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
 from . import classify, polytope, symmetry
-from .cayley import build_cayley, dot_graph
+from .cayley import SortedEdges, build_cayley, dot_graph, labels
 from .errors import (
     CapacityError,
     DisconnectedGraphError,
@@ -60,8 +61,9 @@ ERROR_EXITS = {
 VERIFY_MAX_PERMS = 720  # p <= 6
 
 # Pieces (DOT lines, JSON list items) joined into one stdout write: enough
-# that the writes cost little, few enough that no output is held whole.
-_CHUNK_PIECES = 4096
+# that the writes cost little, few enough that no write holds a large part
+# of the output.
+_CHUNK_PIECES = 1024
 
 
 def _parse_inline_edges(text: str) -> SimpleGraph:
@@ -138,21 +140,36 @@ def _write_chunks(pieces: Iterable[str]) -> None:
 def _json_pieces(payload: dict[str, Iterable]) -> Iterator[str]:
     """The text of ``json.dumps(payload, indent=2)`` plus a newline, one list
     item at a time, for a non-empty dict of iterables whose items are ints,
-    strings or non-empty flat lists of ints; the pure-Python encoder that
-    ``indent`` selects is not used."""
+    strings or non-empty flat lists of ints; a :class:`SortedEdges` value is
+    written as its ``[u, v, color + 1]`` lists, through one ``%`` template.
+    The pure-Python encoder that ``indent`` selects is not used."""
     lead = "{\n"
     for key, values in payload.items():
         yield f"{lead}  {json.dumps(key)}: "
-        sep = "[\n    "
-        for value in values:
-            if isinstance(value, list):
-                yield sep + "[\n      " + ",\n      ".join(map(str, value)) + "\n    ]"
-            else:
-                yield sep + (json.dumps(value) if isinstance(value, str) else str(value))
-            sep = ",\n    "
-        yield "[]" if sep == "[\n    " else "\n  ]"
+        if isinstance(values, SortedEdges):
+            items = values.render(_JSON_EDGE, lambda color: color + 1)
+        else:
+            items = map(_json_item, values)
+        first = next(items, None)
+        if first is None:
+            yield "[]"
+        else:
+            yield "[" + first[1:]  # the first item's separator opens the list
+            yield from items
+            yield "\n  ]"
         lead = ",\n"
     yield "\n}\n"
+
+
+# The _json_item of [u, v, color + 1], a template on (u, v, color + 1).
+_JSON_EDGE = ",\n    [\n      %d,\n      %d,\n      %d\n    ]"
+
+
+def _json_item(value: int | str | list[int]) -> str:
+    """One list item of :func:`_json_pieces`, led by its separator."""
+    if isinstance(value, list):
+        return ",\n    [\n      " + ",\n      ".join(map(str, value)) + "\n    ]"
+    return ",\n    " + (json.dumps(value) if isinstance(value, str) else str(value))
 
 
 @contextlib.contextmanager
@@ -237,15 +254,9 @@ def cmd_export(args: argparse.Namespace) -> int:
     what, _, karg = args.what.partition(":")
     if args.what == "cayley":
         cayley = build_cayley(graph, max_perms=args.max_perms)
-        if args.format == "dot":
-            _write_chunks(dot_graph("cayley", cayley.perms, cayley.edges()))
-        else:
-            _write_chunks(_json_pieces({
-                "nodes": (",".join(str(v + 1) for v in a) for a in cayley.perms),
-                "edges": ([u, v, c + 1] for u, v, c in cayley.edges()),
-            }))
-        return EXIT_OK
-    if what == "skeleton":
+        name, perms, edges = "cayley", cayley.perms, cayley.edges()
+        head: dict[str, Iterable] = {"nodes": labels(perms)}
+    elif what == "skeleton":
         try:
             k = parse_int(karg)
         except ValueError:
@@ -254,16 +265,15 @@ def cmd_export(args: argparse.Namespace) -> int:
             skel = polytope.build_skeleton(graph, k, max_perms=args.max_perms)
         except ValueError as exc:
             raise ParseError(str(exc)) from None
-        edges = skel.vertex_edges()
-        if args.format == "dot":
-            _write_chunks(dot_graph("skeleton", skel.vertex_reps, edges))
-        else:
-            _write_chunks(_json_pieces({
-                "faces_per_rank": skel.f_vector()[:k + 1],
-                "edges": ([u, v, c + 1] for u, v, c in edges),
-            }))
-        return EXIT_OK
-    raise ParseError(f"unknown export target {args.what!r}")
+        name, perms, edges = "skeleton", skel.vertex_reps, skel.vertex_edges()
+        head = {"faces_per_rank": skel.f_vector()[:k + 1]}
+    else:
+        raise ParseError(f"unknown export target {args.what!r}")
+    if args.format == "dot":
+        _write_chunks(dot_graph(name, perms, edges))
+    else:
+        _write_chunks(_json_pieces({**head, "edges": edges}))
+    return EXIT_OK
 
 
 def _cap(text: str) -> int:

@@ -8,6 +8,7 @@ subsets that index polytope faces.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -262,6 +263,30 @@ def automorphisms(graph: SimpleGraph) -> tuple[GraphAutomorphism, ...]:
 
     extend(0)
     return tuple(found)
+
+
+def canonical_form(edges: Iterable[Edge]) -> tuple[Edge, ...]:
+    """The least sorted edge list over the relabellings of the vertices on
+    ``edges`` to 0, 1, ... that number them by non-increasing degree: two
+    edge lists are isomorphic graphs exactly when their forms are equal.
+
+    Only degree-ordered relabellings are tried, the pruning by degree of
+    :func:`automorphisms`, so degree classes of sizes k1, k2, ... cost
+    k1!·k2!·... relabellings.
+    """
+    edges = tuple(edges)
+    degree: dict[int, int] = {}
+    for v in itertools.chain.from_iterable(edges):
+        degree[v] = degree.get(v, 0) + 1
+    classes: dict[int, list[int]] = {}
+    for v in sorted(degree, key=lambda v: -degree[v]):
+        classes.setdefault(degree[v], []).append(v)
+
+    def form(order: Iterable[Sequence[int]]) -> tuple[Edge, ...]:
+        label = {v: i for i, v in enumerate(itertools.chain.from_iterable(order))}
+        return tuple(sorted(tuple(sorted((label[i], label[j]))) for i, j in edges))
+
+    return min(map(form, itertools.product(*map(itertools.permutations, classes.values()))))
 
 
 def is_star(graph: SimpleGraph) -> bool:

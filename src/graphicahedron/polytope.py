@@ -37,15 +37,16 @@ figures, which :func:`check_walkable` bounds before any face is built.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from operator import gt
 from typing import Iterable, Iterator
 
-from .cayley import CayleyGraph
+from .cayley import CayleyGraph, SortedEdges
 from .errors import CapacityError, DisconnectedGraphError
 from .graphs import SimpleGraph, components, is_connected
 from .perms import (
@@ -442,34 +443,55 @@ class Skeleton(Graphicahedron):
     """The store of the proper faces of rank at most k, with the induced
     incidence; its vertex ids number the vertices of its 1-skeleton."""
 
-    def vertex_edges(self) -> Iterator[tuple[int, int, int]]:
+    def vertex_edges(self) -> SortedEdges:
         """The 1-skeleton as sorted (vertex id, vertex id, color) triples,
-        one per rank-1 face, yielded lazily.
+        one per rank-1 face, read one window of vertices at a time.
 
         The rank-1 face ({e}, c) is the coset {c, t_e c} of the edge's
-        transposition t_e, with c the lesser, so its vertex ids come in
-        order.  They are found by lex rank: c's, its neighbor's in the
-        color-e table of :class:`CayleyGraph`, and each rank's store id, the
-        rank itself when all p! vertices are stored.  Ids follow the sorted
-        vertex reps, so each rank-1 block yields triples sorted by first id,
-        and ``heapq.merge`` of them is sorted.  Raises ValueError, when
-        iteration reaches it, naming a rank-1 face whose vertex is not stored.
+        transposition t_e, with c the lesser: a lower end of color e's
+        matching in :class:`CayleyGraph`, a lex rank u with
+        ``neighbor[e][u] > u``.  A full rank-1 block is exactly those lower
+        ends, checked in one comparison, and its matching is the Cayley
+        table itself; a partial one keeps the lower ends whose permutation
+        is in the block, looked up in one set per block.  When all p!
+        vertices are stored a vertex's id is its rank; otherwise one
+        rank-to-id map renumbers each matching.  Raises ValueError, before
+        the first triple, naming a rank-1 face whose representative is not
+        the lesser of its coset or whose vertex is not stored.
         """
         cayley = CayleyGraph(self.graph)
-        rank = {a: r for r, a in enumerate(cayley.perms)}
-        store_id = {rank[a]: i for i, a in enumerate(self.vertex_reps)}
-
-        def block_edges(edges: frozenset[int], reps: tuple[Perm, ...]) -> Iterator[tuple[int, int, int]]:
+        perms, n = cayley.perms, cayley.n_vertices
+        store_id = None
+        if self.vertex_reps != perms:
+            stored = set(self.vertex_reps)
+            store_id = {r: i for i, r in enumerate(itertools.compress(range(n), map(stored.__contains__, perms)))}
+        tables = []
+        for edges, reps in self.blocks:
+            if len(edges) != 1:
+                continue
             (e,) = edges
-            neighbor = cayley.neighbor[e]
-            for c in reps:
-                r = rank[c]
-                u, v = store_id.get(r), store_id.get(neighbor[r])
-                if u is None or v is None:
-                    raise ValueError(f"{face_id(Face(edges, c))} has a vertex that is not stored")
-                yield (u, v, e)
-
-        return heapq.merge(*(block_edges(edges, reps) for edges, reps in self.blocks if len(edges) == 1))
+            table = cayley.neighbor[e]
+            lower = array("i", itertools.compress(range(n), map(gt, table, range(n))))
+            if reps != tuple(map(perms.__getitem__, lower)):
+                block = set(reps)
+                kept = list(itertools.compress(lower, map(block.__contains__, map(perms.__getitem__, lower))))
+                if len(kept) != len(reps):
+                    ends = set(map(perms.__getitem__, lower))
+                    c = next(c for c in reps if c not in ends)
+                    raise ValueError(f"{face_id(Face(edges, c))} is not the lesser of its coset")
+                masked = array("i", [-1]) * n
+                for u in kept:
+                    masked[u] = table[u]
+                table, lower = masked, kept
+            if store_id is not None:
+                by_rank, table = table, array("i", [-1]) * len(store_id)
+                for u in lower:
+                    iu, iv = store_id.get(u), store_id.get(by_rank[u])
+                    if iu is None or iv is None:
+                        raise ValueError(f"{face_id(Face(edges, perms[u]))} has a vertex that is not stored")
+                    table[iu] = iv
+            tables.append((e, table))
+        return SortedEdges(len(self.vertex_reps), tables)
 
 
 def _check_skeleton_rank(graph: SimpleGraph, k: int) -> None:

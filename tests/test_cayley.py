@@ -2,11 +2,13 @@ import itertools
 import math
 import random
 import re
+from array import array
 
 import pytest
 from oracles import brute_coset, component_of
 
 from graphicahedron import (
+    CayleyGraph,
     build,
     build_cayley,
     components,
@@ -17,6 +19,7 @@ from graphicahedron import (
     preset_graph,
     transposition_of_edge,
 )
+from graphicahedron import cayley
 from graphicahedron.cayley import dot_graph
 from graphicahedron.errors import CapacityError
 from graphicahedron.perms import DEFAULT_MAX_PERMS
@@ -99,6 +102,14 @@ def test_edges_come_sorted(name, n):
     assert edges == sorted(edges) and len(edges) == len(set(edges))
 
 
+def test_edges_are_every_matching_pair_in_order():
+    # 5040 vertices: the edges are merged across several windows
+    c = build_cayley(preset_graph("path", 6))
+    assert c.n_vertices > 2 * cayley._WINDOW
+    expected = sorted((u, v, color) for color, table in enumerate(c.neighbor) for u, v in enumerate(table) if v > u)
+    assert list(c.edges()) == expected == list(c.edges())
+
+
 def _presets_up_to_p6():
     for name, least, most in [("path", 1, 5), ("star", 1, 5), ("cycle", 3, 6)]:
         for n in range(least, most + 1):
@@ -129,6 +140,20 @@ def test_neighbor_tables_are_the_left_products(name):
     for color, edge in enumerate(g.edges):
         tau = transposition_of_edge(g.p, edge)
         assert list(c.neighbor[color]) == [index[compose(tau, a)] for a in perms]
+
+
+@pytest.mark.parametrize("name", GRAPHS_UP_TO_P6)
+def test_neighbor_tables_are_compact(name):
+    # one array of C ints per color, p! ranks each, and no shared int list
+    c = build_cayley(GRAPHS_UP_TO_P6[name])
+    for table in c.neighbor:
+        assert type(table) is array and table.typecode == "i"
+        assert len(table) == math.factorial(c.p)
+
+
+def test_cayley_tables_stop_where_ranks_outgrow_c_ints():
+    with pytest.raises(CapacityError, match="up to p = 12"):
+        CayleyGraph(preset_graph("path", 12))
 
 
 def test_component_of_trivial_cases():

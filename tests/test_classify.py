@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import sys
@@ -112,11 +113,25 @@ def test_product_label_for_two_hexagons():
 
 
 def test_unrecognized_component_carries_certificate():
-    # vertices, edges and sorted degrees of the component
+    # the component's canonical form: its least edge list over the
+    # relabellings that number its vertices by non-increasing degree
     c4 = preset_graph("cycle", 4)
-    assert classify_by_construction(c4, frozenset(range(4))) == "unrecognized(4, 4, (2, 2, 2, 2))"
+    assert classify_by_construction(c4, frozenset(range(4))) == "graph(1-2,1-3,2-4,3-4)"
     star4 = preset_graph("star", 4)
-    assert classify_by_construction(star4, frozenset(range(4))) == "unrecognized(5, 4, (1, 1, 1, 1, 4))"
+    assert classify_by_construction(star4, frozenset(range(4))) == "graph(1-2,1-3,1-4,1-5)"
+
+
+@pytest.mark.parametrize("spec", ["1-2,1-3,1-4,2-3,2-4,3-5", "1-2,1-3,3-4,1-5,5-6,6-7"])
+def test_facet_labels_agree_exactly_on_isomorphic_facets(spec):
+    # K4 minus an edge with a pendant edge, and the spider (1, 2, 3): each
+    # has two facet components of one vertex count, edge count and degree
+    # sequence that are not isomorphic, and their labels must differ
+    edges = [tuple(int(v) - 1 for v in pair.split("-")) for pair in spec.split(",")]
+    graph = make_graph(max(map(max, edges)) + 1, edges)
+    facets = [frozenset(range(graph.q)) - {e} for e in range(graph.q)]
+    for a, b in itertools.combinations(facets, 2):
+        same = classify_by_construction(graph, a) == classify_by_construction(graph, b)
+        assert same == posets_isomorphic(labelled_poset(graph, a), labelled_poset(graph, b))
 
 
 def test_permutahedron_type_naming():
@@ -316,7 +331,7 @@ CENSUSES = {
     ("star", 2): {"segment": 6},
     ("star", 3): {"hexagon": 12},
     ("star", 4): {"toroid_63_22": 20},
-    ("star", 5): {"unrecognized(5, 4, (1, 1, 1, 1, 4))": 30},
+    ("star", 5): {"graph(1-2,1-3,1-4,1-5)": 30},
     ("paw", None): {"permutahedron(3)": 2, "toroid_63_11": 4, "toroid_63_22": 1},
     ("fork", None): {"hexagonal_prism": 10, "permutahedron(3)": 10, "toroid_63_22": 5},
 }
@@ -339,46 +354,46 @@ def test_census_rejects_a_dropped_vertex(name, n):
 # The 12 connected graphs with 5 edges, by their 1-based edge lists, and
 # their facet censuses, recorded before facet types were plain label strings.
 Q5_CENSUSES = {
-    "1-2,1-3,1-4,2-3,2-4": {"unrecognized(4, 4, (1, 2, 2, 3))": 4, "unrecognized(4, 4, (2, 2, 2, 2))": 1},
+    "1-2,1-3,1-4,2-3,2-4": {"graph(1-2,1-3,1-4,2-3)": 4, "graph(1-2,1-3,2-4,3-4)": 1},
     "1-2,1-3,1-4,1-5,2-3": {
-        "unrecognized(4, 4, (1, 2, 2, 3))": 10,
-        "unrecognized(5, 4, (1, 1, 1, 1, 4))": 1,
-        "unrecognized(5, 4, (1, 1, 1, 2, 3))": 2,
+        "graph(1-2,1-3,1-4,2-3)": 10,
+        "graph(1-2,1-3,1-4,1-5)": 1,
+        "graph(1-2,1-3,1-4,2-5)": 2,
     },
     "1-2,1-3,1-4,2-3,2-5": {
         "permutahedron(4)": 1,
-        "unrecognized(4, 4, (1, 2, 2, 3))": 10,
-        "unrecognized(5, 4, (1, 1, 1, 2, 3))": 2,
+        "graph(1-2,1-3,1-4,2-3)": 10,
+        "graph(1-2,1-3,1-4,2-5)": 2,
     },
     "1-2,1-3,1-4,2-3,4-5": {
         "permutahedron(4)": 2,
         "product(segment x toroid_63_11)": 10,
-        "unrecognized(4, 4, (1, 2, 2, 3))": 5,
-        "unrecognized(5, 4, (1, 1, 1, 2, 3))": 1,
+        "graph(1-2,1-3,1-4,2-3)": 5,
+        "graph(1-2,1-3,1-4,2-5)": 1,
     },
     "1-2,1-3,1-4,2-5,3-5": {
         "permutahedron(4)": 2,
-        "unrecognized(4, 4, (2, 2, 2, 2))": 5,
-        "unrecognized(5, 4, (1, 1, 1, 2, 3))": 2,
+        "graph(1-2,1-3,2-4,3-4)": 5,
+        "graph(1-2,1-3,1-4,2-5)": 2,
     },
     "1-2,1-3,2-4,3-5,4-5": {"permutahedron(4)": 5},
-    "1-2,1-3,1-4,1-5,1-6": {"unrecognized(5, 4, (1, 1, 1, 1, 4))": 30},
+    "1-2,1-3,1-4,1-5,1-6": {"graph(1-2,1-3,1-4,1-5)": 30},
     "1-2,1-3,1-4,1-5,2-6": {
         "product(segment x toroid_63_22)": 15,
-        "unrecognized(5, 4, (1, 1, 1, 1, 4))": 6,
-        "unrecognized(5, 4, (1, 1, 1, 2, 3))": 18,
+        "graph(1-2,1-3,1-4,1-5)": 6,
+        "graph(1-2,1-3,1-4,2-5)": 18,
     },
-    "1-2,1-3,1-4,2-5,2-6": {"product(hexagon x hexagon)": 20, "unrecognized(5, 4, (1, 1, 1, 2, 3))": 24},
+    "1-2,1-3,1-4,2-5,2-6": {"product(hexagon x hexagon)": 20, "graph(1-2,1-3,1-4,2-5)": 24},
     "1-2,1-3,1-4,2-5,3-6": {
         "permutahedron(4)": 6,
         "product(permutahedron(3) x segment)": 30,
-        "unrecognized(5, 4, (1, 1, 1, 2, 3))": 12,
+        "graph(1-2,1-3,1-4,2-5)": 12,
     },
     "1-2,1-3,1-4,2-5,5-6": {
         "permutahedron(4)": 12,
         "product(hexagon x hexagon)": 20,
         "product(segment x toroid_63_22)": 15,
-        "unrecognized(5, 4, (1, 1, 1, 2, 3))": 6,
+        "graph(1-2,1-3,1-4,2-5)": 6,
     },
     "1-2,1-3,2-4,3-5,4-6": {
         "permutahedron(4)": 12,

@@ -572,7 +572,9 @@ def test_build_keeps_no_store(capsys, monkeypatch):
 
 
 def test_export_writes_in_chunks(monkeypatch):
-    from graphicahedron import cli
+    # every format and target writes in chunks: no write holds a quarter of
+    # the output, and each joins about _CHUNK_PIECES pieces
+    from graphicahedron import build_cayley, cli, preset_graph
 
     class Recording(io.StringIO):
         def __init__(self):
@@ -583,13 +585,25 @@ def test_export_writes_in_chunks(monkeypatch):
             self.sizes.append(len(text))
             return super().write(text)
 
-    out = Recording()
-    monkeypatch.setattr(sys, "stdout", out)
-    assert main(["export", "--preset", "cycle:7", "--what", "cayley", "--max-perms", "5040"]) == 0
-    text = out.getvalue()
-    assert hashlib.sha256(text.encode()).hexdigest() == LONG_RUNS[0][2]
-    assert max(out.sizes) <= len(text) / 4
-    assert len(out.sizes) <= text.count("\n") / cli._CHUNK_PIECES + 1
+    cycle7 = build_cayley(preset_graph("cycle", 7), 5040)
+    cycle7_json = json.dumps({
+        "nodes": [",".join(str(v + 1) for v in a) for a in cycle7.perms],
+        "edges": [[u, v, c + 1] for u, v, c in sorted(cycle7.edges())],
+    }, indent=2) + "\n"
+    runs = [
+        ("export --preset cycle:7 --what cayley --max-perms 5040", LONG_RUNS[0][2]),
+        ("export --preset star:6 --what skeleton:1 --format json --max-perms 5040", LONG_RUNS[1][2]),
+        ("export --preset cycle:7 --what cayley --format json --max-perms 5040",
+         hashlib.sha256(cycle7_json.encode()).hexdigest()),
+    ]
+    for argv, digest in runs:
+        out = Recording()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(argv.split()) == 0
+        text = out.getvalue()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, argv
+        assert max(out.sizes) <= len(text) / 4, argv
+        assert len(out.sizes) <= text.count("\n") / cli._CHUNK_PIECES + 1, argv
 
 
 def test_a_closed_stdout_ends_quietly():

@@ -18,7 +18,7 @@ from graphicahedron import (
     preset_graph,
 )
 from graphicahedron.errors import CapacityError
-from graphicahedron.graphs import induced_edge_map, is_star, is_triangle
+from graphicahedron.graphs import canonical_form, induced_edge_map, is_star, is_triangle
 
 
 def test_parse_path():
@@ -230,3 +230,15 @@ def test_shape_predicates():
     assert is_star(make_graph(1, []))
     assert not is_star(preset_graph("path", 3))
     assert not is_star(preset_graph("paw"))
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+def test_canonical_form_is_a_complete_invariant(q):
+    # one form per isomorphism class of connected graphs with q edges, and
+    # every relabelling of a class keeps its form
+    reps = connected_graphs_with_edges(q)
+    forms = [canonical_form(g.edges) for g in reps]
+    assert len(set(forms)) == len(reps)
+    for g, form in zip(reps, forms):
+        for sigma in itertools.permutations(range(g.p)):
+            assert canonical_form((sigma[i], sigma[j]) for i, j in g.edges) == form

@@ -702,6 +702,33 @@ def test_vertex_edges_of_a_store_without_a_vertex_and_its_edges():
     assert list(skel.vertex_edges()) == expected
 
 
+@pytest.mark.parametrize("name, n", [("paw", None), ("cycle", 4)])
+def test_vertex_edges_of_a_partial_rank_one_block(name, n):
+    # the dropped edge face ({e}, c) takes away exactly the Cayley edge from
+    # c's rank to its color-e neighbor's, and every other edge stays
+    g = preset_graph(name, n)
+    P = build(g)
+    gone = P.faces(1)[5]
+    ones = Skeleton(g, (b for b in drop_face(P, gone).blocks if len(b[0]) <= 1))
+    (e,) = gone.edges
+    cayley = build_cayley(g)
+    u = cayley.perms.index(gone.rep)
+    expected = sorted(cayley.edges())
+    expected.remove((u, cayley.neighbor[e][u], e))
+    assert list(ones.vertex_edges()) == expected
+
+
+def test_vertex_edges_rejects_a_representative_that_is_not_the_lesser():
+    g = preset_graph("cycle", 3)
+    P = build(g)
+    (edges, reps), cayley = P.blocks[1], build_cayley(g)
+    (e,) = edges
+    upper = cayley.perms[cayley.neighbor[e][cayley.perms.index(reps[0])]]
+    blocks = [b if b[0] != edges else (edges, (upper,) + reps[1:]) for b in P.blocks if len(b[0]) <= 1]
+    with pytest.raises(ValueError, match="is not the lesser of its coset"):
+        Skeleton(g, blocks).vertex_edges()
+
+
 def test_vertex_edges_rejects_a_skeleton_missing_an_endpoint():
     P = hedron("cycle", 3)
     vertex = P.faces(0)[2]
