@@ -53,7 +53,6 @@ from .polytope import (
     face_count,
     flag_count,
     one_skeleton_equals_cayley,
-    skeleton,
     verify_diamond,
     verify_strong_flag_connectedness,
     vertex_figure_is_simplex,
@@ -119,7 +118,6 @@ __all__ = [
     "posets_isomorphic",
     "preset_graph",
     "same_coset",
-    "skeleton",
     "transposition_of_edge",
     "verify_diamond",
     "verify_strong_flag_connectedness",

@@ -48,10 +48,10 @@ _MAX_P = 12  # 12! < 2**31 <= 13!: the ranks of larger p do not fit array('i')
 
 class SortedEdges:
     """The edges of color matchings on the vertices ``range(n)``, in sorted
-    (u, v, color) order.  ``tables`` pairs each color with an ``array('i')``
-    of n entries: an entry above its index u is the partner v of an edge
-    (u, v, color), and any other entry is none.  No two colors may join the
-    same two vertices.
+    (u, v, color) order.  ``tables`` pairs each color with its perfect
+    matching, an ``array('i')`` of n entries whose entry u is u's partner;
+    an edge (u, v, color) is read at its lower end u.  No two colors may
+    join the same two vertices.
 
     The edges are read one window of ``_WINDOW`` vertices at a time: each
     color's edges in the window are taken by C-level filters, already

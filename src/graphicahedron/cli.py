@@ -139,9 +139,9 @@ def _write_chunks(pieces: Iterable[str]) -> None:
 
 def _json_pieces(payload: dict[str, Iterable]) -> Iterator[str]:
     """The text of ``json.dumps(payload, indent=2)`` plus a newline, one list
-    item at a time, for a non-empty dict of iterables whose items are ints,
-    strings or non-empty flat lists of ints; a :class:`SortedEdges` value is
-    written as its ``[u, v, color + 1]`` lists, through one ``%`` template.
+    item at a time, for a non-empty dict of iterables whose items are ints
+    or strings; a :class:`SortedEdges` value is written as its
+    ``[u, v, color + 1]`` lists, through one ``%`` template.
     The pure-Python encoder that ``indent`` selects is not used."""
     lead = "{\n"
     for key, values in payload.items():
@@ -161,14 +161,12 @@ def _json_pieces(payload: dict[str, Iterable]) -> Iterator[str]:
     yield "\n}\n"
 
 
-# The _json_item of [u, v, color + 1], a template on (u, v, color + 1).
+# The list item [u, v, color + 1], led by its separator, as a template on (u, v, color + 1).
 _JSON_EDGE = ",\n    [\n      %d,\n      %d,\n      %d\n    ]"
 
 
-def _json_item(value: int | str | list[int]) -> str:
+def _json_item(value: int | str) -> str:
     """One list item of :func:`_json_pieces`, led by its separator."""
-    if isinstance(value, list):
-        return ",\n    [\n      " + ",\n      ".join(map(str, value)) + "\n    ]"
     return ",\n    " + (json.dumps(value) if isinstance(value, str) else str(value))
 
 

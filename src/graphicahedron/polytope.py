@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -441,7 +440,9 @@ def vertex_figure_is_simplex(polytope: Graphicahedron, v: Face) -> bool:
 
 class Skeleton(Graphicahedron):
     """The store of the proper faces of rank at most k, with the induced
-    incidence; its vertex ids number the vertices of its 1-skeleton."""
+    incidence.  :meth:`vertex_edges` reads a full store: all p! vertices
+    in lex order, so a vertex's id is its lex rank, and no rank-1 block
+    (k = 0) or all q of them, as :func:`build_skeleton` makes."""
 
     def vertex_edges(self) -> SortedEdges:
         """The 1-skeleton as sorted (vertex id, vertex id, color) triples,
@@ -450,81 +451,51 @@ class Skeleton(Graphicahedron):
         The rank-1 face ({e}, c) is the coset {c, t_e c} of the edge's
         transposition t_e, with c the lesser: a lower end of color e's
         matching in :class:`CayleyGraph`, a lex rank u with
-        ``neighbor[e][u] > u``.  A full rank-1 block is exactly those lower
-        ends, checked in one comparison, and its matching is the Cayley
-        table itself; a partial one keeps the lower ends whose permutation
-        is in the block, looked up in one set per block.  When all p!
-        vertices are stored a vertex's id is its rank; otherwise one
-        rank-to-id map renumbers each matching.  Raises ValueError, before
-        the first triple, naming a rank-1 face whose representative is not
-        the lesser of its coset or whose vertex is not stored.
+        ``neighbor[e][u] > u``.  So each rank-1 block must be exactly those
+        lower ends, checked in one comparison per block, and the edges are
+        then the Cayley graph's own.  Raises ValueError naming the first
+        block that breaks the full-store contract.
         """
         cayley = CayleyGraph(self.graph)
         perms, n = cayley.perms, cayley.n_vertices
-        store_id = None
         if self.vertex_reps != perms:
-            stored = set(self.vertex_reps)
-            store_id = {r: i for i, r in enumerate(itertools.compress(range(n), map(stored.__contains__, perms)))}
-        tables = []
-        for edges, reps in self.blocks:
-            if len(edges) != 1:
-                continue
-            (e,) = edges
-            table = cayley.neighbor[e]
-            lower = array("i", itertools.compress(range(n), map(gt, table, range(n))))
-            if reps != tuple(map(perms.__getitem__, lower)):
-                block = set(reps)
-                kept = list(itertools.compress(lower, map(block.__contains__, map(perms.__getitem__, lower))))
-                if len(kept) != len(reps):
-                    ends = set(map(perms.__getitem__, lower))
-                    c = next(c for c in reps if c not in ends)
-                    raise ValueError(f"{face_id(Face(edges, c))} is not the lesser of its coset")
-                masked = array("i", [-1]) * n
-                for u in kept:
-                    masked[u] = table[u]
-                table, lower = masked, kept
-            if store_id is not None:
-                by_rank, table = table, array("i", [-1]) * len(store_id)
-                for u in lower:
-                    iu, iv = store_id.get(u), store_id.get(by_rank[u])
-                    if iu is None or iv is None:
-                        raise ValueError(f"{face_id(Face(edges, perms[u]))} has a vertex that is not stored")
-                    table[iu] = iv
-            tables.append((e, table))
-        return SortedEdges(len(self.vertex_reps), tables)
-
-
-def _check_skeleton_rank(graph: SimpleGraph, k: int) -> None:
-    if not (0 <= k <= graph.q - 1):
-        raise ValueError(f"skeleton rank {k} out of range 0..{graph.q - 1}")
-
-
-def skeleton(polytope: Graphicahedron, k: int) -> Skeleton:
-    _check_skeleton_rank(polytope.graph, k)
-    return Skeleton(polytope.graph, (b for b in polytope.blocks if len(b[0]) <= k))
+            raise ValueError(f"block K{{}} is not the {n} vertices in lex order")
+        if self.first_of_rank(1) == self.first_of_rank(2):
+            return SortedEdges(n, ())
+        for e, table in enumerate(cayley.neighbor):
+            b = self._block_of.get(frozenset((e,)))
+            if b is None or self.blocks[b][1] != tuple(itertools.compress(perms, map(gt, table, range(n)))):
+                raise ValueError(f"block K{{{e + 1}}} is not the lower ends of color {e + 1}'s Cayley matching")
+        return cayley.edges()
 
 
 def build_skeleton(graph: SimpleGraph, k: int, max_perms: int = DEFAULT_MAX_PERMS) -> Skeleton:
-    """``skeleton(build(graph), k)`` without enumerating the ranks above ``k``.
-
-    The checks come in the same order: :func:`check_buildable`, then the
-    range of ``k`` (ValueError).
-    """
+    """The faces of rank at most ``k`` of :func:`build`, without enumerating
+    the ranks above ``k``: after :func:`check_buildable`, raises ValueError
+    unless ``0 <= k <= q - 1``."""
     check_buildable(graph, max_perms)
-    _check_skeleton_rank(graph, k)
+    if not (0 <= k <= graph.q - 1):
+        raise ValueError(f"skeleton rank {k} out of range 0..{graph.q - 1}")
     return Skeleton(
         graph, itertools.chain.from_iterable(faces_of_rank(graph, r) for r in range(k + 1))
     )
 
 
 def one_skeleton_equals_cayley(polytope: Graphicahedron, cayley: CayleyGraph) -> bool:
-    """Whether the 1-skeleton is the Cayley graph, vertex ids and colors
-    included: p and q match, the stored vertex reps are ``cayley.perms`` in
-    order, and :meth:`Skeleton.vertex_edges` of the ranks up to 1 is the
-    Cayley edge list, both sorted."""
+    """Whether the 1-skeleton, read off the store's own covers, is the
+    Cayley graph, vertex ids and colors included: p and q match, the stored
+    vertex reps are ``cayley.perms`` in order, each rank-1 face covers two
+    vertices, and the (u, v, color) triples of the rank-1 faces' ``down``
+    lists, which come from the coset rule, sorted, are the Cayley edge
+    list."""
     graph = polytope.graph
-    if graph.p != cayley.p or graph.q != cayley.n_colors:
+    if graph.p != cayley.p or graph.q != cayley.n_colors or polytope.vertex_reps != cayley.perms:
         return False
-    ones = Skeleton(graph, (b for b in polytope.blocks if len(b[0]) <= 1))
-    return ones.vertex_reps == cayley.perms and tuple(ones.vertex_edges()) == tuple(cayley.edges())
-
+    ones = Graphicahedron(graph, (b for b in polytope.blocks if len(b[0]) <= 1))
+    down, edges = ones.down, []
+    for i in range(ones.first_of_rank(1), len(ones)):
+        if len(down[i]) != 2:
+            return False
+        (e,) = ones.face_at(i).edges
+        edges.append((*down[i], e))
+    return sorted(edges) == list(cayley.edges())

@@ -7,7 +7,8 @@ test that compares against these is a genuine cross-check.
 The last section holds checks that only the tests run: coset containment
 against the stored face order (:func:`tree_order_equals_coset_inclusion`,
 with :func:`refines` and :func:`coset_le`) and the 2-face type
-cross-checked against its vertex count (:func:`classify_2face`).
+cross-checked against its vertex count (:func:`classify_2face`), and the
+k-skeleton of a whole store by filtering its blocks (:func:`skeleton`).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from graphicahedron import (
     transposition_of_edge,
 )
 from graphicahedron.errors import InternalInconsistencyError
-from graphicahedron.polytope import VerifyReport, face_id
+from graphicahedron.polytope import Skeleton, VerifyReport, face_id
 
 
 def young_subgroup(part: VertexPartition) -> list[tuple[int, ...]]:
@@ -652,3 +653,12 @@ def classify_2face(polytope: Graphicahedron, face: Face) -> str:
             f"2-face {face_id(face)} classified {verdict} but has {n_vertices} vertices"
         )
     return verdict
+
+
+def skeleton(polytope: Graphicahedron, k: int) -> Skeleton:
+    """The faces of rank at most ``k`` of a whole store, its other blocks
+    dropped: what ``build_skeleton`` makes without enumerating the ranks
+    above ``k``.  Raises ValueError unless ``0 <= k <= q - 1``."""
+    if not (0 <= k <= polytope.graph.q - 1):
+        raise ValueError(f"skeleton rank {k} out of range 0..{polytope.graph.q - 1}")
+    return Skeleton(polytope.graph, (b for b in polytope.blocks if len(b[0]) <= k))

@@ -55,7 +55,6 @@ PUBLIC_NAMES = [
     "posets_isomorphic",
     "preset_graph",
     "same_coset",
-    "skeleton",
     "transposition_of_edge",
     "verify_diamond",
     "verify_strong_flag_connectedness",

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from array import array
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphicahedron
+from graphicahedron import build_cayley, preset_graph
+from graphicahedron.cayley import SortedEdges
 from graphicahedron.cli import main
 
 
@@ -538,24 +541,38 @@ def test_bad_input_exits_1_with_one_line(tmp_path, capsys, source, what):
     assert "Traceback" not in err
 
 
+def xor_matchings(n, masks):
+    """The edges whose color c pairs u with u ^ masks[c]: perfect matchings
+    of range(n) when n is a multiple of 4 and every mask is 1, 2 or 3."""
+    return SortedEdges(n, [(c, array("i", [u ^ m for u in range(n)])) for c, m in enumerate(masks)])
+
+
 @pytest.mark.parametrize(
     "payload",
     [
-        {"faces_per_rank": [6], "edges": []},
-        {"faces_per_rank": [24, 36], "edges": [[0, 1, 1], [0, 5, 3], [22, 23, 2]]},
-        {"nodes": ["1,2", "2,1"], "edges": [[0, 1, 1]]},
+        {"faces_per_rank": [6], "edges": SortedEdges(6, ())},
+        {"faces_per_rank": [24, 48], "edges": build_cayley(preset_graph("paw")).edges()},
+        {"nodes": ["1,2", "2,1"], "edges": build_cayley(preset_graph("path", 1)).edges()},
         # rows across a write-chunk boundary, an empty list first, strings
         # the encoder escapes
-        {"faces_per_rank": [9000], "edges": [[i, i + 1, i % 3 + 1] for i in range(9000)]},
-        {"edges": [], "faces_per_rank": [1, 2]},
+        {"faces_per_rank": [6000], "edges": xor_matchings(6000, (1, 2, 3))},
+        {"edges": SortedEdges(4, ()), "faces_per_rank": [1, 2]},
         {"nodes": [f'{i},"\\\u00e9' for i in range(5000)]},
     ],
 )
 def test_json_writer_matches_the_indenting_encoder(capsys, payload):
+    # edges are written as [u, v, color + 1] rows, every other list item by item
     from graphicahedron.cli import _json_pieces, _write_chunks
 
-    _write_chunks(_json_pieces({key: (row for row in values) for key, values in payload.items()}))
-    assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+    def rows(values):
+        return [[u, v, color + 1] for u, v, color in values] if isinstance(values, SortedEdges) else values
+
+    def once(values):
+        return values if isinstance(values, SortedEdges) else (row for row in values)
+
+    _write_chunks(_json_pieces({key: once(values) for key, values in payload.items()}))
+    expected = json.dumps({key: rows(values) for key, values in payload.items()}, indent=2)
+    assert capsys.readouterr().out == expected + "\n"
 
 
 def test_build_keeps_no_store(capsys, monkeypatch):

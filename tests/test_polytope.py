@@ -18,11 +18,13 @@ from oracles import (
     product_poset,
     propagate,
     sectionwise_strong_flag_connectedness,
+    skeleton,
     tree_order_equals_coset_inclusion,
     vertex,
 )
 
 from graphicahedron import (
+    CayleyGraph,
     DisconnectedGraphError,
     Face,
     build,
@@ -39,7 +41,6 @@ from graphicahedron import (
     permutahedron_oracle,
     posets_isomorphic,
     preset_graph,
-    skeleton,
     transposition_of_edge,
     verify_diamond,
     verify_strong_flag_connectedness,
@@ -687,7 +688,7 @@ def test_one_skeleton_rejects_a_dropped_face(name, n, rank):
 
 
 def test_vertex_edges_of_a_store_without_a_vertex_and_its_edges():
-    # the store ids past the missing vertex are one less than their lex ranks
+    # a store that lacks a vertex is not a full store
     g = preset_graph("cycle", 4)
     P = build(g)
     gone = Face(frozenset(), P.vertex_reps[5])
@@ -695,27 +696,31 @@ def test_vertex_edges_of_a_store_without_a_vertex_and_its_edges():
         (edges, tuple(r for r in reps if not P.is_incident(gone, Face(edges, r))))
         for edges, reps in P.blocks if len(edges) <= 1
     ))
-    expected = sorted(
-        (u - (u > 5), v - (v > 5), color) for u, v, color in build_cayley(g).edges() if 5 not in (u, v)
-    )
     assert len(skel.vertex_reps) == 23
-    assert list(skel.vertex_edges()) == expected
+    with pytest.raises(ValueError, match=r"block K\{\} is not the 24 vertices in lex order"):
+        skel.vertex_edges()
 
 
 @pytest.mark.parametrize("name, n", [("paw", None), ("cycle", 4)])
 def test_vertex_edges_of_a_partial_rank_one_block(name, n):
-    # the dropped edge face ({e}, c) takes away exactly the Cayley edge from
-    # c's rank to its color-e neighbor's, and every other edge stays
+    # a rank-1 block without one face is not its color's whole matching
     g = preset_graph(name, n)
     P = build(g)
     gone = P.faces(1)[5]
     ones = Skeleton(g, (b for b in drop_face(P, gone).blocks if len(b[0]) <= 1))
     (e,) = gone.edges
-    cayley = build_cayley(g)
-    u = cayley.perms.index(gone.rep)
-    expected = sorted(cayley.edges())
-    expected.remove((u, cayley.neighbor[e][u], e))
-    assert list(ones.vertex_edges()) == expected
+    with pytest.raises(ValueError, match=rf"block K\{{{e + 1}\}} is not the lower ends of color {e + 1}'s"):
+        ones.vertex_edges()
+
+
+def test_vertex_edges_rejects_a_missing_rank_one_block():
+    # paw without the block of edge 1-2 raises rather than write 36 of its
+    # 48 edges
+    g = preset_graph("paw")
+    ones = Skeleton(g, (b for b in build(g).blocks if len(b[0]) <= 1 and b[0] != {0}))
+    assert len(ones.faces(1)) == 36
+    with pytest.raises(ValueError, match=r"block K\{1\} is not the lower ends of color 1's Cayley matching"):
+        ones.vertex_edges()
 
 
 def test_vertex_edges_rejects_a_representative_that_is_not_the_lesser():
@@ -725,15 +730,37 @@ def test_vertex_edges_rejects_a_representative_that_is_not_the_lesser():
     (e,) = edges
     upper = cayley.perms[cayley.neighbor[e][cayley.perms.index(reps[0])]]
     blocks = [b if b[0] != edges else (edges, (upper,) + reps[1:]) for b in P.blocks if len(b[0]) <= 1]
-    with pytest.raises(ValueError, match="is not the lesser of its coset"):
+    with pytest.raises(ValueError, match=rf"block K\{{{e + 1}\}} is not the lower ends of color {e + 1}'s"):
         Skeleton(g, blocks).vertex_edges()
 
 
 def test_vertex_edges_rejects_a_skeleton_missing_an_endpoint():
     P = hedron("cycle", 3)
     vertex = P.faces(0)[2]
-    with pytest.raises(ValueError, match="not stored"):
-        tuple(skeleton(drop_face(P, vertex), 1).vertex_edges())
+    with pytest.raises(ValueError, match=r"block K\{\} is not the 6 vertices in lex order"):
+        skeleton(drop_face(P, vertex), 1).vertex_edges()
+
+
+def test_one_skeleton_rejects_a_mis_paired_cayley_table(monkeypatch):
+    # color 0's table swaps the partners of its first two lower ends: still a
+    # matching with the same lower ends, so only the store's own covers
+    # tell it from the Cayley graph
+    g = preset_graph("paw")
+    init = CayleyGraph.__init__
+
+    def mis_paired(self, graph):
+        init(self, graph)
+        table = self.neighbor[0]
+        a, b = [u for u in range(self.n_vertices) if table[u] > u][:2]
+        a2, b2 = table[a], table[b]
+        assert a2 > b
+        table[a], table[b2], table[b], table[a2] = b2, a, a2, b
+
+    monkeypatch.setattr(CayleyGraph, "__init__", mis_paired)
+    cayley = build_cayley(g)
+    table = cayley.neighbor[0]
+    assert all(table[table[u]] == u != table[u] for u in range(cayley.n_vertices))
+    assert not one_skeleton_equals_cayley(build(g), cayley)
 
 
 # ---------------------------------------------------------------------------
