@@ -17,10 +17,9 @@ print("f-vector:", P.f_vector())
 print("flags:   ", flag_count(P), "=", "3! * 2!")
 
 print("\nvertices and their incident edges:")
-for v in P.faces(0):
-    incident = [e for e in P.faces(1) if P.is_incident(v, e)]
-    images = ",".join(str(x + 1) for x in v.rep)
-    print(f"  ({images})  lies under {len(incident)} edges")
+for v, rep in enumerate(P.vertex_reps):
+    images = ",".join(str(x + 1) for x in rep)
+    print(f"  ({images})  lies under {len(P.up[v])} edges")
 
 print("\nCayley color graph in DOT format:")
 cayley = build_cayley(path2)

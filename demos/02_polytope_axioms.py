@@ -32,7 +32,7 @@ print(f"strong flag-connectedness: {'pass' if connected.passed else 'fail'} "
 print(f"all vertex figures are 3-simplices: {P.is_simple}")
 
 # A negative control: delete one face and the diamond count breaks.
-corrupted = drop_face(P, P.faces(2)[0])
+corrupted = drop_face(P, P.first_of_rank(2))
 report = verify_diamond(corrupted)
 print("\nafter deleting one rank-2 face:")
 print(f"  diamond condition: {'pass' if report.passed else 'fail'}")

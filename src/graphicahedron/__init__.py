@@ -38,16 +38,12 @@ from .perms import (
     Perm,
     VertexPartition,
     canonical_rep,
-    compose,
-    conjugate,
     coset_size,
     identity,
     inverse,
-    same_coset,
     transposition_of_edge,
 )
 from .polytope import (
-    Face,
     Graphicahedron,
     build,
     face_count,
@@ -60,8 +56,6 @@ from .polytope import (
 from .posets import RankedPoset, posets_isomorphic
 from .symmetry import (
     AutGroupSummary,
-    apply_graph_aut,
-    apply_right,
     aut_summary,
     constructed_group_order,
     full_aut_order_via_flags,
@@ -76,7 +70,6 @@ __all__ = [
     "CapacityError",
     "CayleyGraph",
     "DisconnectedGraphError",
-    "Face",
     "FacetCensus",
     "GraphAutomorphism",
     "Graphicahedron",
@@ -88,8 +81,6 @@ __all__ = [
     "RankedPoset",
     "SimpleGraph",
     "VertexPartition",
-    "apply_graph_aut",
-    "apply_right",
     "aut_summary",
     "automorphisms",
     "build",
@@ -97,8 +88,6 @@ __all__ = [
     "canonical_rep",
     "classify_by_construction",
     "components",
-    "compose",
-    "conjugate",
     "constructed_group_order",
     "coset_size",
     "face_count",
@@ -117,7 +106,6 @@ __all__ = [
     "permutahedron_oracle",
     "posets_isomorphic",
     "preset_graph",
-    "same_coset",
     "transposition_of_edge",
     "verify_diamond",
     "verify_strong_flag_connectedness",

@@ -21,14 +21,16 @@ from __future__ import annotations
 
 import math
 import sys
-from array import array
 from itertools import chain, compress, repeat
 from operator import gt
-from typing import Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .errors import CapacityError
 from .graphs import SimpleGraph
 from .perms import DEFAULT_MAX_PERMS, Perm, check_perm_capacity, perms_by_lex_rank, transposition_of_edge
+
+if TYPE_CHECKING:
+    from array import array
 
 # Edge colors for DOT output, reused cyclically past the palette size.
 PALETTE = (
@@ -131,8 +133,11 @@ def _left_ranks(t: Perm, memo: dict[Perm, array]) -> array:
     Each run is the table one point down with t(v)·(n-1)! added to every
     entry, done as one big-integer sum over the array's bytes: ``ones`` holds
     1 in every 32-bit lane, and no entry reaches 2**31, so no lane carries
-    into the next.
+    into the next.  ``array`` is imported here, so the commands that build
+    no Cayley table never load it.
     """
+    from array import array
+
     run = math.factorial(len(t) - 1)
     ones = int.from_bytes(array("i", [1]) * run, sys.byteorder)
     out = array("i")

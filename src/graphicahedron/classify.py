@@ -136,11 +136,11 @@ def facet_census(polytope: Graphicahedron) -> FacetCensus:
         for i in range(start, start + len(reps)):
             if not posets_isomorphic(polytope.interval_below(i), reference):
                 raise InternalInconsistencyError(
-                    f"facet {face_id(polytope.face_at(i))}: interval is not isomorphic to the {tag} reference"
+                    f"facet {face_id(polytope, i)}: interval is not isomorphic to the {tag} reference"
                 )
         counts[tag] = counts.get(tag, 0) + len(reps)
         if tag not in samples:
-            samples[tag] = face_id(polytope.face_at(start))
+            samples[tag] = face_id(polytope, start)
     entries = tuple((tag, counts[tag], samples[tag]) for tag in sorted(counts))
     census = FacetCensus(entries, sum(counts.values()))
     if census.total != face_count(polytope.graph, q - 1):

@@ -1,9 +1,10 @@
-"""Permutation arithmetic and Young-subgroup coset machinery.
+"""Permutations and Young-subgroup coset machinery.
 
 Permutations are plain tuples in one-line notation: ``a[x]`` is the image of
-point ``x``, with points ``0..p-1``.  All arithmetic is 0-based; user-facing
+point ``x``, with points ``0..p-1``.  Points are 0-based; user-facing
 layers (parsers, reports, DOT output) convert to 1-based labels at the
-boundary.
+boundary.  No product of permutations is formed: cosets are found by
+:func:`canonical_rep` and Cayley neighbours by lex rank.
 
 A *vertex partition* splits the points into blocks; the permutations that
 preserve every block setwise form a Young subgroup (a direct product of
@@ -32,32 +33,11 @@ def identity(p: int) -> Perm:
     return tuple(range(p))
 
 
-def compose(a: Perm, b: Perm) -> Perm:
-    """Compose two permutations, applying ``b`` first: ``compose(a, b)(x) == a(b(x))``.
-
-    >>> compose((1, 0, 2), (0, 2, 1))
-    (1, 2, 0)
-    """
-    if len(a) != len(b):
-        raise ValueError(f"size mismatch: cannot compose permutations on {len(a)} and {len(b)} points")
-    return tuple(a[x] for x in b)
-
-
 def inverse(a: Perm) -> Perm:
     inv = [0] * len(a)
     for x, v in enumerate(a):
         inv[v] = x
     return tuple(inv)
-
-
-def conjugate(a: Perm, k: Perm) -> Perm:
-    """Return ``k·a·k⁻¹``, i.e. ``a`` with its points relabeled through ``k``."""
-    if len(a) != len(k):
-        raise ValueError(f"size mismatch: cannot conjugate on {len(a)} by {len(k)} points")
-    out = [0] * len(a)
-    for x, ax in enumerate(a):
-        out[k[x]] = k[ax]
-    return tuple(out)
 
 
 def transposition_of_edge(p: int, edge: tuple[int, int]) -> Perm:
@@ -146,14 +126,6 @@ def canonical_rep(part: VertexPartition, a: Perm) -> Perm:
         out.append(part.blocks[b][next_in_block[b]])
         next_in_block[b] += 1
     return tuple(out)
-
-
-def same_coset(part: VertexPartition, a: Perm, b: Perm) -> bool:
-    """Whether ``a`` and ``b`` span the same right coset of the Young subgroup."""
-    if len(a) != len(b):
-        raise ValueError(f"size mismatch: {len(a)} vs {len(b)}")
-    block_of = part.block_of
-    return all(block_of[a[y]] == block_of[b[y]] for y in range(len(a)))
 
 
 @lru_cache(maxsize=4)

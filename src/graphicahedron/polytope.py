@@ -9,10 +9,10 @@ whose edge set is contained in the other's and whose coset lies inside the
 other's coset.
 
 The store holds one block per edge subset K: K with its sorted coset
-representatives.  Blocks come in ``face_sort_key`` order, so the faces are
+representatives.  Blocks come by rank, then by sorted K, so the faces are
 integer ids in that order, each block owning a contiguous id range, and a
-face's id is found by bisecting its block.  :class:`Face` objects are made
-only at the API edge (``faces``, ``face_at``, ``covers``, witnesses).
+face's id is found by bisecting its block.  Ids are the only face form;
+:func:`face_id` labels one for a witness.
 
 Covers follow directly from the coset rule: the faces covering (K, c) are
 the faces (K + {e}, canonical_rep(c)), one for each edge e not in K.  The
@@ -56,7 +56,6 @@ from .perms import (
     check_perm_capacity,
     coset_reps,
     coset_size,
-    same_coset,
 )
 from .posets import RankedPoset
 
@@ -66,35 +65,12 @@ FIGURE_FACES_PER_PERM = 512  # vertex-figure faces per allowed permutation; at 7
 Block = tuple[frozenset[int], tuple[Perm, ...]]
 
 
-@dataclass(frozen=True)
-class Face:
-    """A proper face: edge subset plus canonical coset representative."""
-
-    edges: frozenset[int]
-    rep: Perm
-
-    @property
-    def rank(self) -> int:
-        return len(self.edges)
-
-
-def face_sort_key(face: Face):
-    return (len(face.edges), tuple(sorted(face.edges)), face.rep)
-
-
-def face_id(face: Face) -> str:
-    """Stable 1-based identifier, e.g. ``K{1,3}:a(2,1,3)``."""
-    edges = ",".join(str(e + 1) for e in sorted(face.edges))
-    images = ",".join(str(v + 1) for v in face.rep)
-    return f"K{{{edges}}}:a({images})"
-
-
 class Graphicahedron(RankedPoset):
     """The face poset as a :class:`RankedPoset` over ``blocks``, which must
-    come in ``face_sort_key`` order (empty ones are dropped).  Block b holds
-    the ids ``starts[b]`` up to ``starts[b + 1]``; ``up[i]`` and ``down[i]``
-    are the ids covering and covered by id i, in increasing order, from the
-    coset rule.  ``rank`` is q whatever ranks are stored."""
+    come by rank, then by sorted edge subset (empty ones are dropped).
+    Block b holds the ids ``starts[b]`` up to ``starts[b + 1]``; ``up[i]``
+    and ``down[i]`` are the ids covering and covered by id i, in increasing
+    order, from the coset rule.  ``rank`` is q whatever ranks are stored."""
 
     def __init__(self, graph: SimpleGraph, blocks: Iterable[Block]):
         self.graph = graph
@@ -117,18 +93,10 @@ class Graphicahedron(RankedPoset):
         position here."""
         return self.blocks[0][1] if self.blocks and not self.blocks[0][0] else ()
 
-    def faces(self, rank: int) -> tuple[Face, ...]:
-        return tuple(map(self.face_at, range(self.first_of_rank(rank), self.first_of_rank(rank + 1))))
-
-    def all_faces(self) -> Iterator[Face]:
-        return map(self.face_at, range(len(self)))
-
-    @property
-    def greatest_face(self) -> Face:
-        top = self.faces(self.rank)
-        if len(top) != 1:
-            raise ValueError(f"no greatest face: {len(top)} faces of rank {self.rank} are stored")
-        return top[0]
+    def faces(self, rank: int) -> range:
+        """The ids of one rank.  The program reads :meth:`first_of_rank`;
+        this stays only for ``perfbench/job.py`` until ROADMAP item 1."""
+        return range(self.first_of_rank(rank), self.first_of_rank(rank + 1))
 
     def partition_of(self, edges: frozenset[int]) -> VertexPartition:
         part = self._partitions.get(edges)
@@ -136,12 +104,6 @@ class Graphicahedron(RankedPoset):
             part = components(self.graph, edges)
             self._partitions[edges] = part
         return part
-
-    def is_incident(self, below: Face, above: Face) -> bool:
-        """The partial order: edge sets nest and the small coset lies in the large one."""
-        return below.edges <= above.edges and same_coset(
-            self.partition_of(above.edges), below.rep, above.rep
-        )
 
     def first_of_rank(self, rank: int) -> int:
         """The least id of rank at least ``rank``; ids of rank r are
@@ -153,14 +115,11 @@ class Graphicahedron(RankedPoset):
         j = bisect_left(reps, rep)
         return self.starts[b] + j if j < len(reps) and reps[j] == rep else None
 
-    def id_of(self, face: Face) -> int | None:
-        b = self._block_of.get(face.edges)
-        return None if b is None else self._id_in_block(b, face.rep)
-
-    def face_at(self, i: int) -> Face:
-        b = bisect_right(self.starts, i) - 1
-        edges, reps = self.blocks[b]
-        return Face(edges, reps[i - self.starts[b]])
+    def block_at(self, i: int) -> int:
+        """The block that holds id ``i``; ValueError unless ``0 <= i < len(self)``."""
+        if not 0 <= i < len(self):
+            raise ValueError(f"face id {i} out of range 0..{len(self) - 1}")
+        return bisect_right(self.starts, i) - 1
 
     @cached_property
     def ranks(self) -> list[int]:
@@ -186,13 +145,20 @@ class Graphicahedron(RankedPoset):
                         down[j].append(i)
         return down
 
-    def covers(self) -> tuple[dict[Face, tuple[Face, ...]], dict[Face, tuple[Face, ...]]]:
-        """``up`` and ``down`` as Face-keyed dicts, in ``all_faces()`` order."""
-        faces = tuple(self.all_faces())
-        return tuple(
-            {f: tuple(faces[j] for j in ids[i]) for i, f in enumerate(faces)}
-            for ids in (self.up, self.down)
-        )
+    def covers(self) -> tuple[dict[int, tuple[int, ...]], dict[int, tuple[int, ...]]]:
+        """``up`` and ``down`` as id-keyed dicts of id tuples.  The program
+        reads :attr:`up` and :attr:`down`; this stays only for
+        ``perfbench/job.py`` and its tracer until ROADMAP item 1."""
+        return tuple({i: tuple(ids) for i, ids in enumerate(lists)} for lists in (self.up, self.down))
+
+
+def face_id(polytope: Graphicahedron, i: int) -> str:
+    """Stable 1-based label of the face with id ``i``, e.g. ``K{1,3}:a(2,1,3)``."""
+    b = polytope.block_at(i)
+    edges, reps = polytope.blocks[b]
+    labels = ",".join(str(e + 1) for e in sorted(edges))
+    images = ",".join(str(v + 1) for v in reps[i - polytope.starts[b]])
+    return f"K{{{labels}}}:a({images})"
 
 
 def check_buildable(graph: SimpleGraph, max_perms: int = DEFAULT_MAX_PERMS) -> None:
@@ -216,7 +182,7 @@ def check_walkable(graph: SimpleGraph, max_perms: int) -> None:
 
 
 def faces_of_rank(graph: SimpleGraph, rank: int) -> Iterator[Block]:
-    """The blocks of one rank, in ``face_sort_key`` order, each made when
+    """The blocks of one rank, by sorted edge subset, each made when
     the iterator reaches it, so a caller that counts faces holds one block
     at a time.
 
@@ -250,12 +216,15 @@ def face_count(graph: SimpleGraph, rank: int) -> int:
     )
 
 
-def drop_face(polytope: Graphicahedron, face: Face) -> Graphicahedron:
-    """A copy of the store without ``face``: stores with faces dropped are
-    the negative controls of the axiom verifiers, which read only the poset."""
+def drop_face(polytope: Graphicahedron, i: int) -> Graphicahedron:
+    """A copy of the store without the face of id ``i``: stores with faces
+    dropped are the negative controls of the axiom verifiers, which read
+    only the poset.  ValueError unless ``0 <= i < len(polytope)``."""
+    b = polytope.block_at(i)
+    j = i - polytope.starts[b]
     return Graphicahedron(polytope.graph, (
-        (edges, tuple(r for r in reps if r != face.rep) if edges == face.edges else reps)
-        for edges, reps in polytope.blocks
+        (edges, reps[:j] + reps[j + 1:]) if c == b else (edges, reps)
+        for c, (edges, reps) in enumerate(polytope.blocks)
     ))
 
 
@@ -317,11 +286,11 @@ def verify_diamond(polytope: Graphicahedron) -> VerifyReport:
             for low, count in counts:
                 checked += 1
                 if count != 2:
-                    low_id = face_id(polytope.face_at(low)) if low is not None else "least face"
+                    low_id = face_id(polytope, low) if low is not None else "least face"
                     return VerifyReport(
                         False,
                         checked,
-                        f"{count} faces between {low_id} and {face_id(polytope.face_at(high))}, expected 2",
+                        f"{count} faces between {low_id} and {face_id(polytope, high)}, expected 2",
                     )
     return VerifyReport(True, checked)
 
@@ -400,7 +369,7 @@ def verify_strong_flag_connectedness(polytope: Graphicahedron) -> VerifyReport:
     up, down, ranks = polytope.up, polytope.down, polytope.ranks
 
     def failure(bottom: str, top: int) -> str:
-        return f"section [{bottom}, {face_id(polytope.face_at(top))}] has a disconnected flag graph"
+        return f"section [{bottom}, {face_id(polytope, top)}] has a disconnected flag graph"
 
     checked, top = _walk_sections(range(polytope.first_of_rank(1)), up)
     if top is not None:
@@ -409,7 +378,7 @@ def verify_strong_flag_connectedness(polytope: Graphicahedron) -> VerifyReport:
         tops, top = _walk_sections(up[bottom], up)
         checked += tops
         if top is not None:
-            return VerifyReport(False, checked, failure(face_id(polytope.face_at(bottom)), top))
+            return VerifyReport(False, checked, failure(face_id(polytope, bottom), top))
     reached = bytearray(len(ranks))  # the up-closure of the vertices
     below_top = bytearray(len(ranks))  # the down-closure of the faces of rank q
     for i in range(len(ranks)):
@@ -418,20 +387,19 @@ def verify_strong_flag_connectedness(polytope: Graphicahedron) -> VerifyReport:
         below_top[i] = ranks[i] == polytope.rank or any(map(below_top.__getitem__, up[i]))
     for i in range(len(ranks)):
         if not (reached[i] and below_top[i]):
-            return VerifyReport(False, checked, f"{face_id(polytope.face_at(i))} lies on no flag")
+            return VerifyReport(False, checked, f"{face_id(polytope, i)} lies on no flag")
     return VerifyReport(True, checked)
 
 
-def vertex_figure_is_simplex(polytope: Graphicahedron, v: Face) -> bool:
-    """Whether the faces above a vertex form the Boolean lattice on its q
-    edges (:meth:`RankedPoset.is_simple_at`), the check that the frame
-    route of the automorphism count makes at every vertex.  The program
-    reads :attr:`RankedPoset.is_simple`; this stays only for
+def vertex_figure_is_simplex(polytope: Graphicahedron, v: int) -> bool:
+    """Whether the faces above the vertex of id ``v`` form the Boolean
+    lattice on its q edges (:meth:`RankedPoset.is_simple_at`), the check
+    that the frame route of the automorphism count makes at every vertex.
+    The program reads :attr:`RankedPoset.is_simple`; this stays only for
     ``perfbench/job.py``, which traces it by name, until ROADMAP item 1."""
-    if v.rank != 0:
+    if not 0 <= v < polytope.first_of_rank(1):
         raise ValueError("vertex figures are computed at rank-0 faces")
-    start = polytope.id_of(v)
-    return start is not None and polytope.is_simple_at(start)
+    return polytope.is_simple_at(v)
 
 
 # ---------------------------------------------------------------------------
@@ -493,9 +461,11 @@ def one_skeleton_equals_cayley(polytope: Graphicahedron, cayley: CayleyGraph) ->
         return False
     ones = Graphicahedron(graph, (b for b in polytope.blocks if len(b[0]) <= 1))
     down, edges = ones.down, []
-    for i in range(ones.first_of_rank(1), len(ones)):
-        if len(down[i]) != 2:
-            return False
-        (e,) = ones.face_at(i).edges
-        edges.append((*down[i], e))
+    for (colors, reps), start in zip(ones.blocks, ones.starts):
+        if colors:
+            (e,) = colors
+            for i in range(start, start + len(reps)):
+                if len(down[i]) != 2:
+                    return False
+                edges.append((*down[i], e))
     return sorted(edges) == list(cayley.edges())

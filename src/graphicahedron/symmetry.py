@@ -5,7 +5,8 @@ multiplication of the coset representatives by a fixed permutation (which
 never moves the edge-set component), and the action of a graph automorphism
 (which permutes edge sets and conjugates the representatives).  Together
 they generate a semidirect product of order p! * |graph automorphisms|
-whenever the graph has more than one edge.
+whenever the graph has more than one edge; this module gives that order in
+closed form (:func:`constructed_group_order`) and builds neither action.
 
 Independently of that construction, the full automorphism group is counted
 on the stored face poset by vertex frames (:mod:`posets`): the size of a
@@ -19,27 +20,10 @@ import math
 from dataclasses import dataclass
 
 from .errors import InternalInconsistencyError
-from .graphs import GraphAutomorphism, SimpleGraph, automorphisms, is_star, is_triangle
-from .perms import Perm, canonical_rep, compose, conjugate
-from .polytope import Face, Graphicahedron, check_flag_capacity, flag_count
+from .graphs import SimpleGraph, automorphisms, is_star, is_triangle
+from .polytope import Graphicahedron, check_flag_capacity, flag_count
 
 DEFAULT_MAX_FLAGS = 5000
-
-
-def apply_right(polytope: Graphicahedron, gamma: Perm, face: Face) -> Face:
-    """Right multiplication on the coset representative; the edge set is untouched.
-
-    (Left multiplication would not preserve incidence, so it is not offered.)
-    """
-    part = polytope.partition_of(face.edges)
-    return Face(face.edges, canonical_rep(part, compose(face.rep, gamma)))
-
-
-def apply_graph_aut(polytope: Graphicahedron, kappa: GraphAutomorphism, face: Face) -> Face:
-    """Push a face through a graph symmetry: map the edge set, conjugate the representative."""
-    edges = frozenset(kappa.edge_map[e] for e in face.edges)
-    part = polytope.partition_of(edges)
-    return Face(edges, canonical_rep(part, conjugate(face.rep, kappa.vertex_map)))
 
 
 def constructed_group_order(graph: SimpleGraph) -> int:

@@ -4,6 +4,12 @@ Everything here recomputes expected values from first principles (full
 enumeration, no shared code paths with the library's fast routes), so a
 test that compares against these is a genuine cross-check.
 
+The first section is the tuple route: the library names a face by its
+integer id alone, and :class:`Face` is the same face as the pair (edge
+set, canonical representative) read off the store's blocks, with
+incidence decided by coset containment (:func:`is_incident`) and the two
+constructed actions on it (:func:`apply_right`, :func:`apply_graph_aut`).
+
 The last section holds checks that only the tests run: coset containment
 against the stored face order (:func:`tree_order_equals_coset_inclusion`,
 with :func:`refines` and :func:`coset_le`) and the 2-face type
@@ -19,7 +25,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from graphicahedron import (
-    Face,
+    GraphAutomorphism,
     Graphicahedron,
     Perm,
     RankedPoset,
@@ -28,13 +34,131 @@ from graphicahedron import (
     build,
     canonical_rep,
     classify_by_construction,
-    compose,
     make_graph,
-    same_coset,
     transposition_of_edge,
 )
 from graphicahedron.errors import InternalInconsistencyError
-from graphicahedron.polytope import Skeleton, VerifyReport, face_id
+from graphicahedron.polytope import Skeleton, VerifyReport
+
+
+# ---------------------------------------------------------------------------
+# The tuple route
+
+
+def compose(a: Perm, b: Perm) -> Perm:
+    """Compose two permutations, applying ``b`` first: ``compose(a, b)(x) == a(b(x))``.
+
+    >>> compose((1, 0, 2), (0, 2, 1))
+    (1, 2, 0)
+    """
+    if len(a) != len(b):
+        raise ValueError(f"size mismatch: cannot compose permutations on {len(a)} and {len(b)} points")
+    return tuple(a[x] for x in b)
+
+
+def conjugate(a: Perm, k: Perm) -> Perm:
+    """Return ``k·a·k⁻¹``, i.e. ``a`` with its points relabeled through ``k``."""
+    if len(a) != len(k):
+        raise ValueError(f"size mismatch: cannot conjugate on {len(a)} by {len(k)} points")
+    out = [0] * len(a)
+    for x, ax in enumerate(a):
+        out[k[x]] = k[ax]
+    return tuple(out)
+
+
+def same_coset(part: VertexPartition, a: Perm, b: Perm) -> bool:
+    """Whether ``a`` and ``b`` span the same right coset of the Young subgroup."""
+    if len(a) != len(b):
+        raise ValueError(f"size mismatch: {len(a)} vs {len(b)}")
+    block_of = part.block_of
+    return all(block_of[a[y]] == block_of[b[y]] for y in range(len(a)))
+
+
+@dataclass(frozen=True)
+class Face:
+    """A proper face: edge subset plus canonical coset representative."""
+
+    edges: frozenset[int]
+    rep: Perm
+
+    @property
+    def rank(self) -> int:
+        return len(self.edges)
+
+
+def face_sort_key(face: Face):
+    """The store's id order: by rank, then by sorted edge set, then by representative."""
+    return (len(face.edges), tuple(sorted(face.edges)), face.rep)
+
+
+def face(polytope, edges: Iterable[int], a: Perm) -> Face:
+    """The face of ``polytope`` with the given edge set containing the permutation ``a``."""
+    key = frozenset(edges)
+    return Face(key, canonical_rep(polytope.partition_of(key), a))
+
+
+def vertex(a: Perm) -> Face:
+    return Face(frozenset(), a)
+
+
+def label(face: Face) -> str:
+    """The 1-based label the library's witnesses print, e.g. ``K{1,3}:a(2,1,3)``."""
+    edges = ",".join(str(e + 1) for e in sorted(face.edges))
+    images = ",".join(str(v + 1) for v in face.rep)
+    return f"K{{{edges}}}:a({images})"
+
+
+def all_faces(polytope: Graphicahedron) -> list[Face]:
+    """Every stored face, in id order: face ``i`` is the one with id i."""
+    return [Face(edges, rep) for edges, reps in polytope.blocks for rep in reps]
+
+
+def face_at(polytope: Graphicahedron, i: int) -> Face:
+    """The face with id ``i``; IndexError unless ``0 <= i < len(polytope)``."""
+    if not 0 <= i < len(polytope):
+        raise IndexError(f"face id {i} out of range")
+    return all_faces(polytope)[i]
+
+
+def rank_faces(polytope: Graphicahedron, rank: int) -> list[Face]:
+    """The stored faces of one rank, in id order."""
+    return [f for f in all_faces(polytope) if f.rank == rank]
+
+
+def id_of(polytope: Graphicahedron, face: Face) -> int | None:
+    """The id of ``face`` in the store, or None when it is not stored."""
+    for i, f in enumerate(all_faces(polytope)):
+        if f == face:
+            return i
+    return None
+
+
+def greatest_face(polytope: Graphicahedron) -> Face:
+    top = rank_faces(polytope, polytope.rank)
+    if len(top) != 1:
+        raise ValueError(f"no greatest face: {len(top)} faces of rank {polytope.rank} are stored")
+    return top[0]
+
+
+def is_incident(polytope: Graphicahedron, below: Face, above: Face) -> bool:
+    """The partial order: edge sets nest and the small coset lies in the large one."""
+    return below.edges <= above.edges and same_coset(polytope.partition_of(above.edges), below.rep, above.rep)
+
+
+def apply_right(polytope: Graphicahedron, gamma: Perm, face: Face) -> Face:
+    """Right multiplication on the coset representative; the edge set is untouched.
+
+    (Left multiplication would not preserve incidence, so it is not offered.)
+    """
+    part = polytope.partition_of(face.edges)
+    return Face(face.edges, canonical_rep(part, compose(face.rep, gamma)))
+
+
+def apply_graph_aut(polytope: Graphicahedron, kappa: GraphAutomorphism, face: Face) -> Face:
+    """Push a face through a graph symmetry: map the edge set, conjugate the representative."""
+    edges = frozenset(kappa.edge_map[e] for e in face.edges)
+    part = polytope.partition_of(edges)
+    return Face(edges, canonical_rep(part, conjugate(face.rep, kappa.vertex_map)))
 
 
 def young_subgroup(part: VertexPartition) -> list[tuple[int, ...]]:
@@ -73,16 +197,6 @@ def component_of(graph: SimpleGraph, edge_subset: Iterable[int], a: Perm) -> tup
                     nxt.append(c)
         frontier = nxt
     return tuple(sorted(seen))
-
-
-def face(polytope, edges: Iterable[int], a: Perm) -> Face:
-    """The face of ``polytope`` with the given edge set containing the permutation ``a``."""
-    key = frozenset(edges)
-    return Face(key, canonical_rep(polytope.partition_of(key), a))
-
-
-def vertex(a: Perm) -> Face:
-    return Face(frozenset(), a)
 
 
 def all_set_partitions(p: int) -> list[VertexPartition]:
@@ -338,19 +452,21 @@ def frames_by_filter(a: RankedPoset, b: RankedPoset, w: int) -> Iterator[tuple[i
 
 
 def pairwise_covers(polytope) -> tuple[dict, dict]:
-    """(up, down) cover lists by testing every face pair in adjacent ranks
-    with the coset incidence relation, lists in face order."""
-    up = {f: [] for f in polytope.all_faces()}
-    down = {f: [] for f in polytope.all_faces()}
-    for r in range(polytope.rank):
-        for g in polytope.faces(r + 1):
-            for f in polytope.faces(r):
-                if polytope.is_incident(f, g):
-                    up[f].append(g)
-                    down[g].append(f)
+    """(up, down) cover lists as id-keyed dicts of id tuples, by testing
+    every face pair in adjacent ranks with the coset incidence relation."""
+    faces = all_faces(polytope)
+    by_rank = [[i for i, f in enumerate(faces) if f.rank == r] for r in range(polytope.rank + 1)]
+    up: dict[int, list[int]] = {i: [] for i in range(len(faces))}
+    down: dict[int, list[int]] = {i: [] for i in range(len(faces))}
+    for lower, upper in zip(by_rank, by_rank[1:]):
+        for j in upper:
+            for i in lower:
+                if is_incident(polytope, faces[i], faces[j]):
+                    up[i].append(j)
+                    down[j].append(i)
     return (
-        {f: tuple(v) for f, v in up.items()},
-        {f: tuple(v) for f, v in down.items()},
+        {i: tuple(v) for i, v in up.items()},
+        {i: tuple(v) for i, v in down.items()},
     )
 
 
@@ -570,27 +686,26 @@ def sectionwise_strong_flag_connectedness(polytope) -> VerifyReport:
     for bottom, top, above in sections():
         checked += 1
         if not _section_connected(polytope, bottom, top, above, mids_between):
-            bottom_id = face_id(polytope.face_at(bottom)) if bottom is not None else "least face"
+            bottom_id = label(face_at(polytope, bottom)) if bottom is not None else "least face"
             return VerifyReport(
                 False,
                 checked,
-                f"section [{bottom_id}, {face_id(polytope.face_at(top))}] has a disconnected flag graph",
+                f"section [{bottom_id}, {label(face_at(polytope, top))}] has a disconnected flag graph",
             )
     return VerifyReport(True, checked)
 
 
-def faces_on_no_flag(polytope) -> list:
-    """Stored faces with no chain of covers down to a vertex or none up to
-    the greatest rank, found by closing over the cover lists."""
-    up, down = polytope.covers()
-    faces = list(polytope.all_faces())
+def faces_on_no_flag(polytope) -> list[int]:
+    """The ids of stored faces with no chain of covers down to a vertex or
+    none up to the greatest rank, found by closing over the cover lists."""
+    up, down, ranks = polytope.up, polytope.down, polytope.ranks
     reaches_vertex = {}
-    for f in faces:  # ranks ascend, so every face below is settled first
-        reaches_vertex[f] = f.rank == 0 or any(reaches_vertex[g] for g in down[f])
+    for i in range(len(ranks)):  # ranks ascend, so every face below is settled first
+        reaches_vertex[i] = ranks[i] == 0 or any(reaches_vertex[j] for j in down[i])
     reaches_top = {}
-    for f in reversed(faces):
-        reaches_top[f] = f.rank == polytope.rank or any(reaches_top[g] for g in up[f])
-    return [f for f in faces if not (reaches_vertex[f] and reaches_top[f])]
+    for i in reversed(range(len(ranks))):
+        reaches_top[i] = ranks[i] == polytope.rank or any(reaches_top[j] for j in up[i])
+    return [i for i in range(len(ranks)) if not (reaches_vertex[i] and reaches_top[i])]
 
 
 # ---------------------------------------------------------------------------
@@ -623,12 +738,12 @@ def tree_order_equals_coset_inclusion(graph: SimpleGraph) -> tuple[bool, tuple[F
     default permutation cap.
     """
     polytope = build(graph)
-    parts = {f.edges: polytope.partition_of(f.edges) for f in polytope.all_faces()}
-    faces = list(polytope.all_faces())
+    faces = all_faces(polytope)
+    parts = {f.edges: polytope.partition_of(f.edges) for f in faces}
     for f in faces:
         for g in faces:
             cosets_nest = coset_le(parts[f.edges], f.rep, parts[g.edges], g.rep)
-            if cosets_nest != polytope.is_incident(f, g):
+            if cosets_nest != is_incident(polytope, f, g):
                 return False, (f, g)
     return True, None
 
@@ -643,14 +758,14 @@ def classify_2face(polytope: Graphicahedron, face: Face) -> str:
     """
     if face.rank != 2:
         raise ValueError("classify_2face expects a rank-2 face")
-    i = polytope.id_of(face)
+    i = id_of(polytope, face)
     if i is None:
-        raise ValueError(f"{face_id(face)} is not a face of this polytope")
+        raise ValueError(f"{label(face)} is not a face of this polytope")
     verdict = classify_by_construction(polytope.graph, face.edges)
     n_vertices = polytope.vertices_below(i)
     if n_vertices != (6 if verdict == "hexagon" else 4):
         raise InternalInconsistencyError(
-            f"2-face {face_id(face)} classified {verdict} but has {n_vertices} vertices"
+            f"2-face {label(face)} classified {verdict} but has {n_vertices} vertices"
         )
     return verdict
 

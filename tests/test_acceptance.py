@@ -10,25 +10,30 @@ import math
 
 from oracles import (
     adjacent_flag,
+    all_faces,
     all_set_partitions,
+    apply_graph_aut,
+    apply_right,
     brute_coset,
     classify_2face,
+    conjugate,
     connected_graphs_with_edges,
     flag_graph,
     flags,
     graphs_isomorphic,
+    id_of,
+    is_incident,
+    rank_faces,
+    same_coset,
     sectionwise_strong_flag_connectedness,
     tree_order_equals_coset_inclusion,
 )
 
 from graphicahedron import (
-    apply_graph_aut,
-    apply_right,
     automorphisms,
     build,
     build_cayley,
     canonical_rep,
-    conjugate,
     face_count,
     facet_census,
     flag_count,
@@ -38,7 +43,6 @@ from graphicahedron import (
     permutahedron_oracle,
     posets_isomorphic,
     preset_graph,
-    same_coset,
     verify_diamond,
     verify_strong_flag_connectedness,
     vertex_figure_is_simplex,
@@ -120,10 +124,10 @@ def test_criterion_04_axioms():
     # deleted opposite vertices of a hexagon leave its section in two
     # pieces, as the section-by-section oracle finds too
     P = polytope_of("C_3")
-    corrupted = drop_face(P, P.faces(1)[0])
+    corrupted = drop_face(P, P.first_of_rank(1))
     assert not verify_diamond(corrupted).passed
     for label in ("K{}:a(1,2,3)", "K{}:a(1,3,2)"):
-        P = drop_face(P, next(v for v in P.faces(0) if face_id(v) == label))
+        P = drop_face(P, next(v for v in P.faces(0) if face_id(P, v) == label))
     report = verify_strong_flag_connectedness(P)
     assert report == sectionwise_strong_flag_connectedness(P)
     assert not report.passed
@@ -178,23 +182,23 @@ def test_criterion_06_regularity_classification():
 def test_criterion_07_toroids():
     c3 = polytope_of("C_3")
     assert c3.f_vector() == (6, 9, 3, 1)
-    assert all(classify_2face(c3, f) == "hexagon" for f in c3.faces(2))
+    assert all(classify_2face(c3, f) == "hexagon" for f in rank_faces(c3, 2))
     v, e, f2, _ = c3.f_vector()
     assert v - e + f2 == 0
 
     star = polytope_of("K_{1,3}")
     assert star.f_vector()[0] == 24
-    assert all(classify_2face(star, f) == "hexagon" for f in star.faces(2))
+    assert all(classify_2face(star, f) == "hexagon" for f in rank_faces(star, 2))
     v, e, f2, _ = star.f_vector()
     assert v - e + f2 == 0
 
     # the paw's facets over the triangle and the star are poset-isomorphic
     # to these two reference polytopes
     paw = polytope_of("paw")
-    triangle_facet = next(f for f in paw.faces(3) if f.edges == frozenset([0, 1, 2]))
-    star_facet = next(f for f in paw.faces(3) if f.edges == frozenset([0, 1, 3]))
-    assert posets_isomorphic(paw.interval_below(paw.id_of(triangle_facet)), c3)
-    assert posets_isomorphic(paw.interval_below(paw.id_of(star_facet)), star)
+    triangle_facet = next(f for f in rank_faces(paw, 3) if f.edges == frozenset([0, 1, 2]))
+    star_facet = next(f for f in rank_faces(paw, 3) if f.edges == frozenset([0, 1, 3]))
+    assert posets_isomorphic(paw.interval_below(id_of(paw, triangle_facet)), c3)
+    assert posets_isomorphic(paw.interval_below(id_of(paw, star_facet)), star)
 
 
 @criterion(8, "facet censuses of the paw and the fork")
@@ -229,7 +233,7 @@ def test_criterion_09_permutahedron_isomorphism():
     oracle = permutahedron_oracle(3)
     assert p3.f_vector()[:3] == (24, 36, 14)
     assert oracle.f_vector()[:3] == (24, 36, 14)
-    tags = [classify_2face(p3, f) for f in p3.faces(2)]
+    tags = [classify_2face(p3, f) for f in rank_faces(p3, 2)]
     assert tags.count("hexagon") == 8 and tags.count("square") == 6
     oracle_gon = sorted(oracle.vertices_below(x) for x in oracle.levels[2])
     assert oracle_gon == [4] * 6 + [6] * 8
@@ -246,7 +250,7 @@ def test_criterion_10_tree_remark():
     assert not holds and witness is not None
     f, g = witness
     c3 = polytope_of("C_3")
-    assert not c3.is_incident(f, g)
+    assert not is_incident(c3, f, g)
     assert brute_coset(c3.partition_of(f.edges), f.rep) <= brute_coset(
         c3.partition_of(g.edges), g.rep
     )
@@ -288,7 +292,7 @@ def test_criterion_11_property_suites():
     # semidirect conjugation identity on the paw and the fork
     for name in ("paw", "fork"):
         P = polytope_of(name)
-        faces = list(P.all_faces())
+        faces = all_faces(P)
         for kappa in automorphisms(P.graph):
             kappa_inv = kappa.inverse()
             for gamma in itertools.permutations(range(P.graph.p)):

@@ -13,7 +13,6 @@ PUBLIC_NAMES = [
     "CapacityError",
     "CayleyGraph",
     "DisconnectedGraphError",
-    "Face",
     "FacetCensus",
     "GraphAutomorphism",
     "Graphicahedron",
@@ -25,8 +24,6 @@ PUBLIC_NAMES = [
     "RankedPoset",
     "SimpleGraph",
     "VertexPartition",
-    "apply_graph_aut",
-    "apply_right",
     "aut_summary",
     "automorphisms",
     "build",
@@ -34,8 +31,6 @@ PUBLIC_NAMES = [
     "canonical_rep",
     "classify_by_construction",
     "components",
-    "compose",
-    "conjugate",
     "constructed_group_order",
     "coset_size",
     "face_count",
@@ -54,7 +49,6 @@ PUBLIC_NAMES = [
     "permutahedron_oracle",
     "posets_isomorphic",
     "preset_graph",
-    "same_coset",
     "transposition_of_edge",
     "verify_diamond",
     "verify_strong_flag_connectedness",

@@ -5,14 +5,13 @@ import re
 from array import array
 
 import pytest
-from oracles import brute_coset, component_of
+from oracles import brute_coset, component_of, compose
 
 from graphicahedron import (
     CayleyGraph,
     build,
     build_cayley,
     components,
-    compose,
     identity,
     is_connected,
     make_graph,

@@ -10,7 +10,10 @@ from oracles import (
     connected_graphs_with_edges,
     flag_posets_isomorphic,
     hexagonal_toroid,
+    id_of,
+    is_incident,
     product_poset,
+    rank_faces,
     stirling2,
 )
 
@@ -41,13 +44,13 @@ def hedron(name, n=None):
 
 def test_hexagon_when_edges_share_a_vertex():
     P = hedron("path", 2)
-    (face,) = P.faces(2)
+    (face,) = rank_faces(P, 2)
     assert classify_2face(P, face) == "hexagon"
 
 
 def test_square_when_edges_are_disjoint():
     P = hedron("path", 3)
-    for face in P.faces(2):
+    for face in rank_faces(P, 2):
         expected = "square" if face.edges == frozenset([0, 2]) else "hexagon"
         assert classify_2face(P, face) == expected
 
@@ -55,15 +58,15 @@ def test_square_when_edges_are_disjoint():
 def test_2face_classification_matches_vertex_count():
     for name, n in [("cycle", 4), ("paw", None)]:
         P = hedron(name, n)
-        for face in P.faces(2):
+        for face in rank_faces(P, 2):
             tag = classify_2face(P, face)
-            n_vertices = sum(1 for v in P.faces(0) if P.is_incident(v, face))
+            n_vertices = sum(1 for v in rank_faces(P, 0) if is_incident(P, v, face))
             assert n_vertices == (6 if tag == "hexagon" else 4)
 
 
 def test_path3_2face_census():
     P = hedron("path", 3)
-    tags = [classify_2face(P, f) for f in P.faces(2)]
+    tags = [classify_2face(P, f) for f in rank_faces(P, 2)]
     assert tags.count("hexagon") == 8
     assert tags.count("square") == 6
 
@@ -147,10 +150,10 @@ def test_permutahedron_type_naming():
 
 def test_paw_triangle_facet_intrinsic():
     P = hedron("paw")
-    facets = [f for f in P.faces(3) if f.edges == frozenset([0, 1, 2])]
+    facets = [f for f in rank_faces(P, 3) if f.edges == frozenset([0, 1, 2])]
     assert len(facets) == 4
     for facet in facets:
-        interval = P.interval_below(P.id_of(facet))
+        interval = P.interval_below(id_of(P, facet))
         assert posets_isomorphic(interval, hexagonal_toroid(1, 1))
         assert interval.f_vector()[:3] == (6, 9, 3)
         v, e, f2, _ = interval.f_vector()
@@ -159,8 +162,8 @@ def test_paw_triangle_facet_intrinsic():
 
 def test_paw_star_facet_intrinsic():
     P = hedron("paw")
-    (facet,) = [f for f in P.faces(3) if f.edges == frozenset([0, 1, 3])]
-    interval = P.interval_below(P.id_of(facet))
+    (facet,) = [f for f in rank_faces(P, 3) if f.edges == frozenset([0, 1, 3])]
+    interval = P.interval_below(id_of(P, facet))
     assert posets_isomorphic(interval, hexagonal_toroid(2, 2))
     assert interval.f_vector() == (24, 36, 12, 1)
     v, e, f2, _ = interval.f_vector()
@@ -169,9 +172,9 @@ def test_paw_star_facet_intrinsic():
 
 def test_fork_path_facet_intrinsic():
     P = hedron("fork")
-    facets = [f for f in P.faces(3) if f.edges == frozenset([0, 1, 2])]
+    facets = [f for f in rank_faces(P, 3) if f.edges == frozenset([0, 1, 2])]
     for facet in facets[:2]:
-        interval = P.interval_below(P.id_of(facet))
+        interval = P.interval_below(id_of(P, facet))
         assert posets_isomorphic(interval, permutahedron_oracle(3))
         assert interval.f_vector() == (24, 36, 14, 1)
 
@@ -348,7 +351,7 @@ def test_census_at_every_facet_rank(name, n):
 def test_census_rejects_a_dropped_vertex(name, n):
     P = hedron(name, n)
     with pytest.raises(InternalInconsistencyError, match=r"^facet K\{.*reference$"):
-        facet_census(drop_face(P, P.faces(0)[0]))
+        facet_census(drop_face(P, 0))
 
 
 # The 12 connected graphs with 5 edges, by their 1-based edge lists, and
@@ -415,8 +418,8 @@ def test_census_checks_every_facet_of_the_q5_graphs(spec):
 def test_census_euler_characteristic_per_tag():
     for name in ["paw", "fork"]:
         P = hedron(name)
-        for facet in P.faces(3):
-            v, e, f2, _ = P.interval_below(P.id_of(facet)).f_vector()
+        for facet in rank_faces(P, 3):
+            v, e, f2, _ = P.interval_below(id_of(P, facet)).f_vector()
             tag = classify_by_construction(P.graph, facet.edges)
             expected = 0 if tag.startswith("toroid") else 2
             assert v - e + f2 == expected

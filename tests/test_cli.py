@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import greatest_face, id_of
 
 import graphicahedron
 from graphicahedron import build_cayley, preset_graph
@@ -34,14 +35,15 @@ def run_json(capsys, *argv):
 
 # The faces a defective store lacks: its first facet or its greatest face.
 DROPPED = {
-    "first-facet": lambda P: P.faces(P.rank - 1)[0],
-    "greatest-face": lambda P: P.greatest_face,
+    "first-facet": lambda P: P.first_of_rank(P.rank - 1),
+    "greatest-face": lambda P: id_of(P, greatest_face(P)),
 }
 
 
 def build_without(monkeypatch, dropped):
-    """Make ``polytope.build`` return the store without the face ``dropped``
-    names: the CLI has no defect switch, so a test injects the defect."""
+    """Make ``polytope.build`` return the store without the face whose id
+    ``dropped`` names: the CLI has no defect switch, so a test injects the
+    defect."""
     from graphicahedron import polytope
 
     real = polytope.build
@@ -434,6 +436,23 @@ def test_deterministic_across_processes_and_hash_seeds():
         ).stdout
 
     assert run_once("1") == run_once("2")
+
+
+def test_only_export_loads_array():
+    # array holds the Cayley tables, and is imported where they are built
+    src = str(Path(graphicahedron.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = "\n".join([
+        "import contextlib, io, sys",
+        "from graphicahedron import cli",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    for command in ('build', 'verify', 'analyze'):",
+        "        assert cli.main([command, '--preset', 'fork']) == 0, command",
+        "    assert 'array' not in sys.modules",
+        "    assert cli.main(['export', '--preset', 'fork', '--what', 'cayley']) == 0",
+        "assert 'array' in sys.modules",
+    ])
+    subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=120)
 
 
 def test_internal_inconsistency_exits_5(capsys, monkeypatch):

@@ -4,14 +4,13 @@ import math
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import connected_graphs_with_edges, graphs_isomorphic, refines
+from oracles import compose, connected_graphs_with_edges, graphs_isomorphic, refines
 
 from graphicahedron import (
     ParseError,
     SimpleGraph,
     automorphisms,
     components,
-    compose,
     is_connected,
     make_graph,
     parse_graph,

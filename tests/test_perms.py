@@ -2,19 +2,26 @@ import itertools
 import math
 
 import pytest
-from oracles import all_set_partitions, brute_coset, coset_le, coset_reps_by_recursion, refines, young_subgroup
+from oracles import (
+    all_set_partitions,
+    brute_coset,
+    compose,
+    conjugate,
+    coset_le,
+    coset_reps_by_recursion,
+    refines,
+    same_coset,
+    young_subgroup,
+)
 
 from graphicahedron import (
     VertexPartition,
     automorphisms,
     canonical_rep,
-    compose,
-    conjugate,
     coset_size,
     identity,
     inverse,
     preset_graph,
-    same_coset,
     transposition_of_edge,
 )
 from graphicahedron.errors import CapacityError

@@ -6,17 +6,26 @@ import random
 
 import pytest
 from oracles import (
+    Face,
     Flag,
     adjacent_flag,
+    all_faces,
     brute_coset,
     construction_flag_tables,
     face,
+    face_at,
+    face_sort_key,
     faces_on_no_flag,
     flag_graph,
     flags,
+    greatest_face,
+    id_of,
+    is_incident,
+    label,
     pairwise_covers,
     product_poset,
     propagate,
+    rank_faces,
     sectionwise_strong_flag_connectedness,
     skeleton,
     tree_order_equals_coset_inclusion,
@@ -26,14 +35,10 @@ from oracles import (
 from graphicahedron import (
     CayleyGraph,
     DisconnectedGraphError,
-    Face,
     build,
     build_cayley,
-    constructed_group_order,
     face_count,
-    facet_census,
     flag_count,
-    full_aut_order_via_flags,
     identity,
     labelled_poset,
     make_graph,
@@ -54,7 +59,6 @@ from graphicahedron.polytope import (
     build_skeleton,
     drop_face,
     face_id,
-    face_sort_key,
 )
 from graphicahedron.posets import RankedPoset
 
@@ -107,11 +111,11 @@ def test_build_capacity():
 def test_faces_are_self_canonical_and_deduplicated():
     for name, n in [("cycle", 3), ("paw", None), ("star", 3)]:
         P = hedron(name, n)
-        for f in P.all_faces():
+        for f in all_faces(P):
             assert face(P, f.edges, f.rep) == f
             assert f.rank == len(f.edges)
         for r in range(P.rank + 1):
-            faces = P.faces(r)
+            faces = rank_faces(P, r)
             assert len(set(faces)) == len(faces)
 
 
@@ -135,8 +139,8 @@ def test_build_emits_faces_in_sort_key_order(spec, shuffled):
         g = relabelled(g, spec)
     P = build(g)
     for r in range(P.rank + 1):
-        faces = P.faces(r)
-        assert faces == tuple(sorted(faces, key=face_sort_key))
+        faces = rank_faces(P, r)
+        assert faces == sorted(faces, key=face_sort_key)
 
 
 def test_face_reps_are_the_vertex_tuples():
@@ -146,7 +150,7 @@ def test_face_reps_are_the_vertex_tuples():
     assert len(P.vertex_reps) == 120
     for _, reps in P.blocks:
         for rep in reps:
-            assert rep is P.vertex_reps[P.id_of(Face(frozenset(), rep))]
+            assert rep is P.vertex_reps[P.vertex_reps.index(rep)]
 
 
 def test_build_skeleton_matches_the_skeleton_of_build():
@@ -170,9 +174,9 @@ def test_build_skeleton_checks_capacity_then_connectivity_then_rank():
 def test_vertices_and_top():
     P = hedron("cycle", 3)
     assert len(P.faces(0)) == math.factorial(3)
-    top = P.greatest_face
+    top = greatest_face(P)
     assert top.rank == 3 and top.edges == frozenset(range(3))
-    assert all(P.is_incident(f, top) for f in P.all_faces())
+    assert all(is_incident(P, f, top) for f in all_faces(P))
 
 
 def test_face_count_formula_matches_enumeration():
@@ -207,12 +211,12 @@ def test_face_count_against_coset_dedup():
 
 def test_incidence_reflexive_and_examples():
     P = hedron("cycle", 3)
-    for f in P.all_faces():
-        assert P.is_incident(f, f)
+    for f in all_faces(P):
+        assert is_incident(P, f, f)
     alpha = (1, 2, 0)
     v = vertex(alpha)
     e = face(P, [0], alpha)
-    assert P.is_incident(v, e)
+    assert is_incident(P, v, e)
 
 
 def test_incidence_example_decided_by_coset_listing():
@@ -222,18 +226,18 @@ def test_incidence_example_decided_by_coset_listing():
     a13 = transposition_of_edge(3, (0, 2))
     edge_face = face(P, [0], a13)
     coset = brute_coset(P.partition_of(frozenset([0])), a13)
-    assert (identity(3) in coset) == P.is_incident(vertex(identity(3)), edge_face)
-    assert not P.is_incident(vertex(identity(3)), edge_face)
+    assert (identity(3) in coset) == is_incident(P, vertex(identity(3)), edge_face)
+    assert not is_incident(P, vertex(identity(3)), edge_face)
     # the two vertices genuinely below that edge are its coset members
-    below = [v for v in P.faces(0) if P.is_incident(v, edge_face)]
+    below = [v for v in rank_faces(P, 0) if is_incident(P, v, edge_face)]
     assert {v.rep for v in below} == coset
 
 
 def test_incidence_is_a_partial_order():
     for name, n in [("path", 2), ("cycle", 3), ("paw", None)]:
         P = hedron(name, n)
-        faces = list(P.all_faces())
-        le = {(f, g) for f in faces for g in faces if P.is_incident(f, g)}
+        faces = all_faces(P)
+        le = {(f, g) for f in faces for g in faces if is_incident(P, f, g)}
         for f in faces:
             assert (f, f) in le
         for f, g in le:
@@ -326,10 +330,10 @@ def test_construction_flag_graph_maps_onto_the_poset_flag_graph(spec):
 
 
 def without_vertices(P, *labels):
-    """The store without the vertices named by their face ids."""
-    for label in labels:
-        (vertex,) = [v for v in P.faces(0) if face_id(v) == label]
-        P = drop_face(P, vertex)
+    """The store without the vertices named by their labels."""
+    for name in labels:
+        (v,) = [v for v in P.faces(0) if face_id(P, v) == name]
+        P = drop_face(P, v)
     return P
 
 
@@ -348,7 +352,7 @@ def test_strong_flag_connectedness_builds_no_flag_graph(monkeypatch, name):
     P = hedron(name)
     # the store, then without two opposite vertices of a 2-face, which fails
     # a section, then without its greatest face, which leaves faces on no flag
-    stores = [P, without_vertices(P, *OPPOSITE_VERTICES[name]), drop_face(P, P.greatest_face)]
+    stores = [P, without_vertices(P, *OPPOSITE_VERTICES[name]), drop_face(P, len(P) - 1)]
     expected = [sectionwise_strong_flag_connectedness(store) for store in stores[:2]]
 
     def refuse(*args):
@@ -382,7 +386,7 @@ def test_diamond_passes_on_presets():
 
 def test_diamond_fails_with_witness_on_corrupted_poset():
     P = hedron("path", 2)
-    corrupted = drop_face(P, P.faces(1)[0])
+    corrupted = drop_face(P, P.first_of_rank(1))
     report = verify_diamond(corrupted)
     assert not report.passed
     assert report.failure is not None and "expected 2" in report.failure
@@ -422,30 +426,47 @@ def test_strong_flag_connectedness_matches_the_sectionwise_oracle(name, n):
 def test_strong_flag_connectedness_matches_the_oracle_under_every_face_drop(spec):
     name, _, n = spec.partition(":")
     P = hedron(name, int(n) if n else None)
-    for face in P.all_faces():
-        if face.rank < P.rank:
-            same_report(drop_face(P, face))
+    for i in range(P.first_of_rank(P.rank)):
+        same_report(drop_face(P, i))
 
 
 def test_strong_flag_connectedness_matches_the_oracle_at_rank_5_with_faces_dropped():
     # every 150th single-face drop of cycle:5, then seeded drops of 3 to 12
     # faces, which fail in sections above the least face and above a vertex
     P = hedron("cycle", 5)
-    faces = [face for face in P.all_faces() if face.rank < P.rank]
-    stores = [drop_face(P, face) for face in faces[::150]]
+    faces = [face for face in all_faces(P) if face.rank < P.rank]
+    stores = [drop_face(P, id_of(P, face)) for face in faces[::150]]
     rng = random.Random(0)
     for _ in range(3):
         corrupted = P
         for face in rng.sample(faces, rng.randint(3, 12)):
-            corrupted = drop_face(corrupted, face)
+            corrupted = drop_face(corrupted, id_of(corrupted, face))
         stores.append(corrupted)
     reports = [same_report(store) for store in stores]
     assert [report.passed for report in reports] == [True] * 5 + [False] * 3
 
 
+@pytest.mark.parametrize("spec", ["cycle:3", "paw"])
+def test_drop_face_drops_exactly_the_face_of_its_id(spec):
+    # the greatest face's block empties, and every other id moves down by one
+    name, _, n = spec.partition(":")
+    P = hedron(name, int(n) if n else None)
+    faces = all_faces(P)
+    for i in range(len(P)):
+        assert all_faces(drop_face(P, i)) == faces[:i] + faces[i + 1:]
+
+
+def test_drop_face_refuses_an_id_outside_the_store():
+    # a negative id would otherwise slice a face off the end of a block
+    P = hedron("paw")
+    for i in (len(P), -1):
+        with pytest.raises(ValueError, match=rf"^face id {i} out of range 0..{len(P) - 1}$"):
+            drop_face(P, i)
+
+
 def test_dropping_the_greatest_face_leaves_every_face_on_no_flag():
     P = hedron("cycle", 3)
-    corrupted = drop_face(P, P.greatest_face)
+    corrupted = drop_face(P, id_of(P, greatest_face(P)))
     assert sectionwise_strong_flag_connectedness(corrupted).passed
     report = verify_strong_flag_connectedness(corrupted)
     assert not report.passed
@@ -453,46 +474,26 @@ def test_dropping_the_greatest_face_leaves_every_face_on_no_flag():
 
 
 def test_a_store_without_its_greatest_face_says_so():
-    corrupted = drop_face(hedron("cycle", 3), hedron("cycle", 3).greatest_face)
+    corrupted = drop_face(hedron("cycle", 3), len(hedron("cycle", 3)) - 1)
     with pytest.raises(ValueError, match="^no greatest face: 0 faces of rank 3 are stored$"):
-        corrupted.greatest_face
+        greatest_face(corrupted)
 
 
-@pytest.mark.parametrize("name", ["paw", "fork"])
-def test_the_store_and_its_walks_make_no_face_objects(monkeypatch, name):
-    g = preset_graph(name)
-    intact = build(g)
-    facet = intact.faces(g.q - 1)[0]
-    expected = intact.interval_below(intact.id_of(facet)).f_vector()
-    made = []
-    init = Face.__init__
-
-    def recorded(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        made.append(face_id(self))
-
-    monkeypatch.setattr(Face, "__init__", recorded)
-    P = build(g)
-    build_skeleton(g, g.q - 1)
-    P.up  # builds the cover lists before the walks use them
-    assert verify_diamond(P).passed
-    assert verify_strong_flag_connectedness(P).passed
-    assert P.is_simple
-    assert full_aut_order_via_flags(P) == constructed_group_order(g)
-    assert P.interval_below(P.id_of(facet)).f_vector() == expected
-    assert made == []
-    # the census names one sample facet per type, and makes no other face
-    census = facet_census(P)
-    assert sorted(made) == sorted(sample for _, _, sample in census.entries)
+def test_no_module_defines_a_face_type():
+    # a face is an integer id; the tuple form lives in the tests' oracles
+    for info in pkgutil.iter_modules(graphicahedron.__path__):
+        module = importlib.import_module(f"graphicahedron.{info.name}")
+        assert not hasattr(module, "Face"), info.name
+    assert not hasattr(graphicahedron, "Face")
 
 
 def two_face_drops(spec, sample=None, seed=0):
     name, _, n = spec.partition(":")
     P = hedron(name, int(n) if n else None)
-    pairs = list(itertools.combinations(P.all_faces(), 2))
+    pairs = list(itertools.combinations(range(len(P)), 2))
     if sample is not None:
         pairs = random.Random(seed).sample(pairs, sample)
-    return [drop_face(drop_face(P, f), g) for f, g in pairs]
+    return [drop_face(drop_face(P, g), f) for f, g in pairs]
 
 
 @pytest.mark.parametrize("spec, sample", [("cycle:3", None), ("path:3", 200)])
@@ -506,12 +507,12 @@ def test_strong_flag_connectedness_under_two_face_drops(spec, sample):
 def test_strong_flag_connectedness_under_seeded_multi_face_drops(spec):
     name, _, n = spec.partition(":")
     P = hedron(name, int(n) if n else None)
-    faces = list(P.all_faces())
+    faces = all_faces(P)
     rng = random.Random(0)
     for _ in range(200):
         corrupted = P
         for face in rng.sample(faces, rng.randint(3, 12)):
-            corrupted = drop_face(corrupted, face)
+            corrupted = drop_face(corrupted, id_of(corrupted, face))
         new = verify_strong_flag_connectedness(corrupted)
         old = sectionwise_strong_flag_connectedness(corrupted)
         assert new.passed == (old.passed and not faces_on_no_flag(corrupted))
@@ -528,9 +529,9 @@ def test_coatoms_sharing_only_an_atom_leave_a_section_disconnected():
         "K{1,2}:a(1,2,3)", "K{1}:a(1,3,2)", "K{1}:a(3,1,2)", "K{2}:a(2,1,3)", "K{2}:a(2,3,1)",
         "K{3}:a(1,2,3)", "K{3}:a(1,3,2)", "K{3}:a(2,1,3)", "K{}:a(1,3,2)", "K{}:a(3,2,1)",
     }
-    for face in P.all_faces():
-        if face_id(face) in dropped:
-            P = drop_face(P, face)
+    for face in all_faces(P):
+        if label(face) in dropped:
+            P = drop_face(P, id_of(P, face))
     report = same_report(P)
     assert (report.passed, report.checked) == (False, 3)
     assert report.failure == "section [least face, K{1,2,3}:a(1,2,3)] has a disconnected flag graph"
@@ -553,24 +554,26 @@ def test_vertex_figures_are_boolean():
 
 def test_vertex_figure_rejects_non_vertex():
     P = hedron("path", 2)
-    with pytest.raises(ValueError):
-        vertex_figure_is_simplex(P, P.greatest_face)
+    for i in (len(P) - 1, P.first_of_rank(1), -1, len(P)):
+        with pytest.raises(ValueError, match="vertex figures are computed at rank-0 faces"):
+            vertex_figure_is_simplex(P, i)
 
 
 def test_vertex_figure_detects_missing_face():
     P = hedron("paw")
-    v = P.faces(0)[0]
-    above = [f for f in P.faces(2) if P.is_incident(v, f)]
-    corrupted = drop_face(P, above[0])
-    assert not vertex_figure_is_simplex(corrupted, v)
+    v = vertex(P.vertex_reps[0])
+    above = [f for f in rank_faces(P, 2) if is_incident(P, v, f)]
+    corrupted = drop_face(P, id_of(P, above[0]))
+    assert not vertex_figure_is_simplex(corrupted, id_of(corrupted, v))
 
 
 def test_vertex_figures_fail_exactly_under_a_dropped_face():
+    # a vertex keeps its id when a face of rank 2 is dropped
     P = hedron("paw")
-    for dropped in P.faces(2):
-        corrupted = drop_face(P, dropped)
-        for v in P.faces(0):
-            assert vertex_figure_is_simplex(corrupted, v) == (not P.is_incident(v, dropped))
+    for dropped in rank_faces(P, 2):
+        corrupted = drop_face(P, id_of(P, dropped))
+        for i, v in enumerate(rank_faces(P, 0)):
+            assert vertex_figure_is_simplex(corrupted, i) == (not is_incident(P, v, dropped))
 
 
 @pytest.mark.parametrize("spec", ["paw", "fork", "cycle:4", "path:4", "star:4", "cycle:5"])
@@ -579,7 +582,7 @@ def test_direct_covers_match_pairwise_scan(spec):
     P = hedron(name, int(n) if n else None)
     assert P.covers() == pairwise_covers(P)
     if spec in ("paw", "fork"):
-        corrupted = drop_face(P, P.faces(P.rank - 1)[0])
+        corrupted = drop_face(P, P.first_of_rank(P.rank - 1))
         assert corrupted.covers() == pairwise_covers(corrupted)
 
 
@@ -684,16 +687,16 @@ def test_skeleton_edges_equal_cayley_edges(name, n):
 def test_one_skeleton_rejects_a_dropped_face(name, n, rank):
     g = preset_graph(name, n)
     P = build(g)
-    assert not one_skeleton_equals_cayley(drop_face(P, P.faces(rank)[5]), build_cayley(g))
+    assert not one_skeleton_equals_cayley(drop_face(P, P.first_of_rank(rank) + 5), build_cayley(g))
 
 
 def test_vertex_edges_of_a_store_without_a_vertex_and_its_edges():
     # a store that lacks a vertex is not a full store
     g = preset_graph("cycle", 4)
     P = build(g)
-    gone = Face(frozenset(), P.vertex_reps[5])
+    gone = vertex(P.vertex_reps[5])
     skel = Skeleton(g, (
-        (edges, tuple(r for r in reps if not P.is_incident(gone, Face(edges, r))))
+        (edges, tuple(r for r in reps if not is_incident(P, gone, Face(edges, r))))
         for edges, reps in P.blocks if len(edges) <= 1
     ))
     assert len(skel.vertex_reps) == 23
@@ -706,9 +709,9 @@ def test_vertex_edges_of_a_partial_rank_one_block(name, n):
     # a rank-1 block without one face is not its color's whole matching
     g = preset_graph(name, n)
     P = build(g)
-    gone = P.faces(1)[5]
+    gone = P.first_of_rank(1) + 5
     ones = Skeleton(g, (b for b in drop_face(P, gone).blocks if len(b[0]) <= 1))
-    (e,) = gone.edges
+    (e,) = face_at(P, gone).edges
     with pytest.raises(ValueError, match=rf"block K\{{{e + 1}\}} is not the lower ends of color {e + 1}'s"):
         ones.vertex_edges()
 
@@ -736,9 +739,8 @@ def test_vertex_edges_rejects_a_representative_that_is_not_the_lesser():
 
 def test_vertex_edges_rejects_a_skeleton_missing_an_endpoint():
     P = hedron("cycle", 3)
-    vertex = P.faces(0)[2]
     with pytest.raises(ValueError, match=r"block K\{\} is not the 6 vertices in lex order"):
-        skeleton(drop_face(P, vertex), 1).vertex_edges()
+        skeleton(drop_face(P, 2), 1).vertex_edges()
 
 
 def test_one_skeleton_rejects_a_mis_paired_cayley_table(monkeypatch):
@@ -780,7 +782,7 @@ def test_cycle_breaks_coset_inclusion_equivalence():
     f, g = witness
     # the witness really is a containment of cosets without face incidence
     P = build(preset_graph("cycle", 3))
-    assert not P.is_incident(f, g)
+    assert not is_incident(P, f, g)
     assert brute_coset(P.partition_of(f.edges), f.rep) <= brute_coset(P.partition_of(g.edges), g.rep)
     assert not (f.edges <= g.edges)
 
@@ -818,18 +820,30 @@ def test_prism_facets_are_products_of_component_polytopes():
     fork = preset_graph("fork")
     P = build(fork)
     prism_K = frozenset([0, 2, 3])  # segment {1,2} plus path 4-3-5
-    facets = [f for f in P.faces(3) if f.edges == prism_K]
+    facets = [f for f in rank_faces(P, 3) if f.edges == prism_K]
     assert len(facets) == 10
     segment = build(preset_graph("path", 1))
     hexagon = build(preset_graph("path", 2))
     expected = product_poset(segment, hexagon)
     for facet in facets[:2]:
-        assert posets_isomorphic(P.interval_below(P.id_of(facet)), expected)
+        assert posets_isomorphic(P.interval_below(id_of(P, facet)), expected)
 
 
 def test_face_id_format():
-    f = Face(frozenset([0, 2]), (1, 0, 2, 3))
-    assert face_id(f) == "K{1,3}:a(2,1,3,4)"
+    P = build(make_graph(4, [(1, 2), (0, 3), (2, 3)]))
+    i = id_of(P, Face(frozenset([0, 2]), (1, 0, 2, 3)))
+    assert face_id(P, i) == "K{1,3}:a(2,1,3,4)"
+
+
+@pytest.mark.parametrize("spec", ["paw", "fork", "cycle:4"])
+def test_face_id_labels_every_id_as_the_oracle_does(spec):
+    # every id, the first and last of each block included
+    name, _, n = spec.partition(":")
+    P = hedron(name, int(n) if n else None)
+    assert [face_id(P, i) for i in range(len(P))] == list(map(label, all_faces(P)))
+    for i in (-1, len(P)):
+        with pytest.raises(ValueError, match=f"face id {i} out of range"):
+            face_id(P, i)
 
 
 def test_trivial_graph_gives_the_point_polytope():
@@ -839,7 +853,7 @@ def test_trivial_graph_gives_the_point_polytope():
     assert list(flags(P)) == [Flag((), (0,))]
     assert verify_diamond(P).passed
     assert verify_strong_flag_connectedness(P).passed
-    assert vertex_figure_is_simplex(P, P.greatest_face)
+    assert vertex_figure_is_simplex(P, id_of(P, greatest_face(P)))
 
 
 def test_single_edge_polytope_axioms():
