@@ -37,8 +37,11 @@ from graphicahedron import (
     DisconnectedGraphError,
     build,
     build_cayley,
+    constructed_group_order,
     face_count,
+    facet_census,
     flag_count,
+    full_aut_order_via_flags,
     identity,
     labelled_poset,
     make_graph,
@@ -477,6 +480,36 @@ def test_a_store_without_its_greatest_face_says_so():
     corrupted = drop_face(hedron("cycle", 3), len(hedron("cycle", 3)) - 1)
     with pytest.raises(ValueError, match="^no greatest face: 0 faces of rank 3 are stored$"):
         greatest_face(corrupted)
+
+
+@pytest.mark.parametrize("name", ["paw", "fork"])
+def test_the_store_and_its_walks_make_no_face_objects(monkeypatch, name):
+    # the walks run on integer ids: the oracles' tuple Face is never built
+    g = preset_graph(name)
+    intact = build(g)
+    facet = intact.faces(g.q - 1)[0]
+    expected = intact.interval_below(facet).f_vector()
+    made = []
+    init = Face.__init__
+
+    def recorded(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(label(self))
+
+    monkeypatch.setattr(Face, "__init__", recorded)
+    P = build(g)
+    build_skeleton(g, g.q - 1)
+    P.up  # builds the cover lists before the walks use them
+    assert verify_diamond(P).passed
+    assert verify_strong_flag_connectedness(P).passed
+    assert P.is_simple
+    assert full_aut_order_via_flags(P) == constructed_group_order(g)
+    assert P.interval_below(facet).f_vector() == expected
+    # the census names one sample facet per type by its label, from its id
+    census = facet_census(P)
+    assert made == []
+    facets = {face_id(P, i) for i in P.faces(g.q - 1)}
+    assert {sample for _, _, sample in census.entries} <= facets
 
 
 def test_no_module_defines_a_face_type():
