@@ -118,8 +118,8 @@ class FacetCensus:
 
 def facet_census(polytope: Graphicahedron) -> FacetCensus:
     """Type every facet by construction, one edge subset at a time, and
-    require each facet's interval to be isomorphic to the
-    :func:`labelled_poset` of its edge subset, built once per subset.
+    require the :func:`labelled_poset` of its edge subset, built and
+    frame-checked once per subset, to be isomorphic to each facet's interval.
     Raises :class:`InternalInconsistencyError` naming the first facet that
     is not, or when the facets do not add up to the face count of their
     rank."""
@@ -134,7 +134,7 @@ def facet_census(polytope: Graphicahedron) -> FacetCensus:
         tag = classify_by_construction(polytope.graph, edges)
         reference = labelled_poset(polytope.graph, edges)
         for i in range(start, start + len(reps)):
-            if not posets_isomorphic(polytope.interval_below(i), reference):
+            if not posets_isomorphic(reference, polytope.interval_below(i)):
                 raise InternalInconsistencyError(
                     f"facet {face_id(polytope, i)}: interval is not isomorphic to the {tag} reference"
                 )

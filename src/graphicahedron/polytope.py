@@ -51,7 +51,6 @@ from .graphs import SimpleGraph, components, is_connected
 from .perms import (
     DEFAULT_MAX_PERMS,
     Perm,
-    VertexPartition,
     canonical_rep,
     check_perm_capacity,
     coset_reps,
@@ -78,7 +77,6 @@ class Graphicahedron(RankedPoset):
         self.starts = list(itertools.accumulate((len(reps) for _, reps in self.blocks), initial=0))
         self._block_of = {edges: b for b, (edges, _) in enumerate(self.blocks)}
         self._block_ranks = [len(edges) for edges, _ in self.blocks]
-        self._partitions: dict[frozenset[int], VertexPartition] = {}
 
     @property
     def rank(self) -> int:
@@ -97,13 +95,6 @@ class Graphicahedron(RankedPoset):
         """The ids of one rank.  The program reads :meth:`first_of_rank`;
         this stays only for ``perfbench/job.py`` until ROADMAP item 1."""
         return range(self.first_of_rank(rank), self.first_of_rank(rank + 1))
-
-    def partition_of(self, edges: frozenset[int]) -> VertexPartition:
-        part = self._partitions.get(edges)
-        if part is None:
-            part = components(self.graph, edges)
-            self._partitions[edges] = part
-        return part
 
     def first_of_rank(self, rank: int) -> int:
         """The least id of rank at least ``rank``; ids of rank r are
@@ -138,7 +129,7 @@ class Graphicahedron(RankedPoset):
                 b = self._block_of.get(larger)
                 if b is None:
                     continue
-                part = self.partition_of(larger)
+                part = components(self.graph, larger)
                 for i, rep in enumerate(reps, start):
                     j = self._id_in_block(b, canonical_rep(part, rep))
                     if j is not None:
@@ -442,6 +433,8 @@ def build_skeleton(graph: SimpleGraph, k: int, max_perms: int = DEFAULT_MAX_PERM
     the ranks above ``k``: after :func:`check_buildable`, raises ValueError
     unless ``0 <= k <= q - 1``."""
     check_buildable(graph, max_perms)
+    if not graph.q:
+        raise ValueError("a graph without edges has no proper skeleton")
     if not (0 <= k <= graph.q - 1):
         raise ValueError(f"skeleton rank {k} out of range 0..{graph.q - 1}")
     return Skeleton(

@@ -3,11 +3,12 @@
 :class:`RankedPoset` is the one graded-poset form of the face store, its
 intervals (:meth:`RankedPoset.interval_below`) and the models built
 independently of it.  In a *simple* poset the faces through a vertex are
-the subsets of its edges, so an isomorphism is fixed by where it sends one
-vertex and its edges in order, a *frame*.  :func:`map_frame` is the one
-propagation that extends a frame; :func:`posets_isomorphic` and the
-automorphism count (:attr:`RankedPoset.vertex_orbit_and_stabiliser`) both
-run on it.
+the subsets of its edges, so an isomorphism out of it is fixed by where it
+sends one vertex and its edges in order, a *frame*, and the target is then
+simple too: only the side the frames start from is checked.
+:func:`map_frame` is the one propagation that extends a frame, total on any
+target; :func:`posets_isomorphic` and the automorphism count
+(:attr:`RankedPoset.vertex_orbit_and_stabiliser`) both run on it.
 """
 
 from __future__ import annotations
@@ -107,14 +108,11 @@ class RankedPoset:
 
     def interval_below(self, top: int) -> RankedPoset:
         """The interval from the least element up to the id ``top``: its
-        down-set as a poset of its own, ids renumbered in order."""
+        down-set as a poset of its own, ids renumbered in order, with its
+        own frame check."""
         ranks, down, inside = self.ranks, self.down, sorted(self.down_set(top))
         new_id = {i: k for k, i in enumerate(inside)}
-        interval = RankedPoset([ranks[i] for i in inside], [[new_id[j] for j in down[i]] for i in inside])
-        # each vertex's up-set is Boolean if this poset passes the frame check, and so is its part below top
-        if self._frames_apply:
-            interval._frames_apply = True
-        return interval
+        return RankedPoset([ranks[i] for i in inside], [[new_id[j] for j in down[i]] for i in inside])
 
     @cached_property
     def _skeleton_connected(self) -> bool:
@@ -154,8 +152,7 @@ class RankedPoset:
         orbit = _closure([0], lambda v: (image[v] for image in found))
         for w in range(1, self.first_of_rank(1)):
             if w not in orbit:
-                frames = (map_frame(self, self, w, order) for order in _frames_at(self, self, w))
-                found.extend(itertools.islice(filter(None, frames), 1))
+                found.extend(itertools.islice(_maps(self, self, w), 1))
                 orbit = _closure([0], lambda v: (image[v] for image in found))
         return len(orbit), len(group)
 
@@ -172,54 +169,57 @@ def _closure(starts: Iterable, step: Callable[[object], Iterable]) -> set:
     return seen
 
 
-def _two_face(poset: RankedPoset, e: int, f: int) -> int:
-    """The 2-face above the edges ``e`` and ``f``, which meet at a simple vertex."""
+def _two_face(poset: RankedPoset, e: int, f: int) -> int | None:
+    """The 2-face above the edges ``e`` and ``f``; None if there is none."""
     down = poset.down
-    return next(t for t in poset.up[e] if f in down[t])
+    return next((t for t in poset.up[e] if f in down[t]), None)
 
 
-def _other_edge(down: Sequence[Sequence[int]], t: int, x: int, e: int) -> int:
-    """The edge other than ``e`` at the vertex ``x`` below the 2-face ``t``."""
-    return next(h for h in down[t] if h != e and x in down[h])
+def _other_edge(down: Sequence[Sequence[int]], t: int, x: int, e: int) -> int | None:
+    """The edge other than ``e`` at the vertex ``x`` below the 2-face ``t``; None if there is none."""
+    return next((h for h in down[t] if h != e and x in down[h]), None)
 
 
 def _frames_at(a: RankedPoset, b: RankedPoset, w: int) -> Iterator[tuple[int, ...]]:
     """The orderings of the edges at b's vertex ``w`` whose pairs span 2-faces as large as the
-    matching pairs at a's vertex 0, in ``itertools.permutations`` order, grown edge by edge."""
+    matching pairs at a's vertex 0, in ``itertools.permutations`` order, grown edge by edge;
+    none if ``w`` has another number of edges, or two of them span no 2-face."""
     at_a, edges = a.up[0], b.up[w]
     want = [[len(a.down[_two_face(a, e, f)]) for e in at_a[:k]] for k, f in enumerate(at_a)]
-    gon = [[0 if e == f else len(b.down[_two_face(b, e, f)]) for f in edges] for e in edges]
+    sizes = [[0 if (t := _two_face(b, e, f)) is None else len(b.down[t]) for f in edges] for e in edges]
 
     def grow(order: tuple[int, ...], rest: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         if not rest:
             yield tuple(edges[j] for j in order)
         for x, j in enumerate(rest):
-            if [gon[i][j] for i in order] == want[len(order)]:
+            if [sizes[i][j] for i in order] == want[len(order)]:
                 yield from grow((*order, j), rest[:x] + rest[x + 1:])
 
-    return grow((), tuple(range(len(edges))))
+    return grow((), tuple(range(len(edges)))) if len(edges) == len(at_a) else iter(())
 
 
 def map_frame(a: RankedPoset, b: RankedPoset, w: int, edges: Sequence[int]) -> list[int] | None:
-    """The isomorphism from ``a`` onto ``b`` (both passing the frame check,
-    with equal f-vectors) sending a's vertex 0 to ``w`` and its edges, in id
-    order, to ``edges``, the edges at ``w``; None if there is none, or if
-    ``edges`` is not an ordering of the edges at ``w``.
+    """The isomorphism from ``a``, which passes the frame check, onto ``b``,
+    with the same f-vector, sending a's vertex 0 to ``w`` and its edges, in
+    id order, to ``edges``, the edges at ``w``; None if there is none, or
+    if ``edges`` is not an ordering of the edges at ``w``.
 
     Crossing an edge e from v to u, each 2-face above e meets u in e and an
     edge f, and v in e and an edge g; f goes to the edge at u's image below
     the 2-face of the images of e and g.  A higher face goes to the
     face covering the images of its down-covers.  Only an injective map,
-    which then keeps every down-cover list, is returned.
+    which then keeps every down-cover list, is returned; an edge of ``b``
+    that does not cover two ids, or a 2-face or edge of ``b`` that the
+    crossing does not find, fails the frame.
     """
     up_a, down_a, up_b, down_b = a.up, a.down, b.up, b.down
-    if sorted(edges) != up_b[w]:
+    if len(edges) != len(up_a[0]) or sorted(edges) != up_b[w]:
         return None
     image = [-1] * len(a)
     used = bytearray(len(b))
 
-    def put(x: int, y: int) -> bool:
-        if image[x] == -1 and not used[y]:
+    def put(x: int, y: int | None) -> bool:
+        if y is not None and image[x] == -1 and not used[y]:
             image[x] = y
             used[y] = 1
         return image[x] == y
@@ -232,13 +232,14 @@ def map_frame(a: RankedPoset, b: RankedPoset, w: int, edges: Sequence[int]) -> l
         for e in up_a[v]:
             u, ie = sum(down_a[e]) - v, image[e]
             new = image[u] == -1
-            if not put(u, sum(down_b[ie]) - image[v]):
+            if len(down_b[ie]) != 2 or not put(u, sum(down_b[ie]) - image[v]):
                 return None
             if new:
                 stack.append(u)
                 for t in up_a[e]:
                     g, f = _other_edge(down_a, t, v, e), _other_edge(down_a, t, u, e)
-                    if not put(f, _other_edge(down_b, _two_face(b, ie, image[g]), image[u], ie)):
+                    s = _two_face(b, ie, image[g])
+                    if s is None or not put(f, _other_edge(down_b, s, image[u], ie)):
                         return None
     if -1 in image[:a.first_of_rank(1)]:
         return None
@@ -250,27 +251,32 @@ def map_frame(a: RankedPoset, b: RankedPoset, w: int, edges: Sequence[int]) -> l
     return image
 
 
+def _maps(a: RankedPoset, b: RankedPoset, w: int) -> Iterator[list[int]]:
+    """The isomorphisms from ``a`` onto ``b`` sending a's vertex 0 to ``w``:
+    :func:`map_frame` of each frame :func:`_frames_at` offers, where it succeeds."""
+    return filter(None, (map_frame(a, b, w, order) for order in _frames_at(a, b, w)))
+
+
 def posets_isomorphic(a: RankedPoset, b: RankedPoset) -> bool:
-    """Rank- and incidence-preserving bijection test for simple graded posets.
+    """Rank- and incidence-preserving bijection test out of a simple graded poset.
 
     Tries each frame of ``b`` that keeps the 2-face sizes at a's vertex 0
-    as the image of that vertex's frame (:func:`map_frame`).  Raises
-    :class:`NotThinError`, a ValueError, unless both pass the frame check; ``b``
-    keeps its verdict and covers for the next test.  A disconnected 1-skeleton
-    is not isomorphic to a connected one; two disconnected ones raise ValueError.
+    as the image of that vertex's frame (:func:`_maps`).  A frame fixes any
+    isomorphism out of ``a``, and a target it reaches is then simple too, so
+    only ``a`` must pass the frame check: raises :class:`NotThinError`, a
+    ValueError, unless it does, and answers False for any ``b`` that does
+    not.  ``a`` keeps its verdict and covers for the next test.  A
+    disconnected 1-skeleton of ``a`` is not isomorphic to a connected one
+    of ``b``; two disconnected ones raise ValueError.
     """
     if a.f_vector() != b.f_vector():
         return False
     if a.rank <= 0:
         return True
-    if not (a._frames_apply and b._frames_apply):
+    if not a._frames_apply:
         raise NotThinError("poset is not thin")
-    if a._skeleton_connected != b._skeleton_connected:
-        return False
     if not a._skeleton_connected:
+        if b._skeleton_connected:
+            return False
         raise ValueError("the 1-skeleta are not connected")
-    return any(
-        map_frame(a, b, w, order) is not None
-        for w in range(b.first_of_rank(1))
-        for order in _frames_at(a, b, w)
-    )
+    return any(image for w in range(b.first_of_rank(1)) for image in _maps(a, b, w))

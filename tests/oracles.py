@@ -34,6 +34,7 @@ from graphicahedron import (
     build,
     canonical_rep,
     classify_by_construction,
+    components,
     make_graph,
     transposition_of_edge,
 )
@@ -94,7 +95,7 @@ def face_sort_key(face: Face):
 def face(polytope, edges: Iterable[int], a: Perm) -> Face:
     """The face of ``polytope`` with the given edge set containing the permutation ``a``."""
     key = frozenset(edges)
-    return Face(key, canonical_rep(polytope.partition_of(key), a))
+    return Face(key, canonical_rep(components(polytope.graph, key), a))
 
 
 def vertex(a: Perm) -> Face:
@@ -142,7 +143,7 @@ def greatest_face(polytope: Graphicahedron) -> Face:
 
 def is_incident(polytope: Graphicahedron, below: Face, above: Face) -> bool:
     """The partial order: edge sets nest and the small coset lies in the large one."""
-    return below.edges <= above.edges and same_coset(polytope.partition_of(above.edges), below.rep, above.rep)
+    return below.edges <= above.edges and same_coset(components(polytope.graph, above.edges), below.rep, above.rep)
 
 
 def apply_right(polytope: Graphicahedron, gamma: Perm, face: Face) -> Face:
@@ -150,14 +151,14 @@ def apply_right(polytope: Graphicahedron, gamma: Perm, face: Face) -> Face:
 
     (Left multiplication would not preserve incidence, so it is not offered.)
     """
-    part = polytope.partition_of(face.edges)
+    part = components(polytope.graph, face.edges)
     return Face(face.edges, canonical_rep(part, compose(face.rep, gamma)))
 
 
 def apply_graph_aut(polytope: Graphicahedron, kappa: GraphAutomorphism, face: Face) -> Face:
     """Push a face through a graph symmetry: map the edge set, conjugate the representative."""
     edges = frozenset(kappa.edge_map[e] for e in face.edges)
-    part = polytope.partition_of(edges)
+    part = components(polytope.graph, edges)
     return Face(edges, canonical_rep(part, conjugate(face.rep, kappa.vertex_map)))
 
 
@@ -739,7 +740,7 @@ def tree_order_equals_coset_inclusion(graph: SimpleGraph) -> tuple[bool, tuple[F
     """
     polytope = build(graph)
     faces = all_faces(polytope)
-    parts = {f.edges: polytope.partition_of(f.edges) for f in faces}
+    parts = {K: components(polytope.graph, K) for K in {f.edges for f in faces}}
     for f in faces:
         for g in faces:
             cosets_nest = coset_le(parts[f.edges], f.rep, parts[g.edges], g.rep)

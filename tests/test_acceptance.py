@@ -34,6 +34,7 @@ from graphicahedron import (
     build,
     build_cayley,
     canonical_rep,
+    components,
     face_count,
     facet_census,
     flag_count,
@@ -251,8 +252,8 @@ def test_criterion_10_tree_remark():
     f, g = witness
     c3 = polytope_of("C_3")
     assert not is_incident(c3, f, g)
-    assert brute_coset(c3.partition_of(f.edges), f.rep) <= brute_coset(
-        c3.partition_of(g.edges), g.rep
+    assert brute_coset(components(c3.graph, f.edges), f.rep) <= brute_coset(
+        components(c3.graph, g.edges), g.rep
     )
 
 

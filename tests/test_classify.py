@@ -31,7 +31,7 @@ from graphicahedron import (
 from graphicahedron.classify import ordered_set_partitions
 from graphicahedron.errors import InternalInconsistencyError
 from graphicahedron.polytope import drop_face
-from graphicahedron.posets import RankedPoset, map_frame
+from graphicahedron.posets import RankedPoset, _frames_at, map_frame
 
 
 def hedron(name, n=None):
@@ -546,6 +546,51 @@ def test_poset_isomorphism_rejects_posets_that_are_not_thin():
     one = RankedPoset([0, 1], [[], [0]])
     with pytest.raises(ValueError, match="poset is not thin"):
         posets_isomorphic(one, one)
+
+
+def with_vertex_moved(poset, v, x, y):
+    """A copy of ``poset`` in which the vertex ``v`` moves from edge ``x``'s down list to edge ``y``'s."""
+    down = [list(d) for d in poset.down]
+    down[x].remove(v)
+    down[y] = sorted({*down[y], v})
+    return RankedPoset(list(poset.ranks), down)
+
+
+def test_poset_isomorphism_checks_only_the_side_the_frames_start_from():
+    hexagon = hedron("path", 2)
+    bad = with_vertex_moved(hexagon, hexagon.down[7][0], 7, 6)
+    assert bad.f_vector() == hexagon.f_vector() and not bad._frames_apply
+    assert not posets_isomorphic(hexagon, bad)
+    with pytest.raises(ValueError, match="poset is not thin"):
+        posets_isomorphic(bad, hexagon)
+
+
+def test_map_frame_fails_every_frame_on_a_broken_target():
+    # every move of a vertex from one edge to another, which leaves edges
+    # covering one id and two or three; the hexagon without its 2-face's
+    # cover of edge 6, so that edges 6 and 9 span no 2-face; vertex 0 on
+    # three edges; and vertex 2 on no edge, offered the empty frame, below a
+    # 2-face that covers two edges
+    hexagon = hedron("path", 2)
+    no_face = with_down(hexagon, 12, hexagon.down[12][1:])
+    isolated = with_down(with_down(with_down(hexagon, 6, [1, 3]), 10, [1, 5]), 12, [8, 9])
+    moves = [(v, x, y) for x, y in itertools.permutations(hexagon.levels[1], 2) for v in hexagon.down[x]]
+    targets = [no_face, with_down(hexagon, 7, [0, 3]), isolated] + [with_vertex_moved(hexagon, *m) for m in moves]
+    for target in targets:
+        for w in target.levels[0]:
+            for order in itertools.permutations(target.up[w]):
+                assert map_frame(hexagon, target, w, order) is None
+        assert not posets_isomorphic(hexagon, target)
+    assert list(_frames_at(hexagon, hexagon, 0)) and not list(_frames_at(hexagon, no_face, 0))
+
+
+def test_the_census_reads_no_verdict_about_the_store():
+    # a facet's interval is a target of frames from its checked reference:
+    # no verdict is copied into it, and the store itself is not frame-checked
+    P = hedron("paw")
+    assert "_frames_apply" not in vars(P.interval_below(P.first_of_rank(P.rank - 1)))
+    facet_census(P)
+    assert "_frames_apply" not in vars(P)
 
 
 def test_oracle_capacity():

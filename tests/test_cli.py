@@ -518,6 +518,15 @@ def test_export_skeleton_zero_is_isolated(capsys):
     assert skel["edges"] == []
 
 
+@pytest.mark.parametrize("what", ["skeleton:0", "skeleton:1"])
+def test_export_skeleton_of_an_edgeless_graph_says_why_it_exits_1(tmp_path, capsys, what):
+    path = tmp_path / "graph.txt"
+    path.write_text("p 1\n")
+    code, out, err = run(capsys, "export", "--file", str(path), "--what", what)
+    assert (code, out) == (1, "")
+    assert err == "error: a graph without edges has no proper skeleton\n"
+
+
 def test_export_unknown_target_exits_1(capsys):
     code, _, err = run(capsys, "export", "--preset", "paw", "--what", "hologram")
     assert code == 1

@@ -37,6 +37,7 @@ from graphicahedron import (
     DisconnectedGraphError,
     build,
     build_cayley,
+    components,
     constructed_group_order,
     face_count,
     facet_census,
@@ -200,7 +201,7 @@ def test_face_count_against_coset_dedup():
         for size in range(g.q + 1):
             total = 0
             for combo in itertools.combinations(range(g.q), size):
-                part = P.partition_of(frozenset(combo))
+                part = components(P.graph, combo)
                 total += len({
                     tuple(min(brute_coset(part, a)))
                     for a in itertools.permutations(range(g.p))
@@ -228,7 +229,7 @@ def test_incidence_example_decided_by_coset_listing():
     g = P.graph
     a13 = transposition_of_edge(3, (0, 2))
     edge_face = face(P, [0], a13)
-    coset = brute_coset(P.partition_of(frozenset([0])), a13)
+    coset = brute_coset(components(P.graph, [0]), a13)
     assert (identity(3) in coset) == is_incident(P, vertex(identity(3)), edge_face)
     assert not is_incident(P, vertex(identity(3)), edge_face)
     # the two vertices genuinely below that edge are its coset members
@@ -816,7 +817,7 @@ def test_cycle_breaks_coset_inclusion_equivalence():
     # the witness really is a containment of cosets without face incidence
     P = build(preset_graph("cycle", 3))
     assert not is_incident(P, f, g)
-    assert brute_coset(P.partition_of(f.edges), f.rep) <= brute_coset(P.partition_of(g.edges), g.rep)
+    assert brute_coset(components(P.graph, f.edges), f.rep) <= brute_coset(components(P.graph, g.edges), g.rep)
     assert not (f.edges <= g.edges)
 
 
