@@ -201,38 +201,38 @@ def _frames_at(a: RankedPoset, b: RankedPoset, w: int) -> Iterator[tuple[int, ..
 def map_frame(a: RankedPoset, b: RankedPoset, w: int, edges: Sequence[int]) -> list[int] | None:
     """The isomorphism from ``a``, which passes the frame check, onto ``b``,
     with the same f-vector, sending a's vertex 0 to ``w`` and its edges, in
-    id order, to ``edges``, the edges at ``w``; None if there is none, or
-    if ``edges`` is not an ordering of the edges at ``w``.
+    id order, to ``edges``, as many as a's (as :func:`_frames_at` offers);
+    None if there is none, or if ``edges`` is not an ordering of w's edges.
 
     Crossing an edge e from v to u, each 2-face above e meets u in e and an
     edge f, and v in e and an edge g; f goes to the edge at u's image below
     the 2-face of the images of e and g.  A higher face goes to the
-    face covering the images of its down-covers.  Only an injective map,
-    which then keeps every down-cover list, is returned; an edge of ``b``
-    that does not cover two ids, or a 2-face or edge of ``b`` that the
-    crossing does not find, fails the frame.
+    face covering the images of its down-covers.  An id goes only to one
+    covering as many ids, and only an injective map, which then keeps every
+    down-cover list, is returned; a 2-face or edge of ``b`` that the
+    crossing does not find fails the frame.
     """
     up_a, down_a, up_b, down_b = a.up, a.down, b.up, b.down
-    if len(edges) != len(up_a[0]) or sorted(edges) != up_b[w]:
+    if sorted(edges) != up_b[w]:
         return None
     image = [-1] * len(a)
     used = bytearray(len(b))
 
     def put(x: int, y: int | None) -> bool:
-        if y is not None and image[x] == -1 and not used[y]:
+        if y is not None and image[x] == -1 and not used[y] and len(down_b[y]) == len(down_a[x]):
             image[x] = y
             used[y] = 1
         return image[x] == y
 
-    for x, y in zip((0, *up_a[0]), (w, *edges)):
-        put(x, y)
+    if not all(map(put, (0, *up_a[0]), (w, *edges))):
+        return None
     stack = [0]
     while stack:
         v = stack.pop()
         for e in up_a[v]:
             u, ie = sum(down_a[e]) - v, image[e]
             new = image[u] == -1
-            if len(down_b[ie]) != 2 or not put(u, sum(down_b[ie]) - image[v]):
+            if not put(u, sum(down_b[ie]) - image[v]):
                 return None
             if new:
                 stack.append(u)

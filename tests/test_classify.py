@@ -31,7 +31,7 @@ from graphicahedron import (
 from graphicahedron.classify import ordered_set_partitions
 from graphicahedron.errors import InternalInconsistencyError
 from graphicahedron.polytope import drop_face
-from graphicahedron.posets import RankedPoset, _frames_at, map_frame
+from graphicahedron.posets import RankedPoset, _frames_at, _maps, map_frame
 
 
 def hedron(name, n=None):
@@ -550,10 +550,7 @@ def test_poset_isomorphism_rejects_posets_that_are_not_thin():
 
 def with_vertex_moved(poset, v, x, y):
     """A copy of ``poset`` in which the vertex ``v`` moves from edge ``x``'s down list to edge ``y``'s."""
-    down = [list(d) for d in poset.down]
-    down[x].remove(v)
-    down[y] = sorted({*down[y], v})
-    return RankedPoset(list(poset.ranks), down)
+    return with_down(with_down(poset, x, [u for u in poset.down[x] if u != v]), y, {*poset.down[y], v})
 
 
 def test_poset_isomorphism_checks_only_the_side_the_frames_start_from():
@@ -567,21 +564,28 @@ def test_poset_isomorphism_checks_only_the_side_the_frames_start_from():
 
 def test_map_frame_fails_every_frame_on_a_broken_target():
     # every move of a vertex from one edge to another, which leaves edges
-    # covering one id and two or three; the hexagon without its 2-face's
-    # cover of edge 6, so that edges 6 and 9 span no 2-face; vertex 0 on
-    # three edges; and vertex 2 on no edge, offered the empty frame, below a
-    # 2-face that covers two edges
+    # covering one id and two or three; vertex 0 covering another vertex or
+    # the 2-face; the hexagon without its 2-face's cover of edge 6, so that
+    # edges 6 and 9 span no 2-face; vertex 0 on three edges; and vertex 2 on
+    # no edge, below a 2-face that covers two edges.  Each frame _frames_at
+    # offers fails in map_frame, and none is offered at a vertex whose edges
+    # are too many or too few, or span no 2-face.
     hexagon = hedron("path", 2)
     no_face = with_down(hexagon, 12, hexagon.down[12][1:])
+    three = with_down(hexagon, 7, [0, 3])
     isolated = with_down(with_down(with_down(hexagon, 6, [1, 3]), 10, [1, 5]), 12, [8, 9])
     moves = [(v, x, y) for x, y in itertools.permutations(hexagon.levels[1], 2) for v in hexagon.down[x]]
-    targets = [no_face, with_down(hexagon, 7, [0, 3]), isolated] + [with_vertex_moved(hexagon, *m) for m in moves]
-    for target in targets:
+    targets = [with_down(hexagon, 0, [1]), with_down(hexagon, 0, [12]), no_face, three, isolated]
+    offered = 0
+    for target in targets + [with_vertex_moved(hexagon, *m) for m in moves]:
+        assert target.f_vector() == hexagon.f_vector()
         for w in target.levels[0]:
-            for order in itertools.permutations(target.up[w]):
-                assert map_frame(hexagon, target, w, order) is None
+            offered += len(list(_frames_at(hexagon, target, w)))
+            assert not list(_maps(hexagon, target, w))
         assert not posets_isomorphic(hexagon, target)
-    assert list(_frames_at(hexagon, hexagon, 0)) and not list(_frames_at(hexagon, no_face, 0))
+    assert offered > 0 and list(_frames_at(hexagon, hexagon, 0))
+    assert not list(_frames_at(hexagon, no_face, 0))
+    assert not list(_frames_at(hexagon, three, 0)) and not list(_frames_at(hexagon, isolated, 2))
 
 
 def test_the_census_reads_no_verdict_about_the_store():
