@@ -120,8 +120,9 @@ class Graphicahedron(RankedPoset):
     @cached_property
     def down(self) -> list[list[int]]:
         down: list[list[int]] = [[] for _ in range(len(self))]
-        # Blocks come in id order, so each list ends up sorted.
+        # Blocks come in id order, so each list ends up sorted; one int object per id.
         for (edges, reps), start in zip(self.blocks, self.starts):
+            ids = list(range(start, start + len(reps)))
             for e in range(self.rank):
                 if e in edges:
                     continue
@@ -130,7 +131,7 @@ class Graphicahedron(RankedPoset):
                 if b is None:
                     continue
                 part = components(self.graph, larger)
-                for i, rep in enumerate(reps, start):
+                for i, rep in zip(ids, reps):
                     j = self._id_in_block(b, canonical_rep(part, rep))
                     if j is not None:
                         down[j].append(i)

@@ -5,7 +5,8 @@ intervals (:meth:`RankedPoset.interval_below`) and the models built
 independently of it.  In a *simple* poset the faces through a vertex are
 the subsets of its edges, so an isomorphism out of it is fixed by where it
 sends one vertex and its edges in order, a *frame*, and the target is then
-simple too: only the side the frames start from is checked.
+simple too: only the side the frames start from is checked.  A frame into
+a vertex w is a permutation of positions into its edges ``up[w]``.
 :func:`map_frame` is the one propagation that extends a frame, total on any
 target; :func:`posets_isomorphic` and the automorphism count
 (:attr:`RankedPoset.vertex_orbit_and_stabiliser`) both run on it.
@@ -125,23 +126,22 @@ class RankedPoset:
         """The size of vertex 0's orbit under the automorphisms and the order
         of its stabiliser, each automorphism one frame test (:func:`map_frame`).
 
-        Frames at vertex 0 are tested one per left coset of the stabiliser
-        found so far, as a failing frame rules out its coset; then each vertex
-        outside the orbit found so far, until a frame there succeeds.  Raises
-        :class:`NotThinError`, a ValueError, unless the frame check passes."""
+        The stabiliser is the group of frames at vertex 0 that extend.  They are
+        tested one per left coset of the stabiliser found so far, as a failing frame
+        rules out its coset; then each vertex outside the orbit found so far, until a
+        frame there succeeds.  Raises :class:`NotThinError`, a ValueError, unless the
+        frame check passes."""
         if not self._frames_apply:
             raise NotThinError("poset is not thin")
         if not self._skeleton_connected:
             raise InternalInconsistencyError("the 1-skeleton is not connected")
-        position = {e: k for k, e in enumerate(self.up[0])}
         found: list[list[int]] = []
         gens: list[tuple[int, ...]] = []
-        group, ruled_out = {tuple(range(len(position)))}, set()
-        for order in _frames_at(self, self, 0):
-            sigma = tuple(map(position.__getitem__, order))
+        group, ruled_out = {tuple(range(len(self.up[0])))}, set()
+        for sigma in _frames_at(self, self, 0):
             if sigma in group or sigma in ruled_out:
                 continue
-            image = map_frame(self, self, 0, order)
+            image = map_frame(self, self, 0, sigma)
             if image is None:
                 ruled_out.update(tuple(sigma[k] for k in h) for h in group)
                 continue
@@ -181,16 +181,16 @@ def _other_edge(down: Sequence[Sequence[int]], t: int, x: int, e: int) -> int | 
 
 
 def _frames_at(a: RankedPoset, b: RankedPoset, w: int) -> Iterator[tuple[int, ...]]:
-    """The orderings of the edges at b's vertex ``w`` whose pairs span 2-faces as large as the
-    matching pairs at a's vertex 0, in ``itertools.permutations`` order, grown edge by edge;
-    none if ``w`` has another number of edges, or two of them span no 2-face."""
+    """The frames at b's vertex ``w``, permutations of positions into ``b.up[w]``, whose pairs of
+    edges span 2-faces as large as the matching pairs at a's vertex 0, in ``itertools.permutations``
+    order, grown edge by edge; none if ``w`` has another number of edges, or two span no 2-face."""
     at_a, edges = a.up[0], b.up[w]
     want = [[len(a.down[_two_face(a, e, f)]) for e in at_a[:k]] for k, f in enumerate(at_a)]
     sizes = [[0 if (t := _two_face(b, e, f)) is None else len(b.down[t]) for f in edges] for e in edges]
 
     def grow(order: tuple[int, ...], rest: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         if not rest:
-            yield tuple(edges[j] for j in order)
+            yield order
         for x, j in enumerate(rest):
             if [sizes[i][j] for i in order] == want[len(order)]:
                 yield from grow((*order, j), rest[:x] + rest[x + 1:])
@@ -198,11 +198,11 @@ def _frames_at(a: RankedPoset, b: RankedPoset, w: int) -> Iterator[tuple[int, ..
     return grow((), tuple(range(len(edges)))) if len(edges) == len(at_a) else iter(())
 
 
-def map_frame(a: RankedPoset, b: RankedPoset, w: int, edges: Sequence[int]) -> list[int] | None:
+def map_frame(a: RankedPoset, b: RankedPoset, w: int, order: Iterable[int]) -> list[int] | None:
     """The isomorphism from ``a``, which passes the frame check, onto ``b``,
     with the same f-vector, sending a's vertex 0 to ``w`` and its edges, in
-    id order, to ``edges``, as many as a's (as :func:`_frames_at` offers);
-    None if there is none, or if ``edges`` is not an ordering of w's edges.
+    id order, to the edges ``b.up[w][k]`` for the positions k of ``order``,
+    a frame that :func:`_frames_at` offers; None if there is none.
 
     Crossing an edge e from v to u, each 2-face above e meets u in e and an
     edge f, and v in e and an edge g; f goes to the edge at u's image below
@@ -213,8 +213,6 @@ def map_frame(a: RankedPoset, b: RankedPoset, w: int, edges: Sequence[int]) -> l
     crossing does not find fails the frame.
     """
     up_a, down_a, up_b, down_b = a.up, a.down, b.up, b.down
-    if sorted(edges) != up_b[w]:
-        return None
     image = [-1] * len(a)
     used = bytearray(len(b))
 
@@ -224,7 +222,7 @@ def map_frame(a: RankedPoset, b: RankedPoset, w: int, edges: Sequence[int]) -> l
             used[y] = 1
         return image[x] == y
 
-    if not all(map(put, (0, *up_a[0]), (w, *edges))):
+    if not all(map(put, (0, *up_a[0]), (w, *map(up_b[w].__getitem__, order)))):
         return None
     stack = [0]
     while stack:

@@ -437,17 +437,22 @@ def flag_posets_isomorphic(a: RankedPoset, b: RankedPoset) -> bool:
 
 
 def frames_by_filter(a: RankedPoset, b: RankedPoset, w: int) -> Iterator[tuple[int, ...]]:
-    """The orderings of the edges at b's vertex ``w`` in which every pair
-    spans a 2-face of as many edges as the matching pair at a's vertex 0,
-    by filtering all of ``itertools.permutations`` of those edges."""
+    """The orderings of the edges at b's vertex ``w``, as permutations of
+    positions into ``b.up[w]``, in which every pair spans a 2-face of as
+    many edges as the matching pair at a's vertex 0, by filtering all of
+    ``itertools.permutations`` of those positions."""
 
     def two_face(poset: RankedPoset, e: int, f: int) -> int:
         return next(t for t in poset.up[e] if f in poset.down[t])
 
+    edges = b.up[w]
     want = [len(a.down[two_face(a, e, f)]) for e, f in itertools.combinations(a.up[0], 2)]
-    gon = {(e, f): len(b.down[two_face(b, e, f)]) for e, f in itertools.permutations(b.up[w], 2)}
+    gon = {
+        (j, k): len(b.down[two_face(b, edges[j], edges[k])])
+        for j, k in itertools.permutations(range(len(edges)), 2)
+    }
     return (
-        order for order in itertools.permutations(b.up[w])
+        order for order in itertools.permutations(range(len(edges)))
         if [gon[pair] for pair in itertools.combinations(order, 2)] == want
     )
 

@@ -514,27 +514,24 @@ def test_map_frame_maps_every_higher_face_by_its_covers():
     # face changed: one down-cover swapped for another 2-face, or the next
     # face's down-covers repeated.  Only the step above rank 2 can tell.
     P = hedron("paw")
-    assert map_frame(P, P, 0, P.up[0]) == list(range(len(P)))
+    assert map_frame(P, P, 0, range(P.rank)) == list(range(len(P)))
     x = P.first_of_rank(3)
     other = next(t for t in P.levels[2] if t not in P.down[x])
     for below in ([other, *P.down[x][1:]], P.down[x + 1]):
         copy = with_down(P, x, below)
         assert copy.down[:x] == P.down[:x] and copy.f_vector() == P.f_vector()
-        assert map_frame(P, copy, 0, copy.up[0]) is None
+        assert map_frame(P, copy, 0, range(P.rank)) is None
 
 
 def test_map_frame_rejects_a_frame_that_is_not_an_ordering_of_the_edges():
-    # a repeated edge, three of the four edges, or an edge away from vertex 0
+    # a repeated position: the first edge four times
     P = hedron("paw")
-    e, *rest = P.up[0]
-    away = next(x for x in P.levels[1] if x not in P.up[0])
-    for frame in ([e] * 4, [e, *rest[:2]], [away, *rest]):
-        assert map_frame(P, P, 0, frame) is None
+    assert map_frame(P, P, 0, [0] * 4) is None
 
 
 def test_map_frame_rejects_a_frame_that_misses_a_vertex():
     triangles = two_triangles()
-    assert map_frame(triangles, triangles, 0, triangles.up[0]) is None
+    assert map_frame(triangles, triangles, 0, range(triangles.rank)) is None
 
 
 def test_poset_isomorphism_rejects_posets_that_are_not_thin():

@@ -620,6 +620,15 @@ def test_direct_covers_match_pairwise_scan(spec):
         assert corrupted.covers() == pairwise_covers(corrupted)
 
 
+@pytest.mark.parametrize("spec", ["fork", "cycle:5", "path:5"])
+def test_cover_lists_share_one_int_per_id(spec):
+    # an id's int object is made once, not once per face that covers it
+    name, _, n = spec.partition(":")
+    P = hedron(name, int(n) if n else None)
+    held = [i for below in P.down for i in below]
+    assert len(set(map(id, held))) == len(set(held))
+
+
 # (verify_diamond, verify_strong_flag_connectedness) ``checked`` counts,
 # recorded from the pairwise-incidence implementation; path:5 and star:5
 # from the flag-graph route that came before the walk of covers.  The

@@ -239,6 +239,25 @@ def test_aut_count_tests_few_candidates(spec, monkeypatch):
     assert len(calls) == FRAME_TESTS[spec]
 
 
+def store(spec):
+    """The store of a preset written ``name:n``, or of K4."""
+    if spec == "K4":
+        return build(make_graph(4, list(itertools.combinations(range(4), 2))))
+    name, _, n = spec.partition(":")
+    return hedron(name, int(n) if n else None)
+
+
+@pytest.mark.parametrize("spec", ["paw", "fork", "cycle:5", "star:4", "path:4", "K4"])
+def test_first_frame_at_every_vertex_is_its_edge_order_and_extends(spec):
+    # the claim above FRAME_TESTS: the identity order of positions into a
+    # vertex's edges comes first and is a right multiplication
+    P = store(spec)
+    q = P.rank
+    for w in range(P.first_of_rank(1)):
+        assert next(posets._frames_at(P, P, w)) == tuple(range(q))
+        assert posets.map_frame(P, P, w, range(q)) is not None
+
+
 # Every preset with at most 6 edges, and K4, at every vertex up to p = 5 and
 # at about 100 evenly spaced vertices above: over all vertices the filter
 # takes about 1.5 s on cycle:6 and 11 s on each of path:6 and star:6.
@@ -250,11 +269,7 @@ FRAME_SEARCH_GRAPHS = [
 
 @pytest.mark.parametrize("spec", FRAME_SEARCH_GRAPHS)
 def test_frame_search_equals_the_permutation_filter(spec):
-    if spec == "K4":
-        P = build(make_graph(4, list(itertools.combinations(range(4), 2))))
-    else:
-        name, _, n = spec.partition(":")
-        P = hedron(name, int(n) if n else None)
+    P = store(spec)
     n_vertices = P.first_of_rank(1)
     for w in range(0, n_vertices, max(1, n_vertices // 100)):
         assert list(posets._frames_at(P, P, w)) == list(frames_by_filter(P, P, w))
