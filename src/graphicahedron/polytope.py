@@ -118,11 +118,15 @@ class Graphicahedron(RankedPoset):
         return [len(edges) for edges, reps in self.blocks for _ in reps]
 
     @cached_property
+    def _ids(self) -> list[int]:
+        return list(range(len(self)))
+
+    @cached_property
     def down(self) -> list[list[int]]:
         down: list[list[int]] = [[] for _ in range(len(self))]
-        # Blocks come in id order, so each list ends up sorted; one int object per id.
+        # Blocks come in id order, so each list ends up sorted; one int object per id, as in up.
         for (edges, reps), start in zip(self.blocks, self.starts):
-            ids = list(range(start, start + len(reps)))
+            ids = self._ids[start:start + len(reps)]
             for e in range(self.rank):
                 if e in edges:
                     continue
@@ -221,22 +225,11 @@ def drop_face(polytope: Graphicahedron, i: int) -> Graphicahedron:
 
 
 # ---------------------------------------------------------------------------
-# Flags
+# Flags: counted in closed form, never built, so nothing caps their number
 
 
 def flag_count(polytope: Graphicahedron) -> int:
     return math.factorial(polytope.graph.p) * math.factorial(polytope.graph.q)
-
-
-def check_flag_capacity(graph: SimpleGraph, max_flags: int) -> None:
-    """Raise :class:`CapacityError` when the p!q! flags exceed ``max_flags``."""
-    n = math.factorial(graph.p) * math.factorial(graph.q)
-    if n > max_flags:
-        try:
-            count = str(n)
-        except ValueError:  # more digits than int-to-str conversion allows
-            count = f"{graph.p}! * {graph.q}!"
-        raise CapacityError(f"{count} flags exceed the cap of {max_flags}")
 
 
 # ---------------------------------------------------------------------------

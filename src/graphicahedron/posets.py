@@ -29,13 +29,14 @@ class RankedPoset:
     ``ranks[i]`` is the rank of id i and ``down[i]`` the sorted list of ids
     that i covers.  The greatest element is the last id and ``rank`` its
     rank; the least element is implicit, below every id of rank 0.  A
-    subclass may provide ``ranks``, ``down``, ``rank`` and ``first_of_rank``
-    its own way; the other methods derive from those.
+    subclass may provide ``ranks``, ``down``, ``rank``, ``first_of_rank``
+    and ``_ids`` its own way; the other methods derive from those.
     """
 
     def __init__(self, ranks: Sequence[int], down: Sequence[Sequence[int]]):
         self.ranks = ranks
         self.down = down
+        self._ids = range(len(ranks))  # the int objects ``up`` holds, one per id
 
     @property
     def rank(self) -> int:
@@ -62,7 +63,7 @@ class RankedPoset:
     def up(self) -> list[list[int]]:
         """``up[i]`` is the sorted ids that cover id i."""
         up: list[list[int]] = [[] for _ in range(len(self))]
-        for i, below in enumerate(self.down):
+        for i, below in zip(self._ids, self.down):
             for j in below:
                 up[j].append(i)
         return up

@@ -10,8 +10,9 @@ closed form (:func:`constructed_group_order`) and builds neither action.
 
 Independently of that construction, the full automorphism group is counted
 on the stored face poset by vertex frames (:mod:`posets`): the size of a
-vertex's orbit times its stabiliser, with no cap of its own (the CLI bounds
-the work with :func:`polytope.check_walkable` before building the poset).
+vertex's orbit times its stabiliser (:func:`full_aut_order_via_flags`, which
+:func:`aut_summary` and :func:`is_regular` read), with no cap and no flag built
+(the CLI bounds the work with :func:`polytope.check_walkable` first).
 """
 
 from __future__ import annotations
@@ -21,9 +22,7 @@ from dataclasses import dataclass
 
 from .errors import InternalInconsistencyError
 from .graphs import SimpleGraph, automorphisms, is_star, is_triangle
-from .polytope import Graphicahedron, check_flag_capacity, flag_count
-
-DEFAULT_MAX_FLAGS = 5000
+from .polytope import Graphicahedron, flag_count
 
 
 def constructed_group_order(graph: SimpleGraph) -> int:
@@ -45,12 +44,11 @@ def semidirect_applies(graph: SimpleGraph) -> bool:
     return graph.q != 1
 
 
-def full_aut_order_via_flags(polytope: Graphicahedron, max_flags: int = DEFAULT_MAX_FLAGS) -> int:
-    """Count polytope automorphisms on the vertex frames of the stored poset,
-    after :func:`check_flag_capacity`: vertex 0's orbit times its stabiliser
-    (:attr:`RankedPoset.vertex_orbit_and_stabiliser`).  A face missing from
-    the store shows: ValueError unless every vertex figure is a simplex."""
-    check_flag_capacity(polytope.graph, max_flags)
+def full_aut_order_via_flags(polytope: Graphicahedron, max_flags: int | None = None) -> int:
+    """Count polytope automorphisms on the vertex frames of the stored poset: vertex 0's
+    orbit times its stabiliser (:attr:`RankedPoset.vertex_orbit_and_stabiliser`).  A face
+    missing from the store shows: ValueError unless every vertex figure is a simplex.
+    ``max_flags`` is unused; it stays only for ``perfbench/job.py`` until ROADMAP item 1."""
     return math.prod(polytope.vertex_orbit_and_stabiliser)
 
 
@@ -67,7 +65,7 @@ def is_regular(polytope: Graphicahedron) -> bool:
     as its flag set.  The verdict must agree with the closed-form criterion
     on the underlying graph; disagreement means a bug, not a warning.
     """
-    by_count = math.prod(polytope.vertex_orbit_and_stabiliser) == flag_count(polytope)
+    by_count = full_aut_order_via_flags(polytope) == flag_count(polytope)
     by_shape = regular_by_graph_shape(polytope.graph)
     if by_count != by_shape:
         raise InternalInconsistencyError(
@@ -95,7 +93,7 @@ class AutGroupSummary:
 
 def aut_summary(polytope: Graphicahedron) -> AutGroupSummary:
     graph = polytope.graph
-    flag_aut_order = math.prod(polytope.vertex_orbit_and_stabiliser)
+    flag_aut_order = full_aut_order_via_flags(polytope)
     graph_aut_order = len(automorphisms(graph))
     return AutGroupSummary(
         constructed_order=_constructed_order(graph, graph_aut_order),

@@ -622,10 +622,11 @@ def test_direct_covers_match_pairwise_scan(spec):
 
 @pytest.mark.parametrize("spec", ["fork", "cycle:5", "path:5"])
 def test_cover_lists_share_one_int_per_id(spec):
-    # an id's int object is made once, not once per face that covers it
+    # an id's int object is made once, not once per face that covers it or
+    # that it covers
     name, _, n = spec.partition(":")
     P = hedron(name, int(n) if n else None)
-    held = [i for below in P.down for i in below]
+    held = [i for lists in (P.down, P.up) for ids in lists for i in ids]
     assert len(set(map(id, held))) == len(set(held))
 
 

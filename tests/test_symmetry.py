@@ -40,7 +40,6 @@ from graphicahedron import (
     preset_graph,
 )
 from graphicahedron import posets, symmetry
-from graphicahedron.errors import CapacityError
 from graphicahedron.polytope import drop_face
 from graphicahedron.symmetry import regular_by_graph_shape, semidirect_applies
 
@@ -144,20 +143,14 @@ def test_full_aut_order_examples():
 
 
 def test_flag_count_oracle_matches_constructed_order():
-    for name, n in [
-        ("path", 2),
-        ("path", 3),
-        ("path", 4),
-        ("cycle", 3),
-        ("cycle", 4),
-        ("cycle", 5),  # 14 400 flags
-        ("star", 3),
-        ("star", 4),
-        ("paw", None),
-        ("fork", None),
+    # no flag cap: cycle:5 has 14 400 flags, star:5 86 400, K5 120 * 10!
+    for spec in [
+        "path:2", "path:3", "path:4", "cycle:3", "cycle:4", "cycle:5",
+        "star:3", "star:4", "star:5", "paw", "fork", "K4", "K5",
     ]:
-        P = hedron(name, n)
-        assert full_aut_order_via_flags(P, max_flags=20000) == constructed_group_order(P.graph)
+        P = store(spec)
+        count = full_aut_order_via_flags(P)
+        assert count == constructed_group_order(P.graph) == aut_summary(P).flag_aut_order
 
 
 @pytest.mark.parametrize("spec", [
@@ -166,7 +159,7 @@ def test_flag_count_oracle_matches_constructed_order():
 def test_frame_count_equals_the_flag_count(spec):
     name, _, n = spec.partition(":")
     P = hedron(name, int(n) if n else None)
-    assert full_aut_order_via_flags(P, max_flags=20000) == flag_aut_order(P)
+    assert full_aut_order_via_flags(P) == flag_aut_order(P)
 
 
 @pytest.mark.parametrize("spec", ["paw", "fork", "cycle:4"])
@@ -183,7 +176,7 @@ def test_both_counts_reject_every_single_face_drop(spec):
 
 def test_cycle6_counts_on_frames_at_p6():
     P = hedron("cycle", 6)
-    assert full_aut_order_via_flags(P, max_flags=10**6) == 8640 == constructed_group_order(P.graph)
+    assert full_aut_order_via_flags(P) == 8640 == constructed_group_order(P.graph)
     assert is_vertex_transitive(P)
     assert facet_census(P).total == 6
 
@@ -235,14 +228,15 @@ def test_aut_count_tests_few_candidates(spec, monkeypatch):
     monkeypatch.setattr(posets, "map_frame", counting)
     name, _, n = spec.partition(":")
     P = hedron(name, int(n) if n else None)
-    assert full_aut_order_via_flags(P, max_flags=20000) == constructed_group_order(P.graph)
+    assert full_aut_order_via_flags(P) == constructed_group_order(P.graph)
     assert len(calls) == FRAME_TESTS[spec]
 
 
 def store(spec):
-    """The store of a preset written ``name:n``, or of K4."""
-    if spec == "K4":
-        return build(make_graph(4, list(itertools.combinations(range(4), 2))))
+    """The store of a preset written ``name:n``, or of K4 or K5."""
+    if spec in ("K4", "K5"):
+        n = int(spec[1])
+        return build(make_graph(n, list(itertools.combinations(range(n), 2))))
     name, _, n = spec.partition(":")
     return hedron(name, int(n) if n else None)
 
@@ -325,11 +319,6 @@ def test_full_aut_order_reads_the_stored_poset():
     P = hedron("paw")
     with pytest.raises(ValueError, match="poset is not thin"):
         full_aut_order_via_flags(drop_face(P, P.first_of_rank(3)))
-
-
-def test_full_aut_capacity():
-    with pytest.raises(CapacityError):
-        full_aut_order_via_flags(hedron("paw"), max_flags=100)
 
 
 def test_is_regular():
