@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import CapacityError, InternalInconsistencyError
 from .graphs import SimpleGraph, canonical_form, components
@@ -105,8 +104,7 @@ def labelled_poset(graph: SimpleGraph, edges: Iterable[int]) -> RankedPoset:
     return RankedPoset([len(K) for K, _ in elements], down)
 
 
-@dataclass(frozen=True)
-class FacetCensus:
+class FacetCensus(NamedTuple):
     """Multiset of facet type labels, with one sample facet per type."""
 
     entries: tuple[tuple[str, int, str], ...]

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import itertools
 import json
 import math
@@ -95,9 +94,9 @@ def _graph_from_args(args: argparse.Namespace) -> SimpleGraph:
         return parse_graph(text)
     if args.edges is not None:
         return _parse_inline_edges(args.edges)
-    name, _, arg = args.preset.partition(":")
+    name, sep, arg = args.preset.partition(":")
     try:
-        n = parse_int(arg) if arg else None
+        n = parse_int(arg) if sep else None
     except ValueError:
         raise ParseError(f"bad preset size in {args.preset!r}") from None
     try:
@@ -238,7 +237,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     report = _report_head(graph, hedron.f_vector())
     report.update({
-        "symmetry": dataclasses.asdict(summary),
+        "symmetry": summary._asdict(),
         "facet_census": [
             {"type": tag, "count": count, "sample_facet_id": sample} for tag, count, sample in census
         ],

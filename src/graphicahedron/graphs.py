@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import CapacityError, ParseError
 from .perms import Perm, VertexPartition, inverse
@@ -20,25 +19,37 @@ from .perms import Perm, VertexPartition, inverse
 Edge = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class SimpleGraph:
-    """A loopless graph without multiple edges on vertices ``0..p-1``."""
-
+class _GraphFields(NamedTuple):
     p: int
     edges: tuple[Edge, ...]
 
-    def __post_init__(self):
+
+class SimpleGraph(_GraphFields):
+    """A loopless graph without multiple edges on vertices ``0..p-1``.
+
+    A named tuple ``(p, edges)``.  ``NamedTuple`` allows no ``__new__`` in
+    its own body, so the checks run in this subclass, whose ``__dict__``
+    holds the cached properties.
+    """
+
+    def __new__(cls, p: int, edges: tuple[Edge, ...]) -> SimpleGraph:
         seen = set()
-        for i, j in self.edges:
+        for i, j in edges:
             if i == j:
                 raise ValueError(f"loop edge at vertex {i + 1}")
-            if not (0 <= i < self.p and 0 <= j < self.p):
-                raise ValueError(f"edge ({i + 1}, {j + 1}) out of range for p={self.p}")
+            if not (0 <= i < p and 0 <= j < p):
+                raise ValueError(f"edge ({i + 1}, {j + 1}) out of range for p={p}")
             if i > j:
                 raise ValueError("edge endpoints must be stored sorted")
             if (i, j) in seen:
                 raise ValueError(f"duplicate edge ({i + 1}, {j + 1})")
             seen.add((i, j))
+        return super().__new__(cls, p, edges)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> SimpleGraph:
+        # the base's _make, which _replace calls, would skip the checks
+        return cls(*iterable)
 
     @property
     def q(self) -> int:
@@ -195,8 +206,7 @@ def is_connected(graph: SimpleGraph) -> bool:
     return len(components(graph, range(graph.q)).blocks) == 1
 
 
-@dataclass(frozen=True)
-class GraphAutomorphism:
+class GraphAutomorphism(NamedTuple):
     """A graph symmetry: a vertex permutation together with its induced edge permutation."""
 
     vertex_map: Perm

@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import CapacityError
 
@@ -52,8 +51,7 @@ def transposition_of_edge(p: int, edge: tuple[int, int]) -> Perm:
     return tuple(word)
 
 
-@dataclass(frozen=True)
-class VertexPartition:
+class VertexPartition(NamedTuple):
     """A partition of ``0..p-1`` into blocks, with blocks ordered by smallest member.
 
     The ordering convention makes equality structural: two partitions with the

@@ -40,10 +40,9 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import cached_property
 from operator import gt
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .cayley import CayleyGraph, SortedEdges
 from .errors import CapacityError, DisconnectedGraphError
@@ -236,8 +235,7 @@ def flag_count(polytope: Graphicahedron) -> int:
 # Axiom verifiers
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     passed: bool
     checked: int
     failure: str | None = None

@@ -18,7 +18,7 @@ vertex's orbit times its stabiliser (:func:`full_aut_order_via_flags`, which
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InternalInconsistencyError
 from .graphs import SimpleGraph, automorphisms, is_star, is_triangle
@@ -80,8 +80,7 @@ def is_vertex_transitive(polytope: Graphicahedron) -> bool:
     return polytope.vertex_orbit_and_stabiliser[0] == polytope.first_of_rank(1)
 
 
-@dataclass(frozen=True)
-class AutGroupSummary:
+class AutGroupSummary(NamedTuple):
     constructed_order: int
     flag_aut_order: int
     sp_order: int

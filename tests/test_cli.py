@@ -123,7 +123,9 @@ def test_bad_preset_exits_1(capsys):
     assert "unknown preset" in err
 
 
-@pytest.mark.parametrize("preset", ["path:+3", "path:1_0", "path:\u0663", "path: 3", "cycle:4 "])
+@pytest.mark.parametrize(
+    "preset", ["path:+3", "path:1_0", "path:\u0663", "path: 3", "cycle:4 ", "paw:", "fork:", "path:"]
+)
 def test_preset_size_takes_ascii_digits_only(capsys, preset):
     code, out, err = run(capsys, "build", "--preset", preset)
     assert code == 1
@@ -451,6 +453,20 @@ def test_only_export_loads_array():
         "    assert 'array' not in sys.modules",
         "    assert cli.main(['export', '--preset', 'fork', '--what', 'cayley']) == 0",
         "assert 'array' in sys.modules",
+    ])
+    subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=120)
+
+
+def test_import_loads_no_dataclasses_machinery():
+    # the records are named tuples; a fresh interpreter, since pytest has
+    # already imported these modules itself
+    src = str(Path(graphicahedron.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = "\n".join([
+        "import sys",
+        "import graphicahedron, graphicahedron.cli",
+        "loaded = sorted({'dataclasses', 'inspect', 'ast', 'dis'} & set(sys.modules))",
+        "assert loaded == [], loaded",
     ])
     subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=120)
 

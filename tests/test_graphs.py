@@ -116,8 +116,9 @@ def test_preset_validation():
         (lambda: make_graph(2, [(0, 2)]), "edge (1, 3) out of range for p=2"),
         (lambda: SimpleGraph(3, ((1, 0),)), "edge endpoints must be stored sorted"),
         (lambda: make_graph(3, [(0, 1), (1, 0)]), "duplicate edge (1, 2)"),
+        (lambda: make_graph(3, [(0, 1)])._replace(edges=((1, 1),)), "loop edge at vertex 2"),
     ],
-    ids=["loop", "out-of-range", "unsorted", "duplicate"],
+    ids=["loop", "out-of-range", "unsorted", "duplicate", "replace"],
 )
 def test_simple_graph_rejects_what_the_parser_never_passes(build_graph, message):
     # parse_graph refuses these inputs itself, so only direct construction reaches them
